@@ -5,8 +5,9 @@ Subcommands cover the whole pipeline: ``simulate`` a measurement record,
 over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
-Exit codes: 0 success, 2 config/document parse error, 3 invariant
-violation, 4 record/waveform fingerprint mismatch, 5 waveform not
+Exit codes: 0 success, 2 config/document parse error (including non-finite
+numbers), 3 invariant violation, 4 record does not match the config
+(waveform fingerprint, spin size or sample grid), 5 waveform not
 informationally complete. All randomness comes from seeds in the config,
 so every command is deterministic and re-runs are byte-identical.
 """
@@ -14,7 +15,6 @@ so every command is deterministic and re-runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -57,7 +57,6 @@ def _history_for(config: ExperimentConfig):
         config.waveform,
         measured_observable(sys_),
         n_samples=config.n_samples,
-        substeps=config.substeps,
     )
     return sys_, history
 
@@ -104,7 +103,7 @@ def cmd_estimate(
     if nuisance:
         params = _parse_nuisance(nuisance)
         result = estimate_with_nuisance(
-            record, config.waveform, sys_, params, budget=budget, substeps=config.substeps
+            record, config.waveform, sys_, params, budget=budget
         )
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")
@@ -124,8 +123,7 @@ def cmd_estimate(
             print("prefix curve skipped: not available together with --nuisance")
         else:
             points = estimate_prefix_curve(
-                record, history, truth, sys_, config.waveform,
-                stride=stride, substeps=config.substeps,
+                record, history, truth, sys_, config.waveform, stride=stride
             )
             with open(prefix_curve, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("time,fidelity,max_eigenvalue\n")
@@ -176,8 +174,8 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str, jobs: int = 4) -> i
 def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 360) -> int:
     with open(input_path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = serialize.load(fh)
+        except ValueError as exc:
             raise ConfigError(f"input file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("input document must be a JSON object")
@@ -209,8 +207,7 @@ def cmd_design(
     sys_ = config.spin_system()
     result = optimize_waveform(
         sys_, config.waveform, budget=budget, seed=seed,
-        n_samples=config.n_samples, substeps=config.substeps,
-        objective=objective, sensitivity_weight=sensitivity_weight,
+        n_samples=config.n_samples, objective=objective, sensitivity_weight=sensitivity_weight,
     )
     doc = config_to_document(config_path)
     doc["waveform"]["phi"] = [float(p) for p in result.waveform.phi]

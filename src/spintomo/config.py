@@ -9,7 +9,6 @@ sample alignment) is enforced at parse time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,6 @@ class ExperimentConfig:
     F: float
     waveform: ControlWaveform
     n_samples: int
-    substeps: int
     sigma: float
     seed: int
     n_averaged: int
@@ -175,8 +173,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             "key 'n_samples' in 'sampling' must be a positive multiple of waveform n_steps"
         )
-    substeps = _integer(sampling, "sampling", "substeps") if "substeps" in sampling else 4
-    if substeps < 1:
+    # accepted for v1 documents and ignored: each segment is exponentiated exactly
+    if "substeps" in sampling and _integer(sampling, "sampling", "substeps") < 1:
         raise ConfigError("key 'substeps' in 'sampling' must be >= 1")
 
     noise = doc["noise"]
@@ -209,7 +207,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         F=sys.F,
         waveform=waveform,
         n_samples=n_samples,
-        substeps=substeps,
         sigma=sigma,
         seed=seed,
         n_averaged=n_averaged,
@@ -218,22 +215,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return parse_config(doc)
+    return parse_config(config_to_document(path))
 
 
 def config_to_document(path) -> dict:
     """Raw config dict for rewriting (e.g. after waveform optimization)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = serialize.load(fh)
+        except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

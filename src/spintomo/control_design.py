@@ -69,7 +69,6 @@ def design_objective(
     sys: SpinSystem,
     waveform: ControlWaveform,
     n_samples: int | None = None,
-    substeps: int = 4,
     objective: str = "min_singular_value",
 ) -> float:
     """Estimator-conditioning score of a waveform (larger is better).
@@ -86,9 +85,7 @@ def design_objective(
         raise ValueError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
     if n_samples is None:
         n_samples = 5 * waveform.n_steps
-    history = heisenberg_history(
-        sys, waveform, measured_observable(sys), n_samples=n_samples, substeps=substeps
-    )
+    history = heisenberg_history(sys, waveform, measured_observable(sys), n_samples=n_samples)
     s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
     full = sys.d * sys.d - 1
     deficient = s.size < full or s[full - 1] <= RANK_CUTOFF * s[0]
@@ -108,7 +105,6 @@ def optimize_waveform(
     budget: int = 50,
     seed: int = 0,
     n_samples: int | None = None,
-    substeps: int = 4,
     objective: str = "min_singular_value",
     sensitivity_weight: float = 0.0,
 ) -> WaveformDesignResult:
@@ -137,14 +133,12 @@ def optimize_waveform(
         nonlocal evaluations
         evaluations += 1
         candidate = replace(template, phi=tuple(np.mod(phis, 2.0 * np.pi)))
-        value = design_objective(
-            sys, candidate, n_samples=n_samples, substeps=substeps, objective=objective
-        )
+        value = design_objective(sys, candidate, n_samples=n_samples, objective=objective)
         if sensitivity_weight > 0.0 and np.isfinite(value):
             perturbed = min(
                 design_objective(
                     sys, candidate.with_scales(omega_scale=scale),
-                    n_samples=n_samples, substeps=substeps, objective=objective,
+                    n_samples=n_samples, objective=objective,
                 )
                 for scale in (0.99, 1.01)
             )

@@ -8,16 +8,20 @@ Schrodinger picture with :func:`propagate_state`; the probed observable
 evolves in the Heisenberg picture with :func:`heisenberg_history`, which
 also assembles the design matrix used for estimation.
 
-Evolution is represented in the real coordinates of the Hermitian operator
-basis, where a Lindblad generator is a d^2 x d^2 real matrix. Segment
-exponentials use scaling-and-squaring Pade (scipy ``expm``); pure-state
-unitaries use Hermitian eigendecomposition.
+Both run one kernel, which accumulates the propagator from t_0 to every
+sample time and applies it in the requested picture. Its representation
+follows from the waveform. Closed evolution (``gamma_dec`` = 0, or no jump
+operators) keeps the d x d unitaries U_i, built from one Hermitian
+eigendecomposition per segment; then O_i = U_i^dag O U_i and
+rho_i = U_i rho U_i^dag for all samples in one batched product. Open
+evolution keeps a real d^2 x d^2 transfer map on the coordinates of the
+Hermitian operator basis, with one exact scaling-and-squaring Pade
+exponential (scipy ``expm``) of the Lindblad generator per segment.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,8 +181,10 @@ def lindblad_superoperator(
     """Lindblad generator as a real d^2 x d^2 matrix on basis coordinates.
 
     L(rho) = -i[H, rho] + gamma * sum_k (A_k rho A_k^dag
-    - {A_k^dag A_k, rho} / 2). Trace preservation shows up as an all-zero
-    top row, so coordinate 0 is conserved by the flow.
+    - {A_k^dag A_k, rho} / 2), evaluated on all d^2 basis elements in one
+    batched product; column b holds the coordinates of L(B_b). Trace
+    preservation shows up as an all-zero top row, so coordinate 0 is
+    conserved by the flow.
     """
     H = np.asarray(H, dtype=complex)
     if H.shape != (sys.d, sys.d):
@@ -187,18 +193,13 @@ def lindblad_superoperator(
     for A in jumps:
         if A.shape != (sys.d, sys.d):
             raise ValueError(f"jump operator has shape {A.shape}, expected {(sys.d, sys.d)}")
-    anticomm = None
+    B = hermitian_basis(sys).elements
+    LB = -1j * (H @ B - B @ H)
     if jumps:
-        anticomm = sum(A.conj().T @ A for A in jumps)
-    basis = hermitian_basis(sys)
-    columns = np.empty((sys.d * sys.d, sys.d * sys.d), dtype=float)
-    for b, B in enumerate(basis.elements):
-        LB = -1j * (H @ B - B @ H)
-        if jumps:
-            diss = sum(A @ B @ A.conj().T for A in jumps)
-            LB = LB + gamma_dec * (diss - 0.5 * (anticomm @ B + B @ anticomm))
-        columns[:, b] = state_to_coords(LB)
-    return columns
+        K = sum(A.conj().T @ A for A in jumps)
+        diss = sum(A @ B @ A.conj().T for A in jumps)
+        LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
+    return np.ascontiguousarray(state_to_coords(LB).T)
 
 
 def sample_times(waveform: ControlWaveform, n_samples: int) -> np.ndarray:
@@ -218,22 +219,58 @@ def _samples_per_step(waveform: ControlWaveform, n_samples: int) -> int:
     return n_samples // waveform.n_steps
 
 
-def _segment_maps(
-    sys: SpinSystem, waveform: ControlWaveform, n_samples: int, substeps: int
-) -> tuple[list[np.ndarray], int]:
-    """Per-segment coordinate transfer map over one sample interval."""
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
+def _interval_propagators(
+    sys: SpinSystem,
+    waveform: ControlWaveform,
+    n_samples: int,
+    per_step: int,
+    jumps: tuple[np.ndarray, ...],
+):
+    """Propagator over each of the n_samples - 1 sample intervals, in order.
+
+    One exponential per segment: a d x d unitary without jump operators, the
+    real d^2 x d^2 exponential of the Lindblad generator with them.
+    """
+    dt_sample = waveform.dt / per_step
+    for i in range(n_samples - 1):
+        if i % per_step == 0:
+            H = step_hamiltonian(sys, waveform, i // per_step)
+            if jumps:
+                step = expm(lindblad_superoperator(sys, H, waveform.gamma_dec, jumps) * dt_sample)
+            else:
+                step = step_propagator(H, dt_sample)
+        yield step
+
+
+def _evolve(
+    sys: SpinSystem, waveform: ControlWaveform, n_samples: int, op: np.ndarray, heisenberg: bool
+) -> np.ndarray:
+    """Coordinates of ``op`` evolved to every sample time, shape (N, d^2).
+
+    Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint
+    picture (O_i). Row 0 is the coordinate vector of ``op`` itself.
+    """
     per_step = _samples_per_step(waveform, n_samples)
-    dt_sub = waveform.dt / (per_step * substeps)
     jumps = resolve_jump_ops(sys, waveform.jump_ops)
-    maps = []
-    for s in range(waveform.n_steps):
-        H = step_hamiltonian(sys, waveform, s)
-        gen = lindblad_superoperator(sys, H, waveform.gamma_dec, jumps)
-        sub = expm(gen * dt_sub)
-        maps.append(np.linalg.matrix_power(sub, substeps))
-    return maps, per_step
+    if waveform.gamma_dec == 0:
+        jumps = ()
+    steps = _interval_propagators(sys, waveform, n_samples, per_step, jumps)
+    if jumps:
+        # the cumulative transfer map is applied as it grows, so only one
+        # d^2 x d^2 map is held at a time
+        coords = np.empty((n_samples, sys.d * sys.d))
+        coords[0] = state_to_coords(op)
+        transfer = np.eye(sys.d * sys.d)
+        for i, step in enumerate(steps, start=1):
+            transfer = step @ transfer
+            coords[i] = coords[0] @ transfer if heisenberg else transfer @ coords[0]
+        return coords
+    U = np.empty((n_samples, sys.d, sys.d), dtype=complex)
+    U[0] = np.eye(sys.d)
+    for i, step in enumerate(steps, start=1):
+        U[i] = step @ U[i - 1]
+    Ud = U.conj().swapaxes(1, 2)
+    return state_to_coords(Ud @ op @ U if heisenberg else U @ op @ Ud)
 
 
 def propagate_state(
@@ -241,17 +278,12 @@ def propagate_state(
     sys: SpinSystem,
     waveform: ControlWaveform,
     n_samples: int = 150,
-    substeps: int = 4,
 ) -> list[np.ndarray]:
     """Schrodinger-picture states at every sample time (element 0 is rho0)."""
     rho0 = check_density_matrix(rho0, sys.d)
-    maps, per_step = _segment_maps(sys, waveform, n_samples, substeps)
-    coords = state_to_coords(rho0)
-    states = [rho0.copy()]
-    for i in range(n_samples - 1):
-        coords = maps[i // per_step] @ coords
-        states.append(coords_to_state(coords))
-    return states
+    states = coords_to_state(_evolve(sys, waveform, n_samples, rho0, heisenberg=False))
+    states[0] = rho0
+    return list(states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +322,6 @@ def heisenberg_history(
     waveform: ControlWaveform,
     observable: np.ndarray,
     n_samples: int = 150,
-    substeps: int = 4,
 ) -> ObservableHistory:
     """Adjoint-propagate an observable over the sample grid.
 
@@ -302,21 +333,8 @@ def heisenberg_history(
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if observable.shape != (sys.d, sys.d) or not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    maps, per_step = _segment_maps(sys, waveform, n_samples, substeps)
-    dim = sys.d * sys.d
-    target = state_to_coords(observable)
-    rows = np.empty((n_samples, dim), dtype=float)
-    rows[0] = target
-    # cumulative state-transfer map; the Heisenberg row is its transpose
-    # applied to the observable coordinates
-    cumulative = np.eye(dim)
-    for i in range(n_samples - 1):
-        cumulative = maps[i // per_step] @ cumulative
-        rows[i + 1] = cumulative.T @ target
-    observables = np.empty((n_samples, sys.d, sys.d), dtype=complex)
-    observables[0] = observable
-    for i in range(1, n_samples):
-        observables[i] = coords_to_state(rows[i])
+    rows = _evolve(sys, waveform, n_samples, observable, heisenberg=True)
+    observables = coords_to_state(rows)
     return ObservableHistory(
         times=sample_times(waveform, n_samples),
         observables=observables,
@@ -341,8 +359,8 @@ def write_history(history: ObservableHistory, path) -> None:
 def read_history(path) -> ObservableHistory:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = serialize.load(fh)
+        except ValueError as exc:
             raise ValueError(f"history file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("history document must be a JSON object")

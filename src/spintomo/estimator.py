@@ -11,7 +11,6 @@ residual over recomputed observable histories.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +18,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import serialize
-from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history, propagate_state
+from .dynamics import (
+    ControlWaveform,
+    ObservableHistory,
+    heisenberg_history,
+    propagate_state,
+    sample_times,
+)
 from .measurement import MeasurementRecord
 from .metrics import fidelity, max_eigenvalue
 from .spin_algebra import (
@@ -49,7 +54,7 @@ ESTIMATE_FORMAT_VERSION = 1
 
 
 class FingerprintMismatchError(ValueError):
-    """Record and observable history come from different waveforms."""
+    """Record and model disagree: waveform fingerprint, spin size or sample grid."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +88,25 @@ def _check_match(record: MeasurementRecord, history: ObservableHistory) -> None:
             f"record fingerprint {record.waveform_fingerprint} does not match "
             f"history fingerprint {history.waveform_fingerprint}"
         )
-    if record.n_samples != history.n_samples:
-        raise ValueError(
-            f"record has {record.n_samples} samples, history has {history.n_samples}"
+    _check_grid(record, history.d, history.times)
+
+
+def _check_grid(record: MeasurementRecord, d: int, times: np.ndarray) -> None:
+    """The record's spin size and sample times must be those of the model.
+
+    The waveform fingerprint covers neither, so a record simulated for
+    another F or on another grid would otherwise be fitted silently.
+    """
+    if record.F != (d - 1) / 2.0:
+        raise FingerprintMismatchError(
+            f"record is for spin F={record.F:g}, the model for F={(d - 1) / 2.0:g}"
         )
+    if record.n_samples != len(times):
+        raise FingerprintMismatchError(
+            f"record has {record.n_samples} samples, the model has {len(times)}"
+        )
+    if not np.allclose(record.times, times, rtol=1e-12, atol=0.0):
+        raise FingerprintMismatchError("record sample times differ from the model's sample grid")
 
 
 def _solve(
@@ -207,7 +227,6 @@ def estimate_prefix_curve(
     sys: SpinSystem,
     waveform: ControlWaveform,
     stride: int = 5,
-    substeps: int = 4,
     cutoff: float = SVD_CUTOFF,
 ) -> list[tuple[float, float, float]]:
     """Reconstruction quality as the record accumulates.
@@ -225,7 +244,7 @@ def estimate_prefix_curve(
     n = record.n_samples
     d = history.d
     sigma_eff = record.sigma / math.sqrt(record.n_averaged)
-    evolved = propagate_state(rho0_true, sys, waveform, n_samples=n, substeps=substeps)
+    evolved = propagate_state(rho0_true, sys, waveform, n_samples=n)
     top_eig = [max_eigenvalue(rho) for rho in evolved]
     ks = [0] + list(range(stride, n, stride)) + [n]
     points = []
@@ -256,7 +275,6 @@ def estimate_with_nuisance(
     sys: SpinSystem,
     params: dict[str, tuple[float, float]],
     budget: int = 200,
-    substeps: int = 4,
     cutoff: float = SVD_CUTOFF,
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
@@ -273,10 +291,10 @@ def estimate_with_nuisance(
     evaluation budget runs out first, the best point so far is returned
     with ``nuisance_converged`` False.
     """
+    _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     if not params:
         nominal = heisenberg_history(
-            sys, waveform, measured_observable(sys),
-            n_samples=record.n_samples, substeps=substeps,
+            sys, waveform, measured_observable(sys), n_samples=record.n_samples
         )
         return estimate(record, nominal, cutoff)
     if len(params) > 3:
@@ -300,9 +318,7 @@ def estimate_with_nuisance(
             omega_scale=scales.get("omega_scale", 1.0),
             chi_scale=scales.get("chi_scale", 1.0),
         )
-        return heisenberg_history(
-            sys, scaled, observable, n_samples=record.n_samples, substeps=substeps
-        )
+        return heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
 
     sigma_eff = record.sigma / math.sqrt(record.n_averaged)
 
@@ -366,7 +382,10 @@ def write_estimate(
 def read_estimate(path) -> tuple[EstimateResult, dict]:
     """Load an estimate document; returns (result, metadata dict)."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = serialize.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"estimate file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != ESTIMATE_FORMAT_VERSION:
         raise ValueError("unsupported estimate document")
     rho_ls = serialize.pairs_to_matrix(doc["rho_ls"], "rho_ls")

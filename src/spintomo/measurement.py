@@ -9,7 +9,6 @@ platforms regardless of evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -147,8 +146,8 @@ def read_record(path) -> MeasurementRecord:
     """Parse a record document; strict about version and field set."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            doc = serialize.load(fh)
+        except ValueError as exc:
             raise RecordFormatError(f"record file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RecordFormatError("record document must be a JSON object")

@@ -3,7 +3,8 @@
 All floats are printed with 17 significant digits, which round-trips every
 IEEE-754 double exactly, so writing the same document twice produces
 byte-identical files. Complex matrices are stored as row-major nested lists
-of [re, im] pairs.
+of [re, im] pairs. Documents are read back with :func:`load`, which rejects
+non-finite numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +21,27 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return format(x, ".17g")
+
+
+def _reject_non_finite(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_non_finite(token)
+    return value
+
+
+def load(fh):
+    """Parse a JSON document from a text file, rejecting non-finite numbers.
+
+    Python's json accepts the non-standard NaN and Infinity literals and
+    turns overflowing numbers such as 1e999 into inf; here all of them raise
+    ValueError, as does malformed JSON (JSONDecodeError is a ValueError).
+    """
+    return json.load(fh, parse_constant=_reject_non_finite, parse_float=_finite_float)
 
 
 def _encode(obj) -> str:

@@ -111,12 +111,6 @@ class HermitianBasis:
     def __post_init__(self):
         self.elements.setflags(write=False)
 
-    def to_coords(self, mat: np.ndarray) -> np.ndarray:
-        return state_to_coords(mat)
-
-    def from_coords(self, coords: np.ndarray) -> np.ndarray:
-        return coords_to_state(coords)
-
 
 @lru_cache(maxsize=None)
 def _basis_elements(d: int) -> np.ndarray:
@@ -153,25 +147,64 @@ def hermitian_basis(sys: SpinSystem) -> HermitianBasis:
     return HermitianBasis(d=sys.d, elements=_basis_elements(sys.d))
 
 
+@lru_cache(maxsize=None)
+def _diagonal_rows(d: int) -> np.ndarray:
+    """Diagonals of the d-1 traceless diagonal basis elements, shape (d-1, d)."""
+    rows = np.diagonal(_basis_elements(d)[d * (d - 1) + 1 :], axis1=1, axis2=2).real.copy()
+    rows.setflags(write=False)
+    return rows
+
+
 def state_to_coords(mat: np.ndarray) -> np.ndarray:
-    """Real coordinate vector Tr[B_a mat] of a Hermitian matrix, length d^2."""
+    """Real coordinate vector Re Tr[B_a^dag mat] of a square matrix, length d^2.
+
+    Batched: a stack of shape (..., d, d) maps to coordinates (..., d^2).
+    Each off-diagonal pair of entries feeds one symmetric and one
+    antisymmetric coordinate, so the map costs O(d^2) per matrix. The trace
+    coordinate is a plain sum of the diagonal, which cancels exactly for
+    exactly traceless input.
+    """
     mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    basis = _basis_elements(mat.shape[0])
-    return np.einsum("aij,ij->a", basis.conj(), mat).real
+    d = mat.shape[-1]
+    j, k = np.triu_indices(d, 1)
+    upper, lower = mat[..., j, k], mat[..., k, j]
+    diag = np.diagonal(mat, axis1=-2, axis2=-1).real
+    split = d * (d - 1) + 1  # first traceless diagonal coordinate
+    coords = np.empty(mat.shape[:-2] + (d * d,))
+    coords[..., 0] = diag.sum(axis=-1) / math.sqrt(d)
+    coords[..., 1:split:2] = (upper.real + lower.real) / math.sqrt(2.0)
+    coords[..., 2:split:2] = (lower.imag - upper.imag) / math.sqrt(2.0)
+    coords[..., split:] = diag @ _diagonal_rows(d).T
+    return coords
 
 
 def coords_to_state(coords: np.ndarray) -> np.ndarray:
-    """Hermitian matrix with the given real basis coordinates."""
+    """Hermitian matrix with the given real basis coordinates.
+
+    Batched: coordinates of shape (..., d^2) map to matrices (..., d, d),
+    Hermitian to the last bit.
+    """
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 1:
-        raise ValueError("coordinates must be a 1-d real vector")
-    d = math.isqrt(coords.size)
-    if d * d != coords.size:
-        raise ValueError(f"coordinate length {coords.size} is not a perfect square")
-    basis = _basis_elements(d)
-    return np.einsum("a,aij->ij", coords, basis)
+    if coords.ndim < 1:
+        raise ValueError("coordinates must be a real vector or a stack of them")
+    d = math.isqrt(coords.shape[-1])
+    if d * d != coords.shape[-1]:
+        raise ValueError(f"coordinate length {coords.shape[-1]} is not a perfect square")
+    j, k = np.triu_indices(d, 1)
+    split = d * (d - 1) + 1
+    sym = coords[..., 1:split:2] / math.sqrt(2.0)
+    anti = coords[..., 2:split:2] / math.sqrt(2.0)
+    mat = np.zeros(coords.shape[:-1] + (d, d), dtype=complex)
+    # subtracting from 0.0 keeps zero imaginary parts at +0.0, so a matrix
+    # written with 17-digit floats reads back and rewrites to the same bytes
+    mat[..., j, k] = sym + 1j * (0.0 - anti)
+    mat[..., k, j] = sym + 1j * anti
+    diag = coords[..., :1] / math.sqrt(d) + coords[..., split:] @ _diagonal_rows(d)
+    idx = np.arange(d)
+    mat[..., idx, idx] = diag
+    return mat
 
 
 def _half_factorial(twice: int) -> int:
@@ -328,14 +361,16 @@ def check_density_matrix(
 ) -> np.ndarray:
     """Validate the physical-state contract; returns rho as a complex array.
 
-    Raises ValueError naming the violated condition: Hermiticity, unit
-    trace, or an eigenvalue below ``min_eigenvalue``.
+    Raises ValueError naming the violated condition: finite entries,
+    Hermiticity, unit trace, or an eigenvalue below ``min_eigenvalue``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if d is not None and rho.shape[0] != d:
         raise ValueError(f"density matrix has dimension {rho.shape[0]}, expected {d}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_defect > herm_tol:
         raise ValueError(f"density matrix is not Hermitian (defect {herm_defect:.3e})")

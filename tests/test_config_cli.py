@@ -262,3 +262,88 @@ def test_shipped_configs_parse():
     for name in ("cat.json", "paper_states_sweep.json"):
         config = load_config(here / name)
         assert config.F == 3.0
+
+
+class TestInputBinding:
+    """Inputs are checked against what they are combined with."""
+
+    def _simulate(self, tmp_path, doc, name="record.json"):
+        cfg = write_config(tmp_path, doc, name.replace("record", "config"))
+        record = tmp_path / name
+        assert main(["simulate", cfg, str(record)]) == 0
+        return cfg, record
+
+    def test_nan_record_value_exit_2(self, tmp_path, capsys):
+        cfg, record = self._simulate(tmp_path, base_config())
+        doc = json.loads(record.read_text())
+        doc["values"][3] = float("nan")
+        record.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_record_value_exit_2(self, tmp_path):
+        cfg, record = self._simulate(tmp_path, base_config())
+        text = record.read_text()
+        head, tail = text.split('"values":[', 1)
+        record.write_text(head + '"values":[1e999,' + tail.split(",", 1)[1])
+        assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 2
+
+    def test_infinite_config_value_exit_2(self, tmp_path, capsys):
+        doc = base_config()
+        doc["noise"]["sigma"] = float("inf")
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", cfg, str(tmp_path / "r.json")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_estimate_document_exit_2(self, tmp_path):
+        cfg, record = self._simulate(tmp_path, base_config())
+        est = tmp_path / "e.json"
+        assert main(["estimate", str(record), cfg, str(est)]) == 0
+        doc = json.loads(est.read_text())
+        doc["rho_ml"][0][0][0] = float("nan")
+        est.write_text(json.dumps(doc))
+        assert main(["wigner", str(est), str(tmp_path / "w.csv"), "--n-theta", "4",
+                     "--n-phi", "4"]) == 2
+
+    def test_spin_size_mismatch_exit_4(self, tmp_path, capsys):
+        small = base_config(F=2, state={"kind": "basis_state", "m": -2})
+        _, record = self._simulate(tmp_path, small)
+        cfg = write_config(tmp_path, base_config(), "f3.json")
+        capsys.readouterr()
+        assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 4
+        assert "F" in capsys.readouterr().err
+
+    def test_spin_size_mismatch_with_nuisance_exit_4(self, tmp_path):
+        small = base_config(F=2, state={"kind": "basis_state", "m": -2})
+        _, record = self._simulate(tmp_path, small)
+        cfg = write_config(tmp_path, base_config(), "f3.json")
+        argv = ["estimate", str(record), cfg, str(tmp_path / "e.json"),
+                "--nuisance", "omega_scale:0.99:1.01", "--budget", "3"]
+        assert main(argv) == 4
+
+    def test_reversed_times_exit_4(self, tmp_path):
+        cfg, record = self._simulate(tmp_path, base_config())
+        doc = json.loads(record.read_text())
+        doc["times"] = doc["times"][::-1]
+        record.write_text(json.dumps(doc))
+        assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 4
+
+    def test_substeps_is_accepted_and_ignored(self, tmp_path):
+        outputs = []
+        for substeps in (1, 4):
+            doc = base_config()
+            doc["sampling"]["substeps"] = substeps
+            cfg, record = self._simulate(tmp_path, doc, f"record{substeps}.json")
+            est, curve = tmp_path / f"e{substeps}.json", tmp_path / f"c{substeps}.csv"
+            argv = ["estimate", str(record), cfg, str(est), "--prefix-curve", str(curve)]
+            assert main(argv) == 0
+            outputs.append([p.read_bytes() for p in (record, est, curve)])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("substeps", [0, 1.5, True])
+    def test_substeps_still_validated(self, tmp_path, substeps):
+        doc = base_config()
+        doc["sampling"]["substeps"] = substeps
+        with pytest.raises(ConfigError, match="substeps"):
+            load_config(write_config(tmp_path, doc))

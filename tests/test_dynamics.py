@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import make_waveform
 from helpers import random_density
 from spintomo import (
     ControlWaveform,
     build_spin_system,
+    coords_to_state,
+    hermitian_basis,
     heisenberg_history,
     lindblad_superoperator,
     measured_observable,
@@ -102,7 +105,7 @@ class TestLindblad:
     def test_hamiltonian_part_matches_unitary_conjugation(self, sys3):
         wf = make_waveform()
         rho = make_state(sys3, "cat")
-        states = propagate_state(rho, sys3, wf, n_samples=30, substeps=4)
+        states = propagate_state(rho, sys3, wf, n_samples=30)
         U = np.eye(7, dtype=complex)
         dt_sample = wf.duration / 30
         direct = [rho]
@@ -136,6 +139,23 @@ class TestLindblad:
     def test_dimension_mismatch(self, sys3):
         with pytest.raises(ValueError):
             lindblad_superoperator(sys3, np.eye(3), 1.0, (np.eye(3),))
+
+    def test_matches_definition_column_by_column(self):
+        # column b holds the coordinates of L(B_b), written out per element
+        s = build_spin_system(1.5)
+        rng = np.random.default_rng(12)
+        H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = 1e4 * (H + H.conj().T)
+        jumps = resolve_jump_ops(s, "isotropic")
+        gamma = 150.0
+        K = sum(A.conj().T @ A for A in jumps)
+        want = np.empty((16, 16))
+        for b, B in enumerate(hermitian_basis(s).elements):
+            LB = -1j * (H @ B - B @ H)
+            LB += gamma * (sum(A @ B @ A.conj().T for A in jumps) - 0.5 * (K @ B + B @ K))
+            want[:, b] = state_to_coords(LB)
+        got = lindblad_superoperator(s, H, gamma, jumps)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestPropagateState:
@@ -278,6 +298,66 @@ class TestHeisenbergHistory:
             heisenberg_history(sys3, default_waveform, bad, n_samples=150)
 
 
+def _reference_transfer_maps(sys, wf, n_samples):
+    """Cumulative d^2 x d^2 transfer maps from expm of the Lindblad generator."""
+    per_step = n_samples // wf.n_steps
+    jumps = resolve_jump_ops(sys, wf.jump_ops)
+    steps = [
+        expm(
+            lindblad_superoperator(sys, step_hamiltonian(sys, wf, s), wf.gamma_dec, jumps)
+            * (wf.dt / per_step)
+        )
+        for s in range(wf.n_steps)
+    ]
+    maps = [np.eye(sys.d * sys.d)]
+    for i in range(n_samples - 1):
+        maps.append(steps[i // per_step] @ maps[-1])
+    return maps
+
+
+class TestPropagationKernel:
+    """Both representations against a product of expm(lindblad_superoperator)."""
+
+    @pytest.mark.parametrize(
+        "F, n_samples, gamma", [(0.5, 60, 0.0), (3, 150, 0.0), (5, 30, 0.0), (1.5, 60, 200.0)]
+    )
+    def test_matches_superoperator_reference(self, F, n_samples, gamma):
+        s = build_spin_system(F)
+        wf = make_waveform(gamma_dec=gamma)
+        rng = np.random.default_rng(13)
+        O = rng.normal(size=(s.d, s.d)) + 1j * rng.normal(size=(s.d, s.d))
+        O = O + O.conj().T
+        rho0 = random_density(rng, s.d)
+        maps = _reference_transfer_maps(s, wf, n_samples)
+
+        want_rows = np.array([M.T @ state_to_coords(O) for M in maps])
+        h = heisenberg_history(s, wf, O, n_samples=n_samples)
+        scale = np.max(np.abs(want_rows))
+        assert np.max(np.abs(h.design_matrix - want_rows)) <= 1e-11 * scale
+        assert np.max(np.abs(h.observables - coords_to_state(want_rows))) <= 1e-11 * scale
+
+        want_states = [coords_to_state(M @ state_to_coords(rho0)) for M in maps]
+        got_states = propagate_state(rho0, s, wf, n_samples=n_samples)
+        scale = max(np.max(np.abs(w)) for w in want_states)
+        for got, want in zip(got_states, want_states):
+            assert np.max(np.abs(got - want)) <= 1e-11 * scale
+
+    def test_no_jump_operators_is_closed_evolution(self, sys3):
+        O = measured_observable(sys3)
+        closed = make_waveform()
+        no_jumps = make_waveform(gamma_dec=200.0, jump_ops="none")
+        a = heisenberg_history(sys3, closed, O, n_samples=150)
+        b = heisenberg_history(sys3, no_jumps, O, n_samples=150)
+        assert np.array_equal(a.design_matrix, b.design_matrix)
+        assert np.array_equal(a.observables, b.observables)
+        rho0 = make_state(sys3, "cat")
+        for x, y in zip(
+            propagate_state(rho0, sys3, closed, n_samples=150),
+            propagate_state(rho0, sys3, no_jumps, n_samples=150),
+        ):
+            assert np.array_equal(x, y)
+
+
 class TestHistoryFile:
     def test_round_trip(self, tmp_path):
         s = build_spin_system(1)
@@ -305,3 +385,14 @@ class TestHistoryFile:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
             read_history(path)
+
+    def test_rejects_non_finite_numbers(self, tmp_path):
+        s = build_spin_system(1)
+        wf = ControlWaveform(n_steps=2, dt=2e-5, phi=(0.1, 1.4), omega_larmor=5e3, chi=2e3)
+        path = tmp_path / "history.json"
+        write_history(heisenberg_history(s, wf, measured_observable(s), n_samples=4), path)
+        text = path.read_text()
+        for bad in ("NaN", "Infinity", "-1e999"):
+            path.write_text(text.replace('"design_matrix":[[', f'"design_matrix":[[{bad},', 1))
+            with pytest.raises(ValueError, match="non-finite"):
+                read_history(path)

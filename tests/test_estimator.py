@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestLeastSquares:
         )
         with pytest.raises(FingerprintMismatchError):
             least_squares(record, other)
+
+    def test_spin_size_and_grid_bound_to_history(self, sys3, default_history):
+        record = synthesize_record(make_state(sys3, "mixed"), default_history, 0.0, seed=0)
+        with pytest.raises(FingerprintMismatchError, match="F=2"):
+            least_squares(replace(record, F=2.0), default_history)
+        with pytest.raises(FingerprintMismatchError, match="times"):
+            least_squares(replace(record, times=record.times[::-1]), default_history)
+        with pytest.raises(FingerprintMismatchError, match="samples"):
+            short = replace(record, times=record.times[:30], values=record.values[:30])
+            least_squares(short, default_history)
 
     def test_empty_record_rejected(self, sys3, default_history):
         from spintomo import MeasurementRecord
@@ -315,3 +326,13 @@ def test_estimate_file_round_trip(sys3, default_history, tmp_path):
     path2 = tmp_path / "estimate2.json"
     write_estimate(again, path2, meta["waveform_fingerprint"])
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_estimate_file_rejects_non_finite(sys3, default_history, tmp_path):
+    record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.6, seed=8)
+    path = tmp_path / "estimate.json"
+    write_estimate(estimate(record, default_history), path, record.waveform_fingerprint)
+    text = path.read_text()
+    path.write_text(text.replace('"residual_norm":', '"residual_norm":NaN,"x":', 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        read_estimate(path)

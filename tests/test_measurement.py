@@ -68,7 +68,7 @@ def test_noise_is_indexed_by_sample(sys3, default_waveform):
 def test_averaging_variance_oracle(sys3):
     # statistical oracle: sample variance of the added noise ~ sigma^2 / n
     wf = make_waveform(n_steps=1, phi=(0.4,), dt=1.5e-3)
-    history = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=10_000, substeps=1)
+    history = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=10_000)
     rho = make_state(sys3, "basis_state", m=0)
     sigma, n_avg = 2.0, 128
     record = synthesize_record(rho, history, sigma=sigma, seed=42, n_averaged=n_avg)
@@ -163,4 +163,14 @@ class TestRecordFile:
         path = tmp_path / "r.json"
         path.write_text("{oops")
         with pytest.raises(RecordFormatError, match="JSON"):
+            read_record(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "r.json"
+        path.write_text(
+            f'{{"version":1,"F":3,"times":[0.0],"values":[{bad}],"sigma":0.5,"seed":1,'
+            '"n_averaged":1,"waveform_fingerprint":"ab"}'
+        )
+        with pytest.raises(RecordFormatError, match="non-finite"):
             read_record(path)

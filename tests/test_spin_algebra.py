@@ -121,6 +121,20 @@ class TestCoordinates:
             assert np.max(np.abs(coords_to_state(v) - m)) < 1e-12
             assert abs(np.linalg.norm(v) - math.sqrt(np.trace(m @ m).real)) < 1e-12
 
+    def test_batched_maps_match_definition(self):
+        rng = np.random.default_rng(6)
+        for d in (2, 5):
+            basis = hermitian_basis(build_spin_system((d - 1) / 2)).elements
+            mats = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
+            # Re Tr[B_a^dag X] for arbitrary, not only Hermitian, matrices
+            want = np.einsum("aij,...ij->...a", basis.conj(), mats).real
+            got = state_to_coords(mats)
+            assert got.shape == (3, 4, d * d)
+            assert np.max(np.abs(got - want)) < 1e-12
+            back = coords_to_state(got)
+            assert np.max(np.abs(back - np.einsum("...a,aij->...ij", got, basis))) < 1e-12
+            assert np.array_equal(back, np.swapaxes(back, -1, -2).conj())
+
     def test_dimension_errors(self):
         with pytest.raises(ValueError):
             state_to_coords(np.zeros((2, 3)))
@@ -246,6 +260,11 @@ def test_check_density_matrix_rejects(sys3):
         check_density_matrix(good * 2)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         check_density_matrix(np.diag([1.2, -0.2]).astype(complex))
+    for bad_value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[1, 1] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            check_density_matrix(bad)
 
 
 def test_random_density_helper_is_physical(sys3):
