@@ -32,6 +32,7 @@ from .estimator import (
     FingerprintMismatchError,
     LeastSquaresFit,
     estimate,
+    estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
     least_squares,

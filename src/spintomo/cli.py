@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .dynamics import heisenberg_history
 from .estimator import (
     FingerprintMismatchError,
     estimate,
+    estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
     write_estimate,
@@ -132,37 +132,31 @@ def cmd_estimate(
     return EXIT_OK
 
 
-def cmd_sweep(config_path: str, n_trials: int, out_csv: str, jobs: int = 4) -> int:
+def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
     if n_trials < 0:
         raise ConfigError("n_trials must be nonnegative")
     config = load_config(config_path)
-    sys_, history = _history_for(config)
+    _, history = _history_for(config)
     tasks = [
-        (trial, state_index, label, rho)
+        (trial, label, config.seed + trial * len(config.states) + state_index, rho)
         for trial in range(n_trials)
         for state_index, (label, rho) in enumerate(config.states)
     ]
-
-    def run(task):
-        trial, state_index, label, rho = task
-        seed = config.seed + trial * len(config.states) + state_index
-        record = synthesize_record(rho, history, config.sigma, seed, config.n_averaged)
-        result = estimate(record, history)
-        return trial, state_index, label, seed, fidelity(rho, result.rho_ml)
-
-    if tasks:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            rows = sorted(pool.map(run, tasks), key=lambda r: (r[0], r[1]))
-    else:
-        rows = []
+    records = [
+        synthesize_record(rho, history, config.sigma, seed, config.n_averaged)
+        for _trial, _label, seed, rho in tasks
+    ]
+    fids = [
+        fidelity(rho, result.rho_ml)
+        for (_trial, _label, _seed, rho), result in zip(tasks, estimate_batch(records, history))
+    ]
     with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,state,seed,fidelity\n")
-        for trial, _idx, label, seed, fid in rows:
+        for (trial, label, seed, _rho), fid in zip(tasks, fids):
             fh.write(f"{trial},{label},{seed},{_f(fid)}\n")
-    if rows:
-        fids = np.array([r[4] for r in rows])
+    if fids:
         q1, q3 = np.percentile(fids, [25, 75])
-        print(f"trials: {len(rows)}")
+        print(f"trials: {len(fids)}")
         print(f"mean_fidelity: {_f(float(np.mean(fids)))}")
         print(f"median_fidelity: {_f(float(np.median(fids)))}")
         print(f"iqr_fidelity: {_f(float(q3 - q1))}")
@@ -172,13 +166,7 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str, jobs: int = 4) -> i
 
 
 def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 360) -> int:
-    with open(input_path, "r", encoding="utf-8") as fh:
-        try:
-            doc = serialize.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"input file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("input document must be a JSON object")
+    doc = serialize.read_document(input_path, "input", error=ConfigError)
     from .spin_algebra import build_spin_system, check_density_matrix
 
     if "rho_ml" in doc:
@@ -256,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("n_trials", type=int)
     p.add_argument("out_csv")
-    p.add_argument("--jobs", type=int, default=4)
+    p.add_argument("--jobs", type=int, default=4,
+                   help="accepted and ignored; all records are estimated in one batch")
 
     p = sub.add_parser("wigner", help="Wigner-function grid of a config state or estimate")
     p.add_argument("input", help="config JSON or estimate JSON")
@@ -291,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
                 nuisance=args.nuisance, budget=args.budget,
             )
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.n_trials, args.out_csv, jobs=args.jobs)
+            return cmd_sweep(args.config, args.n_trials, args.out_csv)
         if args.command == "wigner":
             return cmd_wigner(args.input, args.out_csv, n_theta=args.n_theta, n_phi=args.n_phi)
         if args.command == "design":

@@ -220,11 +220,4 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_document(path) -> dict:
     """Raw config dict for rewriting (e.g. after waveform optimization)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = serialize.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    return doc
+    return serialize.read_document(path, "config", error=ConfigError)

@@ -17,6 +17,7 @@ from scipy.optimize import minimize
 
 from . import rand
 from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history
+from .estimator import RANK_CUTOFF, numerical_rank
 from .spin_algebra import SpinSystem, measured_observable
 
 __all__ = [
@@ -26,8 +27,6 @@ __all__ = [
     "design_objective",
     "optimize_waveform",
 ]
-
-RANK_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +49,7 @@ def completeness_report(history: ObservableHistory, cutoff: float = RANK_CUTOFF)
     if history.n_samples < 1:
         raise ValueError("history is empty")
     s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
-    rank = int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+    rank = numerical_rank(s, cutoff)
     d = history.d
     return CompletenessReport(rank=rank, singular_values=s, complete=rank == d * d - 1, d=d)
 
@@ -88,7 +87,7 @@ def design_objective(
     history = heisenberg_history(sys, waveform, measured_observable(sys), n_samples=n_samples)
     s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
     full = sys.d * sys.d - 1
-    deficient = s.size < full or s[full - 1] <= RANK_CUTOFF * s[0]
+    deficient = numerical_rank(s) < full
     if objective == "min_singular_value":
         return 0.0 if deficient else float(s[full - 1])
     if deficient:

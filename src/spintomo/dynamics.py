@@ -53,6 +53,7 @@ __all__ = [
 
 JUMP_PRESETS = ("isotropic", "none")
 HISTORY_FORMAT_VERSION = 1
+_HISTORY_FIELDS = ("version", "F", "times", "observables", "design_matrix", "waveform_fingerprint")
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,22 +358,7 @@ def write_history(history: ObservableHistory, path) -> None:
 
 
 def read_history(path) -> ObservableHistory:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = serialize.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"history file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("history document must be a JSON object")
-    required = {"version", "F", "times", "observables", "design_matrix", "waveform_fingerprint"}
-    missing = required - set(doc)
-    if missing:
-        raise ValueError(f"history document missing field: {sorted(missing)[0]}")
-    unknown = set(doc) - required
-    if unknown:
-        raise ValueError(f"history document has unknown field: {sorted(unknown)[0]}")
-    if doc["version"] != HISTORY_FORMAT_VERSION:
-        raise ValueError(f"unsupported history format version {doc['version']!r}")
+    doc = serialize.read_document(path, "history", _HISTORY_FIELDS, HISTORY_FORMAT_VERSION)
     observables = np.stack(
         [serialize.pairs_to_matrix(rows, "observables") for rows in doc["observables"]]
     )

@@ -29,6 +29,7 @@ from .measurement import MeasurementRecord
 from .metrics import fidelity, max_eigenvalue
 from .spin_algebra import (
     SpinSystem,
+    build_spin_system,
     check_density_matrix,
     coords_to_state,
     is_hermitian,
@@ -42,15 +43,21 @@ __all__ = [
     "least_squares",
     "project_to_physical",
     "estimate",
+    "estimate_batch",
     "estimate_prefix_curve",
     "estimate_with_nuisance",
     "write_estimate",
     "read_estimate",
 ]
 
-SVD_CUTOFF = 1e-10
+RANK_CUTOFF = 1e-10
 NUISANCE_NAMES = ("omega_scale", "chi_scale")
 ESTIMATE_FORMAT_VERSION = 1
+
+_ESTIMATE_FIELDS = (
+    "version", "F", "rho_ls", "rho_ml", "covariance_lower", "residual_norm", "rank",
+    "singular_values", "nuisance", "nuisance_converged", "waveform_fingerprint",
+)
 
 
 class FingerprintMismatchError(ValueError):
@@ -69,15 +76,10 @@ class LeastSquaresFit:
 
 
 @dataclass(frozen=True, eq=False)
-class EstimateResult:
-    """Full reconstruction output; rho_ml is a valid density matrix."""
+class EstimateResult(LeastSquaresFit):
+    """Full reconstruction output: the fit and its projection rho_ml, a valid density matrix."""
 
-    rho_ls: np.ndarray
     rho_ml: np.ndarray
-    covariance: np.ndarray
-    residual_norm: float
-    rank: int
-    singular_values: np.ndarray
     nuisance: dict[str, float] = field(default_factory=dict)
     nuisance_converged: bool | None = None
 
@@ -109,45 +111,65 @@ def _check_grid(record: MeasurementRecord, d: int, times: np.ndarray) -> None:
         raise FingerprintMismatchError("record sample times differ from the model's sample grid")
 
 
-def _solve(
-    values: np.ndarray,
-    design: np.ndarray,
-    sigma_eff: float,
-    cutoff: float,
-) -> LeastSquaresFit:
-    """Core SVD solve of the trace-eliminated system."""
+def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
+    """Count of singular values (descending) above ``cutoff`` times the largest."""
+    return int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _solve(values: np.ndarray, design: np.ndarray, sigma_eff, cutoff: float):
+    """Core SVD solve of the trace-eliminated system.
+
+    ``values`` is one record (N,) or a stack (T, N) against the same design,
+    with one ``sigma_eff`` or one per record. One SVD and one rank decision
+    serve the stack; each distinct noise level gets one covariance, shared
+    read-only. Returns one fit for a vector, a list of T fits for a stack.
+    """
+    values = np.asarray(values, dtype=float)
+    stack = np.atleast_2d(values)
+    sigmas = np.broadcast_to(np.asarray(sigma_eff, dtype=float), stack.shape[:1])
     dim = design.shape[1]
     d = math.isqrt(dim)
-    trace_column = design[:, 0]
     traceless = design[:, 1:]
-    target = values - trace_column / math.sqrt(d)
+    target = stack - design[:, 0] / math.sqrt(d)
     U, s, Vt = np.linalg.svd(traceless, full_matrices=False)
-    if s.size and s[0] > 0:
-        rank = int(np.count_nonzero(s > cutoff * s[0]))
-    else:
-        rank = 0
+    s.setflags(write=False)
+    rank = numerical_rank(s, cutoff)
     Ur, sr, Vr = U[:, :rank], s[:rank], Vt[:rank]
-    x = Vr.T @ ((Ur.T @ target) / sr) if rank else np.zeros(dim - 1)
-    residual = float(np.linalg.norm(traceless @ x - target))
-    if rank:
-        covariance = (sigma_eff**2) * (Vr.T * (1.0 / sr**2)) @ Vr
-        covariance = (covariance + covariance.T) / 2.0
-    else:
-        covariance = np.zeros((dim - 1, dim - 1))
-    coords = np.concatenate(([1.0 / math.sqrt(d)], x))
-    return LeastSquaresFit(
-        rho_ls=coords_to_state(coords),
-        covariance=covariance,
-        residual_norm=residual,
-        rank=rank,
-        singular_values=s,
-    )
+    # at rank 0 the empty products below are exact zeros
+    x = ((target @ Ur) / sr) @ Vr
+    residuals = [float(np.linalg.norm(r)) for r in x @ traceless.T - target]
+    covariances = {}
+    for sigma in set(sigmas.tolist()):
+        covariance = (sigma**2) * (Vr.T * (1.0 / sr**2)) @ Vr
+        covariances[sigma] = (covariance + covariance.T) / 2.0
+        covariances[sigma].setflags(write=False)
+    trace_coord = np.full((len(stack), 1), 1.0 / math.sqrt(d))
+    rho_ls = coords_to_state(np.concatenate((trace_coord, x), axis=1))
+    fits = [
+        LeastSquaresFit(rho_ls=rho, covariance=covariances[sigma], residual_norm=residual,
+                        rank=rank, singular_values=s)
+        for rho, sigma, residual in zip(rho_ls, sigmas.tolist(), residuals)
+    ]
+    return fits if values.ndim == 2 else fits[0]
+
+
+def _fit_batch(records, history: ObservableHistory, cutoff: float) -> list[LeastSquaresFit]:
+    records = list(records)
+    for record in records:
+        _check_match(record, history)
+    if not records:
+        return []
+    if history.n_samples < 1:
+        raise ValueError("record is empty")
+    values = np.stack([record.values for record in records])
+    sigma_eff = [record.sigma / math.sqrt(record.n_averaged) for record in records]
+    return _solve(values, history.design_matrix, sigma_eff, cutoff)
 
 
 def least_squares(
     record: MeasurementRecord,
     history: ObservableHistory,
-    cutoff: float = SVD_CUTOFF,
+    cutoff: float = RANK_CUTOFF,
 ) -> LeastSquaresFit:
     """Ordinary least-squares fit of the record over traceless coordinates.
 
@@ -157,67 +179,68 @@ def least_squares(
     retained singular subspace (directions beyond ``rank`` carry no
     information and are excluded rather than reported as infinite).
     """
-    _check_match(record, history)
-    if record.n_samples < 1:
-        raise ValueError("record is empty")
-    sigma_eff = record.sigma / math.sqrt(record.n_averaged)
-    return _solve(record.values, history.design_matrix, sigma_eff, cutoff)
+    return _fit_batch([record], history, cutoff)[0]
 
 
 def project_to_physical(rho_ls: np.ndarray) -> np.ndarray:
     """Frobenius-nearest density matrix to a Hermitian unit-trace matrix.
 
-    Water-filling on the spectrum: eigenvectors are kept, the most negative
-    eigenvalue is zeroed and its deficit spread uniformly over the other
-    not-yet-zeroed eigenvalues, until none is negative. An already-positive
-    input is returned unchanged.
+    Accepts one matrix or a stack of shape (..., d, d). Eigenvectors are
+    kept; the spectrum goes to the nonnegative values with the input's own
+    trace by the sorted closed form of Smolin, Gambetta & Smith (PRL 108,
+    070502, 2012): for eigenvalues u_j in descending order, the shift
+    theta_k = (u_1 + ... + u_k - tr) / k at the largest k with u_k > theta_k
+    gives max(u - theta, 0). A matrix with no negative eigenvalue comes back
+    unchanged, also inside a stack.
     """
-    rho_ls = np.asarray(rho_ls, dtype=complex)
-    if rho_ls.ndim != 2 or rho_ls.shape[0] != rho_ls.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho_ls.shape}")
-    if not is_hermitian(rho_ls, tol=1e-10):
+    rho = np.asarray(rho_ls, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    if not is_hermitian(rho, tol=1e-10):
         raise ValueError("projection input must be Hermitian")
-    tr = np.trace(rho_ls)
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"projection input must have unit trace, got {tr}")
-    w, V = np.linalg.eigh(rho_ls)
-    if w[0] >= 0:
-        return rho_ls.copy()
-    w = w.astype(float).copy()
-    active = np.ones(len(w), dtype=bool)
-    while True:
-        neg = np.where(active & (w < 0))[0]
-        if neg.size == 0:
-            break
-        worst = neg[np.argmin(w[neg])]
-        deficit = w[worst]
-        w[worst] = 0.0
-        active[worst] = False
-        remaining = np.where(active)[0]
-        if remaining.size == 0:
-            break
-        w[remaining] += deficit / remaining.size
-    w = np.clip(w, 0.0, None)
-    out = (V * w) @ V.conj().T
-    return (out + out.conj().T) / 2.0
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > 1e-8
+    if np.any(off):
+        raise ValueError(f"projection input must have unit trace, got {tr[off][0]}")
+    w, V = np.linalg.eigh(rho)
+    out = rho.copy()
+    neg = w[..., 0] < 0
+    if not np.any(neg):
+        return out
+    w, V = w[neg], V[neg]
+    u = w[:, ::-1]
+    theta = (np.cumsum(u, axis=1) - w.sum(axis=1, keepdims=True)) / np.arange(1, w.shape[1] + 1)
+    k = np.count_nonzero(u > theta, axis=1)
+    w = np.maximum(w - theta[np.arange(len(k)), k - 1][:, None], 0.0)
+    fixed = (V * w[:, None, :]) @ V.conj().swapaxes(1, 2)
+    out[neg] = (fixed + fixed.conj().swapaxes(1, 2)) / 2.0
+    return out
+
+
+def estimate_batch(
+    records,
+    history: ObservableHistory,
+    cutoff: float = RANK_CUTOFF,
+) -> list[EstimateResult]:
+    """Reconstruct records driven by the same waveform: one solve, one projection.
+
+    Every record is checked against ``history`` first. Results come in
+    record order; an empty batch gives an empty list.
+    """
+    fits = _fit_batch(records, history, cutoff)
+    if not fits:
+        return []
+    rho_ml = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
+    return [EstimateResult(rho_ml=rho, **vars(fit)) for fit, rho in zip(fits, rho_ml)]
 
 
 def estimate(
     record: MeasurementRecord,
     history: ObservableHistory,
-    cutoff: float = SVD_CUTOFF,
+    cutoff: float = RANK_CUTOFF,
 ) -> EstimateResult:
     """Two-step reconstruction: least squares, then positivity projection."""
-    fit = least_squares(record, history, cutoff)
-    rho_ml = project_to_physical(fit.rho_ls)
-    return EstimateResult(
-        rho_ls=fit.rho_ls,
-        rho_ml=rho_ml,
-        covariance=fit.covariance,
-        residual_norm=fit.residual_norm,
-        rank=fit.rank,
-        singular_values=fit.singular_values,
-    )
+    return estimate_batch([record], history, cutoff)[0]
 
 
 def estimate_prefix_curve(
@@ -227,7 +250,7 @@ def estimate_prefix_curve(
     sys: SpinSystem,
     waveform: ControlWaveform,
     stride: int = 5,
-    cutoff: float = SVD_CUTOFF,
+    cutoff: float = RANK_CUTOFF,
 ) -> list[tuple[float, float, float]]:
     """Reconstruction quality as the record accumulates.
 
@@ -242,23 +265,17 @@ def estimate_prefix_curve(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     n = record.n_samples
-    d = history.d
     sigma_eff = record.sigma / math.sqrt(record.n_averaged)
     evolved = propagate_state(rho0_true, sys, waveform, n_samples=n)
     top_eig = [max_eigenvalue(rho) for rho in evolved]
-    ks = [0] + list(range(stride, n, stride)) + [n]
-    points = []
-    for k in ks:
-        if k == 0:
-            est = np.eye(d, dtype=complex) / d
-            t = 0.0
-            top = top_eig[0]
-        else:
-            fit = _solve(record.values[:k], history.design_matrix[:k], sigma_eff, cutoff)
-            est = project_to_physical(fit.rho_ls)
-            t = float(record.times[k - 1])
-            top = top_eig[k - 1]
-        points.append((t, fidelity(rho0_true, est), top))
+    ks = list(range(stride, n, stride)) + [n]
+    # a generator, so each prefix's covariance is dropped once its rho_ls is taken
+    fits = (_solve(record.values[:k], history.design_matrix[:k], sigma_eff, cutoff) for k in ks)
+    estimates = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
+    prior = np.eye(history.d, dtype=complex) / history.d
+    points = [(0.0, fidelity(rho0_true, prior), top_eig[0])]
+    for k, est in zip(ks, estimates):
+        points.append((float(record.times[k - 1]), fidelity(rho0_true, est), top_eig[k - 1]))
     return points
 
 
@@ -275,7 +292,7 @@ def estimate_with_nuisance(
     sys: SpinSystem,
     params: dict[str, tuple[float, float]],
     budget: int = 200,
-    cutoff: float = SVD_CUTOFF,
+    cutoff: float = RANK_CUTOFF,
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
 
@@ -343,14 +360,10 @@ def estimate_with_nuisance(
     best = np.clip(result.x, lows, highs)
     fit = _solve(record.values, history_for(best).design_matrix, sigma_eff, cutoff)
     return EstimateResult(
-        rho_ls=fit.rho_ls,
         rho_ml=project_to_physical(fit.rho_ls),
-        covariance=fit.covariance,
-        residual_norm=fit.residual_norm,
-        rank=fit.rank,
-        singular_values=fit.singular_values,
         nuisance={name: float(v) for name, v in zip(names, best)},
         nuisance_converged=bool(result.success),
+        **vars(fit),
     )
 
 
@@ -380,34 +393,39 @@ def write_estimate(
 
 
 def read_estimate(path) -> tuple[EstimateResult, dict]:
-    """Load an estimate document; returns (result, metadata dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = serialize.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"estimate file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != ESTIMATE_FORMAT_VERSION:
-        raise ValueError("unsupported estimate document")
-    rho_ls = serialize.pairs_to_matrix(doc["rho_ls"], "rho_ls")
-    rho_ml = serialize.pairs_to_matrix(doc["rho_ml"], "rho_ml")
-    dim2 = rho_ls.shape[0] ** 2 - 1
+    """Load an estimate document; returns (result, metadata dict).
+
+    Strict like the record and history readers: exactly the written fields,
+    d x d matrices with d = 2F + 1, and exactly (d^2 - 1) d^2 / 2 covariance
+    entries; any violation raises a ValueError naming the field.
+    """
+    doc = serialize.read_document(path, "estimate", _ESTIMATE_FIELDS, ESTIMATE_FORMAT_VERSION)
+    try:
+        d = build_spin_system(doc["F"]).d
+    except (TypeError, ValueError) as exc:
+        raise serialize.DocumentError(f"estimate field F: {exc}", "F") from exc
+    rho = {name: serialize.pairs_to_matrix(doc[name], name) for name in ("rho_ls", "rho_ml")}
+    for name, mat in rho.items():
+        if mat.shape != (d, d):
+            raise serialize.DocumentError(f"{name} must be {d}x{d}, got {mat.shape}", name)
+    dim2 = d * d - 1
+    lower = np.asarray(doc["covariance_lower"], dtype=float)
+    if lower.shape != (dim2 * (dim2 + 1) // 2,):
+        message = f"covariance_lower must hold {dim2 * (dim2 + 1) // 2} entries for d={d}"
+        raise serialize.DocumentError(f"{message}, got shape {lower.shape}", "covariance_lower")
     cov = np.zeros((dim2, dim2))
-    it = iter(doc["covariance_lower"])
-    for i in range(dim2):
-        for j in range(i + 1):
-            cov[i, j] = cov[j, i] = next(it)
-    result = EstimateResult(
-        rho_ls=rho_ls,
-        rho_ml=rho_ml,
-        covariance=cov,
-        residual_norm=float(doc["residual_norm"]),
-        rank=int(doc["rank"]),
-        singular_values=np.asarray(doc["singular_values"], dtype=float),
-        nuisance={k: float(v) for k, v in doc.get("nuisance", {}).items()},
-        nuisance_converged=doc.get("nuisance_converged"),
-    )
-    meta = {
-        "F": float(doc["F"]),
-        "waveform_fingerprint": doc.get("waveform_fingerprint"),
-    }
-    return result, meta
+    rows, cols = np.tril_indices(dim2)
+    cov[rows, cols] = cov[cols, rows] = lower
+    try:
+        result = EstimateResult(
+            **rho,
+            covariance=cov,
+            residual_norm=float(doc["residual_norm"]),
+            rank=int(doc["rank"]),
+            singular_values=np.asarray(doc["singular_values"], dtype=float),
+            nuisance={k: float(v) for k, v in doc["nuisance"].items()},
+            nuisance_converged=doc["nuisance_converged"],
+        )
+    except (AttributeError, TypeError) as exc:
+        raise serialize.DocumentError(f"estimate document has a malformed field: {exc}") from exc
+    return result, {"F": (d - 1) / 2.0, "waveform_fingerprint": doc["waveform_fingerprint"]}

@@ -41,12 +41,8 @@ _RECORD_FIELDS = (
 )
 
 
-class RecordFormatError(ValueError):
+class RecordFormatError(serialize.DocumentError):
     """Raised for malformed, truncated, or wrong-version record documents."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,24 +140,9 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 def read_record(path) -> MeasurementRecord:
     """Parse a record document; strict about version and field set."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = serialize.load(fh)
-        except ValueError as exc:
-            raise RecordFormatError(f"record file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise RecordFormatError("record document must be a JSON object")
-    for field in _RECORD_FIELDS:
-        if field not in doc:
-            raise RecordFormatError(f"record document missing field: {field}", field=field)
-    unknown = set(doc) - set(_RECORD_FIELDS)
-    if unknown:
-        field = sorted(unknown)[0]
-        raise RecordFormatError(f"record document has unknown field: {field}", field=field)
-    if doc["version"] != RECORD_FORMAT_VERSION:
-        raise RecordFormatError(
-            f"unsupported record format version {doc['version']!r}", field="version"
-        )
+    doc = serialize.read_document(
+        path, "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION, RecordFormatError
+    )
     if not isinstance(doc["waveform_fingerprint"], str) or not doc["waveform_fingerprint"]:
         raise RecordFormatError("waveform_fingerprint must be a nonempty string",
                                 field="waveform_fingerprint")

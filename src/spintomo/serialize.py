@@ -44,6 +44,42 @@ def load(fh):
     return json.load(fh, parse_constant=_reject_non_finite, parse_float=_finite_float)
 
 
+class DocumentError(ValueError):
+    """A malformed, incomplete or wrong-version document; ``field`` names the culprit."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
+
+
+def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, error=DocumentError):
+    """Parse the JSON object in ``path``, naming ``kind`` in every error.
+
+    With ``fields`` the object must hold exactly those keys, and its
+    ``version`` must equal ``version``; the first missing or unknown key is
+    named in the message and in the error's ``field``. ``error`` is the
+    exception class raised.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = load(fh)
+        except ValueError as exc:
+            raise error(f"{kind} file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{kind} document must be a JSON object")
+    if not fields:
+        return doc
+    missing = [name for name in fields if name not in doc]
+    if missing:
+        raise error(f"{kind} document missing field: {missing[0]}", missing[0])
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise error(f"{kind} document has unknown field: {unknown[0]}", unknown[0])
+    if doc["version"] != version:
+        raise error(f"unsupported {kind} format version {doc['version']!r}", "version")
+    return doc
+
+
 def _encode(obj) -> str:
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{_encode(v)}" for k, v in obj.items())

@@ -345,9 +345,10 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
 
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-10) -> bool:
+    """Whether a square matrix, or every matrix of a (..., d, d) stack, is Hermitian."""
     mat = np.asarray(mat)
-    return mat.ndim == 2 and mat.shape[0] == mat.shape[1] and bool(
-        np.max(np.abs(mat - mat.conj().T)) <= tol
+    return mat.ndim >= 2 and mat.shape[-1] == mat.shape[-2] and bool(
+        np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), initial=0.0) <= tol
     )
 
 

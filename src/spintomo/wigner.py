@@ -189,13 +189,18 @@ def wigner_integral(
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
-    """Emit the grid as CSV: commented header, then theta, phi, value rows."""
+    """Emit the grid as CSV: commented header, then theta, phi, value rows.
+
+    Each grid angle is formatted once, and each theta row of the grid is
+    written in one call; joining the whole file first would hold ~25 MB
+    of strings at the default 181 x 360 grid.
+    """
     fmt = serialize.format_float
+    phis = [f",{fmt(phi)}," for phi in grid.phis]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# n_theta={grid.n_theta}\n")
         fh.write(f"# n_phi={grid.n_phi}\n")
         fh.write(f"# convention={CONVENTION}\n")
         fh.write("theta,phi,value\n")
-        for i, theta in enumerate(grid.thetas):
-            for j, phi in enumerate(grid.phis):
-                fh.write(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}\n")
+        for theta, row in zip(map(fmt, grid.thetas), grid.values):
+            fh.write("".join([theta + phi + fmt(v) + "\n" for phi, v in zip(phis, row.tolist())]))

@@ -20,3 +20,34 @@ def random_density(rng: np.random.Generator, d: int, rank: int | None = None) ->
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def water_filling_reference(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalue-by-eigenvalue projection onto density matrices (reference).
+
+    The iterative form of Smolin, Gambetta & Smith (PRL 108, 070502, 2012):
+    eigenvectors are kept, the most negative eigenvalue is zeroed and its
+    deficit spread uniformly over the other not-yet-zeroed eigenvalues,
+    until none is negative. An already-positive input is returned unchanged.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    w, V = np.linalg.eigh(rho)
+    if w[0] >= 0:
+        return rho.copy()
+    w = w.astype(float).copy()
+    active = np.ones(len(w), dtype=bool)
+    while True:
+        neg = np.where(active & (w < 0))[0]
+        if neg.size == 0:
+            break
+        worst = neg[np.argmin(w[neg])]
+        deficit = w[worst]
+        w[worst] = 0.0
+        active[worst] = False
+        remaining = np.where(active)[0]
+        if remaining.size == 0:
+            break
+        w[remaining] += deficit / remaining.size
+    w = np.clip(w, 0.0, None)
+    out = (V * w) @ V.conj().T
+    return (out + out.conj().T) / 2.0

@@ -255,6 +255,20 @@ class TestCliWignerDesignCheck:
         assert e1.read_bytes() == e2.read_bytes()
 
 
+@pytest.mark.parametrize("chi", [37699.11184307752, 0.0])
+def test_check_and_estimate_report_one_rank(tmp_path, capsys, chi):
+    doc = base_config()
+    doc["waveform"]["chi"] = chi
+    cfg = write_config(tmp_path, doc)
+    record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+    assert main(["simulate", cfg, record]) == 0
+    assert main(["estimate", record, cfg, str(est)]) == 0
+    capsys.readouterr()
+    assert main(["check", cfg]) == (0 if chi else 5)
+    rank = int(capsys.readouterr().out.split("rank:")[1].split()[0])
+    assert rank == json.loads(est.read_text())["rank"] == (48 if chi else 5)
+
+
 def test_shipped_configs_parse():
     import pathlib
 

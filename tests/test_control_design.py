@@ -6,10 +6,13 @@ from spintomo import (
     ObservableHistory,
     completeness_report,
     design_objective,
+    estimate,
     heisenberg_history,
     measured_observable,
     optimize_waveform,
+    synthesize_record,
 )
+from spintomo import test_state as make_state
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +40,20 @@ class TestCompleteness:
         report = completeness_report(history)
         assert report.rank == 1
         assert not report.complete
+
+    @pytest.mark.parametrize(
+        "overrides, n_samples, expected",
+        [({}, 150, 48), ({}, 30, 30), ({"chi": 0.0}, 150, 5),
+         ({"chi": 0.0, "omega_larmor": 0.0}, 150, 1)],
+    )
+    def test_same_rank_as_estimate(self, sys3, observable, overrides, n_samples, expected):
+        history = heisenberg_history(sys3, make_waveform(**overrides), observable, n_samples)
+        record = synthesize_record(make_state(sys3, "cat"), history, sigma=0.5, seed=1)
+        report = completeness_report(history)
+        result = estimate(record, history)
+        assert report.rank == result.rank == expected
+        s = report.singular_values
+        assert np.allclose(result.singular_values, s, rtol=0.0, atol=1e-12 * s[0])
 
     def test_rank_invariant_under_permutation(self, default_history):
         rng = np.random.default_rng(50)

@@ -1,15 +1,19 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CALIBRATED_SIGMA, make_waveform
-from helpers import random_density, random_pure
+from helpers import haar_unitary, random_density, random_pure, water_filling_reference
 from spintomo import (
     FingerprintMismatchError,
     ObservableHistory,
     estimate,
+    estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
     fidelity,
@@ -169,6 +173,39 @@ class TestProjectToPhysical:
             project_to_physical(np.eye(2))
 
 
+@st.composite
+def unit_trace_hermitian(draw):
+    """(matrices, single): a d x d matrix or a stack, d in 2..11, mostly indefinite."""
+    d = draw(st.integers(2, 11))
+    single = draw(st.booleans())
+    n = 1 if single else draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            members.append(random_density(rng, d, rank=int(rng.integers(1, d + 1))))
+            continue
+        spectrum = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+        spectrum -= (spectrum.sum() - 1.0) / d
+        U = haar_unitary(rng, d)
+        rho = (U * spectrum) @ U.conj().T
+        members.append((rho + rho.conj().T) / 2.0)
+    return (members[0] if single else np.stack(members)), single
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(unit_trace_hermitian())
+def test_closed_form_projection_matches_water_filling(case):
+    matrices, single = case
+    out = project_to_physical(matrices)
+    assert out.shape == matrices.shape
+    for rho, got in zip([matrices] if single else matrices, [out] if single else out):
+        reference = water_filling_reference(rho)
+        assert np.max(np.abs(got - reference)) <= 1e-14
+        if np.linalg.eigh(rho)[0][0] >= 0:
+            assert np.array_equal(got, rho)
+
+
 class TestEstimate:
     def test_noiseless_closed_loop_paper_states(self, sys3, default_history, paper_states):
         for label, rho in paper_states:
@@ -238,6 +275,57 @@ class TestEstimate:
             ]
             medians.append(float(np.median(fids)))
         assert medians[0] <= medians[1] <= medians[2]
+
+
+class TestEstimateBatch:
+    @pytest.fixture
+    def records(self, sys3, default_history, paper_states):
+        return [
+            synthesize_record(rho, default_history, sigma=CALIBRATED_SIGMA, seed=seed,
+                              n_averaged=n_avg)
+            for seed, n_avg in ((0, 1), (1, 4))
+            for _label, rho in paper_states
+        ]
+
+    def test_equals_per_record_estimate(self, default_history, records):
+        batch = estimate_batch(records, default_history)
+        assert len(batch) == len(records)
+        for record, got in zip(records, batch):
+            alone = estimate(record, default_history)
+            assert np.max(np.abs(got.rho_ls - alone.rho_ls)) <= 1e-14
+            assert np.max(np.abs(got.rho_ml - alone.rho_ml)) <= 1e-13
+            assert got.rank == alone.rank
+            assert np.array_equal(got.singular_values, alone.singular_values)
+            assert np.array_equal(got.covariance, alone.covariance)
+            assert got.residual_norm == pytest.approx(alone.residual_norm, rel=1e-12)
+
+    def test_covariance_once_per_noise_level(self, default_history, records):
+        batch = estimate_batch(records, default_history)
+        assert batch[0].covariance is batch[1].covariance is batch[2].covariance
+        assert batch[3].covariance is batch[4].covariance is batch[5].covariance
+        # four averaged shots: a quarter of the single-shot variance
+        assert np.allclose(batch[3].covariance, batch[0].covariance / 4, rtol=1e-14, atol=0)
+        assert not batch[0].covariance.flags.writeable
+
+    def test_one_mismatched_record_rejects_the_batch(self, sys3, default_history, records):
+        bad = replace(records[1], F=2.0)
+        with pytest.raises(FingerprintMismatchError, match="F=2"):
+            estimate_batch([records[0], bad, records[2]], default_history)
+        other = replace(records[2], waveform_fingerprint="0" * 16)
+        with pytest.raises(FingerprintMismatchError, match="fingerprint"):
+            estimate_batch(records[:2] + [other], default_history)
+
+    def test_empty_batch_is_empty(self, default_history):
+        assert estimate_batch([], default_history) == []
+        assert estimate_batch(iter(()), default_history) == []
+
+    def test_stacked_projection_validates_every_member(self):
+        good = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            project_to_physical(np.stack([good, np.array([[1.0, 1.0], [0.0, 0.0]])]))
+        with pytest.raises(ValueError, match="trace"):
+            project_to_physical(np.stack([good, np.eye(2)]))
+        assert project_to_physical(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 class TestPrefixCurve:
@@ -336,3 +424,58 @@ def test_estimate_file_rejects_non_finite(sys3, default_history, tmp_path):
     path.write_text(text.replace('"residual_norm":', '"residual_norm":NaN,"x":', 1))
     with pytest.raises(ValueError, match="non-finite"):
         read_estimate(path)
+
+
+class TestReadEstimateStrict:
+    """read_estimate rejects incomplete, padded or inconsistent documents by name."""
+
+    @pytest.fixture
+    def document(self, sys3, default_history, tmp_path):
+        record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.6, seed=8)
+        path = tmp_path / "estimate.json"
+        write_estimate(estimate(record, default_history), path, record.waveform_fingerprint)
+        return json.loads(path.read_text())
+
+    def _read(self, doc, tmp_path):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return read_estimate(path)
+
+    @pytest.mark.parametrize("field", ["rank", "covariance_lower", "nuisance", "F"])
+    def test_missing_field_named(self, document, tmp_path, field):
+        del document[field]
+        with pytest.raises(ValueError, match=f"missing field: {field}"):
+            self._read(document, tmp_path)
+
+    def test_unknown_field_named(self, document, tmp_path):
+        document["comment"] = "hand edited"
+        with pytest.raises(ValueError, match="unknown field: comment"):
+            self._read(document, tmp_path)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_covariance_length_exact(self, document, tmp_path, change):
+        lower = document["covariance_lower"]
+        assert len(lower) == 48 * 49 // 2
+        document["covariance_lower"] = lower[:-1] if change < 0 else lower + [0.0]
+        with pytest.raises(ValueError, match="covariance_lower"):
+            self._read(document, tmp_path)
+
+    @pytest.mark.parametrize("name", ["rho_ls", "rho_ml"])
+    def test_matrix_shape_bound_to_spin_size(self, document, tmp_path, name):
+        document[name] = [row[:6] for row in document[name][:6]]
+        with pytest.raises(ValueError, match=f"{name} must be 7x7"):
+            self._read(document, tmp_path)
+        document[name] = [row[:6] for row in document["rho_ls" if name == "rho_ml" else "rho_ml"]]
+        with pytest.raises(ValueError, match=name):
+            self._read(document, tmp_path)
+
+    @pytest.mark.parametrize("field, value", [("nuisance", []), ("residual_norm", [1.0])])
+    def test_wrong_type_is_a_value_error(self, document, tmp_path, field, value):
+        document[field] = value
+        with pytest.raises(ValueError, match="malformed"):
+            self._read(document, tmp_path)
+
+    def test_written_document_still_reads(self, document, tmp_path):
+        result, meta = self._read(document, tmp_path)
+        assert result.rank == 48
+        assert meta["F"] == 3.0

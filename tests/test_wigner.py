@@ -23,6 +23,7 @@ from spintomo import (
     write_wigner_csv,
 )
 from spintomo import test_state as make_state
+from spintomo.serialize import format_float as fmt
 from spintomo.wigner import _harmonic_norm, _legendre_table
 
 
@@ -144,3 +145,14 @@ def test_csv_export(sys3, tmp_path):
     theta, phi, value = lines[4].split(",")
     assert float(theta) == 0.0 and float(phi) == 0.0
     assert float(value) == pytest.approx(1 / (4 * np.pi), abs=1e-12)
+
+
+def test_csv_bytes_match_row_by_row_reference(sys3, tmp_path):
+    grid = wigner_function(random_density(np.random.default_rng(5), 7), sys3, n_theta=9, n_phi=11)
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(grid, path)
+    lines = ["# n_theta=9", "# n_phi=11", "# convention=unit-integral", "theta,phi,value"]
+    for i, theta in enumerate(grid.thetas):
+        for j, phi in enumerate(grid.phis):
+            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
