@@ -5,11 +5,12 @@ Subcommands cover the whole pipeline: ``simulate`` a measurement record,
 over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
-Exit codes: 0 success, 2 config/document parse error (including non-finite
-numbers), 3 invariant violation, 4 record does not match the config
-(waveform fingerprint, spin size or sample grid), 5 waveform not
-informationally complete. All randomness comes from seeds in the config,
-so every command is deterministic and re-runs are byte-identical.
+Exit codes: 0 success, 2 config/document parse error (missing, unknown or
+malformed fields, non-finite numbers), 3 invariant violation, 4 record does
+not match the config (waveform fingerprint, spin size or sample grid), 5
+waveform not informationally complete. All randomness comes from seeds in
+the config, so every command is deterministic and re-runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .estimator import (
     estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
+    read_estimate,
     write_estimate,
 )
 from .measurement import (
-    RecordFormatError,
     noiseless_values,
     read_record,
     synthesize_record,
@@ -40,7 +41,7 @@ from .measurement import (
 )
 from .metrics import fidelity
 from .serialize import format_float as _f
-from .spin_algebra import measured_observable
+from .spin_algebra import build_spin_system, check_density_matrix, measured_observable
 from .wigner import wigner_function, write_wigner_csv
 
 EXIT_OK = 0
@@ -48,6 +49,9 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_FINGERPRINT = 4
 EXIT_INCOMPLETE = 5
+
+# a fitted nuisance scale this close to a bound is reported as stopped there
+_BOUND_TOL = 1e-9
 
 
 def _history_for(config: ExperimentConfig):
@@ -107,6 +111,9 @@ def cmd_estimate(
         )
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")
+            for bound in params[name]:
+                if abs(value - bound) <= _BOUND_TOL:
+                    print(f"warning: {name} fit stopped at its bound {bound!r}", file=_sys.stderr)
     else:
         _, history = _history_for(config)
         result = estimate(record, history)
@@ -167,12 +174,10 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
 
 def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 360) -> int:
     doc = serialize.read_document(input_path, "input", error=ConfigError)
-    from .spin_algebra import build_spin_system, check_density_matrix
-
     if "rho_ml" in doc:
-        rho = serialize.pairs_to_matrix(doc["rho_ml"], "rho_ml")
-        rho = check_density_matrix(rho)
-        sys_ = build_spin_system((rho.shape[0] - 1) / 2.0)
+        result, meta = read_estimate(input_path)
+        rho = check_density_matrix(result.rho_ml)
+        sys_ = build_spin_system(meta["F"])
     else:
         config = load_config(input_path)
         sys_ = config.spin_system()
@@ -294,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except FingerprintMismatchError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_FINGERPRINT
-    except (ConfigError, RecordFormatError) as exc:
+    except (ConfigError, serialize.DocumentError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except (ValueError, IndexError) as exc:

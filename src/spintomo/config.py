@@ -102,9 +102,8 @@ def _parse_state(block: dict, sys: SpinSystem, context: str) -> tuple[str, np.nd
         raise ConfigError(f"'{context}' must be an object")
     if "matrix" in block:
         _require(block, context, ("matrix",))
-        rho = serialize.pairs_to_matrix(block["matrix"], context)
         try:
-            rho = check_density_matrix(rho, sys.d)
+            rho = check_density_matrix(serialize.pairs_to_matrix(block["matrix"], context), sys.d)
         except ValueError as exc:
             raise ConfigError(f"'{context}': {exc}") from exc
         return "matrix", rho

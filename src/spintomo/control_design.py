@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import rand
 from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history
@@ -161,6 +160,8 @@ def optimize_waveform(
             best_obj, best_phi, improved = obj, phis, True
 
     if polish_budget > 0:
+        from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
+
         simplex = np.tile(best_phi, (n + 1, 1))
         for i in range(n):
             simplex[i + 1, i] += 0.3

@@ -15,17 +15,21 @@ operators) keeps the d x d unitaries U_i, built from one Hermitian
 eigendecomposition per segment; then O_i = U_i^dag O U_i and
 rho_i = U_i rho U_i^dag for all samples in one batched product. Open
 evolution keeps a real d^2 x d^2 transfer map on the coordinates of the
-Hermitian operator basis, with one exact scaling-and-squaring Pade
-exponential (scipy ``expm``) of the Lindblad generator per segment.
+Hermitian operator basis, with one exact exponential of the Lindblad
+generator per segment: :func:`expm`, the degree-13 Pade approximant with
+scaling and squaring, in numpy. The generator is linear in the drive, so
+four parts are built once per history (the commutators with Fx, Fy and
+Fx^2, and the dissipator) and each segment's generator is their
+combination omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import serialize
 from .spin_algebra import (
@@ -203,6 +207,62 @@ def lindblad_superoperator(
     return np.ascontiguousarray(state_to_coords(LB).T)
 
 
+# Pade-13 numerator coefficients and the 1-norm up to which the approximant
+# is accurate to double precision without scaling (Higham, SIAM J. Matrix
+# Anal. Appl. 26, 1179, 2005, table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real square matrix.
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005):
+    A is divided by 2^s so its 1-norm is at most theta_13, r_13 is formed
+    from A^2, A^4 and A^6 with one linear solve, and the result is squared
+    s times.
+    """
+    A = np.asarray(A, dtype=float)
+    norm = float(np.linalg.norm(A, 1))
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    A = A / 2.0**s
+    b = _PADE13
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def _generator_parts(sys: SpinSystem, gamma_dec: float, jumps) -> tuple[np.ndarray, ...]:
+    """Lindblad generators of Fx, Fy and Fx^2 (no dissipation) and of the dissipator alone."""
+    return (
+        lindblad_superoperator(sys, sys.Fx),
+        lindblad_superoperator(sys, sys.Fy),
+        lindblad_superoperator(sys, sys.Fx @ sys.Fx),
+        lindblad_superoperator(sys, np.zeros((sys.d, sys.d)), gamma_dec, jumps),
+    )
+
+
+def _segment_generator(parts, waveform: ControlWaveform, step_index: int) -> np.ndarray:
+    """Lindblad generator of segment ``step_index``, assembled from :func:`_generator_parts`."""
+    c_x, c_y, c_xx, diss = parts
+    angle = waveform.phi[step_index]
+    omega = waveform.omega_larmor
+    return omega * np.cos(angle) * c_x + omega * np.sin(angle) * c_y + waveform.chi * c_xx + diss
+
+
 def sample_times(waveform: ControlWaveform, n_samples: int) -> np.ndarray:
     """Uniform sample grid t_i = i * duration / n_samples, starting at 0."""
     _samples_per_step(waveform, n_samples)
@@ -233,13 +293,14 @@ def _interval_propagators(
     real d^2 x d^2 exponential of the Lindblad generator with them.
     """
     dt_sample = waveform.dt / per_step
+    parts = _generator_parts(sys, waveform.gamma_dec, jumps) if jumps else None
     for i in range(n_samples - 1):
         if i % per_step == 0:
-            H = step_hamiltonian(sys, waveform, i // per_step)
+            k = i // per_step
             if jumps:
-                step = expm(lindblad_superoperator(sys, H, waveform.gamma_dec, jumps) * dt_sample)
+                step = expm(_segment_generator(parts, waveform, k) * dt_sample)
             else:
-                step = step_propagator(H, dt_sample)
+                step = step_propagator(step_hamiltonian(sys, waveform, k), dt_sample)
         yield step
 
 
@@ -358,13 +419,27 @@ def write_history(history: ObservableHistory, path) -> None:
 
 
 def read_history(path) -> ObservableHistory:
+    """Parse a history document; strict about version, field set and field shapes.
+
+    The observables must be N matrices of size d x d with d = 2F + 1, and
+    the design matrix N rows of d^2 coordinates, N being the number of times.
+    """
     doc = serialize.read_document(path, "history", _HISTORY_FIELDS, HISTORY_FORMAT_VERSION)
-    observables = np.stack(
-        [serialize.pairs_to_matrix(rows, "observables") for rows in doc["observables"]]
-    )
+    d = serialize.spin_dimension(doc["F"])
+    times = serialize.numeric_array(doc["times"], "times", 1)
+    observables = serialize.pairs_to_matrix(doc["observables"], "observables", ndim=3)
+    design = serialize.numeric_array(doc["design_matrix"], "design_matrix", 2)
+    for name, arr, shape in (("observables", observables, (len(times), d, d)),
+                             ("design_matrix", design, (len(times), d * d))):
+        if arr.shape != shape:
+            raise serialize.DocumentError(f"{name} must have shape {shape}, got {arr.shape}", name)
+    fingerprint = doc["waveform_fingerprint"]
+    if not isinstance(fingerprint, str) or not fingerprint:
+        raise serialize.DocumentError("waveform_fingerprint must be a nonempty string",
+                                      "waveform_fingerprint")
     return ObservableHistory(
-        times=np.asarray(doc["times"], dtype=float),
+        times=times,
         observables=observables,
-        design_matrix=np.asarray(doc["design_matrix"], dtype=float),
-        waveform_fingerprint=str(doc["waveform_fingerprint"]),
+        design_matrix=design,
+        waveform_fingerprint=fingerprint,
     )

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import serialize
 from .dynamics import (
@@ -29,7 +28,6 @@ from .measurement import MeasurementRecord
 from .metrics import fidelity, max_eigenvalue
 from .spin_algebra import (
     SpinSystem,
-    build_spin_system,
     check_density_matrix,
     coords_to_state,
     is_hermitian,
@@ -344,6 +342,8 @@ def estimate_with_nuisance(
         fit = _solve(record.values, history_for(x).design_matrix, sigma_eff, cutoff)
         return fit.residual_norm
 
+    from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
+
     x0 = (lows + highs) / 2.0
     result = minimize(
         objective,
@@ -396,36 +396,43 @@ def read_estimate(path) -> tuple[EstimateResult, dict]:
     """Load an estimate document; returns (result, metadata dict).
 
     Strict like the record and history readers: exactly the written fields,
-    d x d matrices with d = 2F + 1, and exactly (d^2 - 1) d^2 / 2 covariance
-    entries; any violation raises a ValueError naming the field.
+    each of its written type, d x d matrices with d = 2F + 1, and exactly
+    (d^2 - 1) d^2 / 2 covariance entries; any violation raises a
+    :class:`~spintomo.serialize.DocumentError` naming the field.
     """
     doc = serialize.read_document(path, "estimate", _ESTIMATE_FIELDS, ESTIMATE_FORMAT_VERSION)
-    try:
-        d = build_spin_system(doc["F"]).d
-    except (TypeError, ValueError) as exc:
-        raise serialize.DocumentError(f"estimate field F: {exc}", "F") from exc
+    d = serialize.spin_dimension(doc["F"])
     rho = {name: serialize.pairs_to_matrix(doc[name], name) for name in ("rho_ls", "rho_ml")}
     for name, mat in rho.items():
         if mat.shape != (d, d):
             raise serialize.DocumentError(f"{name} must be {d}x{d}, got {mat.shape}", name)
     dim2 = d * d - 1
-    lower = np.asarray(doc["covariance_lower"], dtype=float)
+    lower = serialize.numeric_array(doc["covariance_lower"], "covariance_lower", 1)
     if lower.shape != (dim2 * (dim2 + 1) // 2,):
         message = f"covariance_lower must hold {dim2 * (dim2 + 1) // 2} entries for d={d}"
         raise serialize.DocumentError(f"{message}, got shape {lower.shape}", "covariance_lower")
     cov = np.zeros((dim2, dim2))
     rows, cols = np.tril_indices(dim2)
     cov[rows, cols] = cov[cols, rows] = lower
-    try:
-        result = EstimateResult(
-            **rho,
-            covariance=cov,
-            residual_norm=float(doc["residual_norm"]),
-            rank=int(doc["rank"]),
-            singular_values=np.asarray(doc["singular_values"], dtype=float),
-            nuisance={k: float(v) for k, v in doc["nuisance"].items()},
-            nuisance_converged=doc["nuisance_converged"],
+    nuisance = doc["nuisance"]
+    if not isinstance(nuisance, dict):
+        raise serialize.DocumentError("malformed field nuisance: expected an object", "nuisance")
+    converged = doc["nuisance_converged"]
+    if converged is not None and not isinstance(converged, bool):
+        message = "malformed field nuisance_converged: expected true, false or null"
+        raise serialize.DocumentError(message, "nuisance_converged")
+    if not isinstance(doc["waveform_fingerprint"], str):
+        raise serialize.DocumentError(
+            "malformed field waveform_fingerprint: expected a string", "waveform_fingerprint"
         )
-    except (AttributeError, TypeError) as exc:
-        raise serialize.DocumentError(f"estimate document has a malformed field: {exc}") from exc
+    result = EstimateResult(
+        **rho,
+        covariance=cov,
+        residual_norm=float(serialize.numeric_array(doc["residual_norm"], "residual_norm", 0)),
+        rank=serialize.integer(doc["rank"], "rank"),
+        singular_values=serialize.numeric_array(doc["singular_values"], "singular_values", 1),
+        nuisance={k: float(serialize.numeric_array(v, f"nuisance.{k}", 0))
+                  for k, v in nuisance.items()},
+        nuisance_converged=converged,
+    )
     return result, {"F": (d - 1) / 2.0, "waveform_fingerprint": doc["waveform_fingerprint"]}

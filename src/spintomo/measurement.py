@@ -107,8 +107,7 @@ def synthesize_record(
     clean = noiseless_values(rho0, history)
     if sigma > 0:
         scale = sigma / math.sqrt(n_averaged)
-        noise = np.array([rand.normal_at(seed, i) for i in range(len(clean))])
-        values = clean + scale * noise
+        values = clean + scale * rand.normals(seed, len(clean))
     else:
         rand.check_seed(seed)
         values = clean
@@ -139,24 +138,28 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 
 def read_record(path) -> MeasurementRecord:
-    """Parse a record document; strict about version and field set."""
+    """Parse a record document; strict about version, field set and field shapes."""
     doc = serialize.read_document(
         path, "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION, RecordFormatError
     )
     if not isinstance(doc["waveform_fingerprint"], str) or not doc["waveform_fingerprint"]:
         raise RecordFormatError("waveform_fingerprint must be a nonempty string",
                                 field="waveform_fingerprint")
+    fields = {name: serialize.numeric_array(doc[name], name, ndim, RecordFormatError)
+              for name, ndim in (("F", 0), ("times", 1), ("values", 1), ("sigma", 0))}
+    if len(fields["times"]) != len(fields["values"]):
+        raise RecordFormatError("times and values must have the same length", "values")
+    seed = serialize.integer(doc["seed"], "seed", RecordFormatError)
+    n_averaged = serialize.integer(doc["n_averaged"], "n_averaged", RecordFormatError)
     try:
-        seed = int(doc["seed"])
-        n_averaged = int(doc["n_averaged"])
-    except (TypeError, ValueError) as exc:
-        raise RecordFormatError(f"seed and n_averaged must be integers: {exc}") from exc
-    return MeasurementRecord(
-        F=float(doc["F"]),
-        times=np.asarray(doc["times"], dtype=float),
-        values=np.asarray(doc["values"], dtype=float),
-        sigma=float(doc["sigma"]),
-        seed=seed,
-        n_averaged=n_averaged,
-        waveform_fingerprint=doc["waveform_fingerprint"],
-    )
+        return MeasurementRecord(
+            F=float(fields["F"]),
+            times=fields["times"],
+            values=fields["values"],
+            sigma=float(fields["sigma"]),
+            seed=seed,
+            n_averaged=n_averaged,
+            waveform_fingerprint=doc["waveform_fingerprint"],
+        )
+    except ValueError as exc:
+        raise RecordFormatError(f"invalid record document: {exc}") from exc

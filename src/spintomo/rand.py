@@ -32,9 +32,27 @@ def stream(seed: int, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
 
 
-def normal_at(seed: int, index: int) -> float:
-    """Standard-normal draw number ``index`` of stream ``seed``."""
-    return float(stream(seed, index).standard_normal())
+def normals(seed: int, n: int) -> np.ndarray:
+    """Standard-normal draws 0..n-1 of stream ``seed``.
+
+    Draw i is the first standard normal of ``stream(seed, i)``. One bit
+    generator serves all draws: before draw i its counter is set to block i
+    with an empty output buffer, the state a generator freshly built at
+    that block starts from.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    bits = np.random.Philox(key=check_seed(seed))
+    gen = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    out = np.empty(n)
+    for i in range(n):
+        counter[1] = i
+        state["buffer_pos"] = 4
+        bits.state = state
+        out[i] = gen.standard_normal()
+    return out
 
 
 def uniform_angles(seed: int, n: int) -> np.ndarray:

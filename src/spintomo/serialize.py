@@ -75,9 +75,41 @@ def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, e
     unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise error(f"{kind} document has unknown field: {unknown[0]}", unknown[0])
-    if doc["version"] != version:
+    if type(doc["version"]) is not int or doc["version"] != version:  # not true, not 1.0
         raise error(f"unsupported {kind} format version {doc['version']!r}", "version")
     return doc
+
+
+def numeric_array(value, field: str, ndim: int, error=DocumentError) -> np.ndarray:
+    """Document field ``field`` as a float array with ``ndim`` dimensions.
+
+    The value must be numbers nested exactly ``ndim`` lists deep (0 for a
+    bare number) with every list at one depth of the same length; booleans,
+    strings, null, objects and ragged nesting raise ``error``.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
+        raise error(f"malformed field {field}: expected {shape}", field)
+    return arr.astype(float)
+
+
+def integer(value, field: str, error=DocumentError) -> int:
+    """Document field ``field`` as an int; floats and booleans raise ``error``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"malformed field {field}: expected an integer", field)
+    return value
+
+
+def spin_dimension(value, error=DocumentError) -> int:
+    """d = 2F + 1 for a document's F, which must be a positive integer or half-integer."""
+    twice = 2.0 * float(numeric_array(value, "F", 0, error))
+    if not (twice >= 1 and twice == round(twice)):
+        raise error(f"malformed field F: {value!r} is not a positive integer or half-integer", "F")
+    return int(twice) + 1
 
 
 def _encode(obj) -> str:
@@ -116,12 +148,13 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`, with shape validation."""
-    try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{context}: entries must be [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError(f"{context}: expected rows of [re, im] pairs")
+def pairs_to_matrix(rows, context: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Inverse of :func:`matrix_to_pairs`, with shape validation.
+
+    With ``ndim`` = 3 ``rows`` holds a stack of matrices. Raises
+    :class:`DocumentError` unless every entry is an [re, im] pair.
+    """
+    arr = numeric_array(rows, context, ndim + 1)
+    if arr.shape[-1] != 2:
+        raise DocumentError(f"{context}: expected rows of [re, im] pairs", context)
     return arr[..., 0] + 1j * arr[..., 1]

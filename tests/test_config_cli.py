@@ -1,11 +1,19 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spintomo
 from spintomo import ConfigError, load_config
 from spintomo.cli import main
 from spintomo.measurement import read_record
+
+
+SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**overrides):
@@ -170,9 +178,32 @@ class TestCliPipeline:
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        scale = float(out.split("nuisance omega_scale:")[1].strip().splitlines()[0])
+        captured = capsys.readouterr()
+        scale = float(captured.out.split("nuisance omega_scale:")[1].strip().splitlines()[0])
         assert abs(scale - 1.0) < 2e-3
+        assert "warning" not in captured.err
+
+    def test_nuisance_fit_stopped_at_bound_warns(self, tmp_path, capsys):
+        # at gamma = 200, noise seed 13 and a 2% fast drive, Nelder-Mead rails
+        # onto the upper bound and still reports convergence, although the
+        # residual is lower inside the interval (8.867 at 1.04, 8.908 at 1.05)
+        doc = json.loads((SHIPPED / "cat.json").read_text())
+        doc["waveform"]["gamma_dec"] = 200.0
+        doc["noise"]["seed"] = 13
+        nominal = write_config(tmp_path, doc)
+        doc["waveform"]["omega_larmor"] *= 1.02
+        drifted = write_config(tmp_path, doc, "drifted.json")
+        record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+        assert main(["simulate", drifted, record]) == 0
+        capsys.readouterr()
+        argv = ["estimate", record, nominal, str(est), "--nuisance", "omega_scale:0.95:1.05"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "nuisance omega_scale: 1.0499999999999998\n" in captured.out
+        assert captured.err == "warning: omega_scale fit stopped at its bound 1.05\n"
+        written = json.loads(est.read_text())
+        assert written["nuisance"] == {"omega_scale": 1.0499999999999998}
+        assert written["nuisance_converged"] is True
 
 
 class TestCliSweep:
@@ -270,12 +301,19 @@ def test_check_and_estimate_report_one_rank(tmp_path, capsys, chi):
 
 
 def test_shipped_configs_parse():
-    import pathlib
-
-    here = pathlib.Path(__file__).resolve().parent.parent / "configs"
     for name in ("cat.json", "paper_states_sweep.json"):
-        config = load_config(here / name)
+        config = load_config(SHIPPED / name)
         assert config.F == 3.0
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only by the optimizers (--nuisance and design)
+    code = ("import sys, spintomo.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    src = pathlib.Path(spintomo.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestInputBinding:

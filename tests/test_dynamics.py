@@ -21,6 +21,7 @@ from spintomo import (
     step_propagator,
     write_history,
 )
+from spintomo import dynamics
 from spintomo import test_state as make_state
 from spintomo.metrics import purity
 
@@ -356,6 +357,50 @@ class TestPropagationKernel:
             propagate_state(rho0, sys3, no_jumps, n_samples=150),
         ):
             assert np.array_equal(x, y)
+
+
+class TestSegmentExponential:
+    """The numpy kernel pieces: Pade-13 exponential and assembled generators."""
+
+    @pytest.mark.parametrize("F", [0.5, 3, 5])
+    def test_expm_matches_scipy(self, F):
+        s = build_spin_system(F)
+        H = 3.0 * s.Fx - 1.3 * s.Fy + 0.7 * (s.Fx @ s.Fx)
+        gen = lindblad_superoperator(s, H, 2.0, resolve_jump_ops(s, "isotropic"))
+        for norm in np.logspace(-8, 3, 23):
+            A = gen * (norm / np.linalg.norm(gen, 1))
+            want = expm(A)
+            assert np.max(np.abs(dynamics.expm(A) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("chi, jump_ops", [(2 * np.pi * 6e3, "isotropic"), (0.0, "isotropic"),
+                                               (2 * np.pi * 6e3, "explicit")])
+    def test_assembled_generator_matches_step_hamiltonian(self, sys3, chi, jump_ops):
+        if jump_ops == "explicit":
+            rng = np.random.default_rng(5)
+            jump_ops = tuple(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+                             for _ in range(2))
+        wf = make_waveform(gamma_dec=150.0, chi=chi, jump_ops=jump_ops)
+        jumps = resolve_jump_ops(sys3, wf.jump_ops)
+        parts = dynamics._generator_parts(sys3, wf.gamma_dec, jumps)
+        for k in range(wf.n_steps):
+            want = lindblad_superoperator(sys3, step_hamiltonian(sys3, wf, k), wf.gamma_dec, jumps)
+            got = dynamics._segment_generator(parts, wf, k)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_four_generator_builds_per_history(self, sys3, monkeypatch):
+        calls = []
+        original = dynamics.lindblad_superoperator
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "lindblad_superoperator", counted)
+        heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3))
+        assert len(calls) == 4
+        calls.clear()
+        heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
+        assert calls == []
 
 
 class TestHistoryFile:

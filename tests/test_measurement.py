@@ -14,6 +14,7 @@ from spintomo import (
     synthesize_record,
     write_record,
 )
+from spintomo import rand
 from spintomo import test_state as make_state
 
 
@@ -63,6 +64,18 @@ def test_noise_is_indexed_by_sample(sys3, default_waveform):
     assert np.allclose(
         (a.values - clean_long)[:30] * 1.0, (b.values - clean_short) * 1.0, atol=0
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_one_generator_draws_match_fresh_generators(seed):
+    # 2500 draws take some ziggurat rejections, which read past the first
+    # 64-bit output of a counter block
+    fresh = np.array([np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+                      .standard_normal() for i in range(2500)])
+    assert np.array_equal(rand.normals(seed, 2500), fresh)
+    assert rand.normals(seed, 0).shape == (0,)
+    with pytest.raises(ValueError):
+        rand.normals(seed, -1)
 
 
 def test_averaging_variance_oracle(sys3):
