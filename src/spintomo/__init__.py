@@ -50,7 +50,6 @@ from .measurement import (
 )
 from .metrics import fidelity, max_eigenvalue, purity, trace_distance
 from .spin_algebra import (
-    HermitianBasis,
     SpinSystem,
     build_spin_system,
     check_density_matrix,

@@ -15,19 +15,17 @@ import numpy as np
 
 from . import rand, serialize
 from .dynamics import JUMP_PRESETS, ControlWaveform
-from .spin_algebra import SpinSystem, build_spin_system, check_density_matrix, test_state
+from .spin_algebra import (
+    TEST_STATE_PARAMS,
+    SpinSystem,
+    build_spin_system,
+    check_density_matrix,
+    test_state,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "config_to_document"]
 
 CONFIG_VERSION = 1
-
-_STATE_PARAMS = {
-    "basis_state": ("m",),
-    "spin_coherent": ("theta", "phi"),
-    "cat": (),
-    "mixed": (),
-    "twisted": ("mu",),
-}
 
 
 class ConfigError(ValueError):
@@ -110,9 +108,9 @@ def _parse_state(block: dict, sys: SpinSystem, context: str) -> tuple[str, np.nd
     if "kind" not in block:
         raise ConfigError(f"missing key 'kind' in '{context}'")
     kind = block["kind"]
-    if kind not in _STATE_PARAMS:
+    if kind not in TEST_STATE_PARAMS:
         raise ConfigError(f"key 'kind' in '{context}' has unknown value {kind!r}")
-    allowed = _STATE_PARAMS[kind]
+    allowed = TEST_STATE_PARAMS[kind]
     _require(block, context, ("kind",), allowed)
     params = {key: _number(block, context, key) for key in allowed if key in block}
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rand
 from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history
-from .estimator import RANK_CUTOFF, numerical_rank
+from .estimator import numerical_rank
 from .spin_algebra import SpinSystem, measured_observable
 
 __all__ = [
@@ -39,8 +39,8 @@ class CompletenessReport:
         self.singular_values.setflags(write=False)
 
 
-def completeness_report(history: ObservableHistory, cutoff: float = RANK_CUTOFF) -> CompletenessReport:
-    """Numerical rank of the traceless design matrix at a relative cutoff.
+def completeness_report(history: ObservableHistory) -> CompletenessReport:
+    """Numerical rank of the traceless design matrix at the relative cutoff ``RANK_CUTOFF``.
 
     Complete means rank d^2 - 1: together with the fixed trace coordinate
     the record then determines every state parameter.
@@ -48,7 +48,7 @@ def completeness_report(history: ObservableHistory, cutoff: float = RANK_CUTOFF)
     if history.n_samples < 1:
         raise ValueError("history is empty")
     s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
-    rank = numerical_rank(s, cutoff)
+    rank = numerical_rank(s)
     d = history.d
     return CompletenessReport(rank=rank, singular_values=s, complete=rank == d * d - 1, d=d)
 
@@ -84,14 +84,12 @@ def design_objective(
     if n_samples is None:
         n_samples = 5 * waveform.n_steps
     history = heisenberg_history(sys, waveform, measured_observable(sys), n_samples=n_samples)
-    s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
-    full = sys.d * sys.d - 1
-    deficient = numerical_rank(s) < full
+    report = completeness_report(history)
     if objective == "min_singular_value":
-        return 0.0 if deficient else float(s[full - 1])
-    if deficient:
+        return float(report.singular_values[-1]) if report.complete else 0.0
+    if not report.complete:
         return -np.inf
-    s = s[:full]
+    s = report.singular_values
     if objective == "condition_number":
         return float(-s[0] / s[-1])
     return float(-np.sum(1.0 / s**2))

@@ -6,7 +6,8 @@ magnitude rotating in the x-y plane (angle ``phi`` per segment, Larmor rate
 optional Lindblad channel at rate ``gamma_dec``. States evolve in the
 Schrodinger picture with :func:`propagate_state`; the probed observable
 evolves in the Heisenberg picture with :func:`heisenberg_history`, which
-also assembles the design matrix used for estimation.
+keeps each evolved O_i only as its basis coordinates: one row of the
+design matrix used for estimation.
 
 Both run one kernel, which accumulates the propagator from t_0 to every
 sample time and applies it in the requested picture. Its representation
@@ -34,6 +35,7 @@ import numpy as np
 from . import serialize
 from .spin_algebra import (
     SpinSystem,
+    _unitary,
     check_density_matrix,
     coords_to_state,
     hermitian_basis,
@@ -173,8 +175,7 @@ def step_propagator(H: np.ndarray, dt: float) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 1.0)
     if not is_hermitian(H, tol=1e-10 * scale):
         raise ValueError("step_propagator requires a Hermitian matrix")
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * dt)) @ V.conj().T
+    return _unitary(H, dt)
 
 
 def lindblad_superoperator(
@@ -198,7 +199,7 @@ def lindblad_superoperator(
     for A in jumps:
         if A.shape != (sys.d, sys.d):
             raise ValueError(f"jump operator has shape {A.shape}, expected {(sys.d, sys.d)}")
-    B = hermitian_basis(sys).elements
+    B = hermitian_basis(sys)
     LB = -1j * (H @ B - B @ H)
     if jumps:
         K = sum(A.conj().T @ A for A in jumps)
@@ -350,24 +351,22 @@ def propagate_state(
 
 @dataclass(frozen=True, eq=False)
 class ObservableHistory:
-    """Heisenberg-evolved observables {O_i} and the induced design matrix.
+    """Heisenberg-evolved observables {O_i}, held as their design matrix.
 
     Row i of ``design_matrix`` is the coordinate vector of O_i, so
     Tr[O_i rho] = design_matrix[i] @ coords(rho) for any state rho.
     """
 
     times: np.ndarray
-    observables: np.ndarray  # (N, d, d) complex
     design_matrix: np.ndarray  # (N, d*d) real
     waveform_fingerprint: str
 
     def __post_init__(self):
-        n = len(self.times)
-        if self.observables.shape[0] != n or self.design_matrix.shape[0] != n:
-            raise ValueError("times, observables and design matrix lengths disagree")
-        if self.design_matrix.shape[1] != self.d * self.d:
+        if self.design_matrix.ndim != 2 or self.design_matrix.shape[0] != len(self.times):
+            raise ValueError("times and design matrix lengths disagree")
+        if self.d * self.d != self.design_matrix.shape[1]:
             raise ValueError("design matrix width must be d^2")
-        for arr in (self.times, self.observables, self.design_matrix):
+        for arr in (self.times, self.design_matrix):
             arr.setflags(write=False)
 
     @property
@@ -376,7 +375,12 @@ class ObservableHistory:
 
     @property
     def d(self) -> int:
-        return self.observables.shape[1]
+        return math.isqrt(self.design_matrix.shape[1])
+
+    @property
+    def observables(self) -> np.ndarray:
+        """The O_i as an (N, d, d) complex stack, rebuilt from the design matrix."""
+        return coords_to_state(self.design_matrix)
 
 
 def heisenberg_history(
@@ -395,12 +399,9 @@ def heisenberg_history(
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if observable.shape != (sys.d, sys.d) or not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    rows = _evolve(sys, waveform, n_samples, observable, heisenberg=True)
-    observables = coords_to_state(rows)
     return ObservableHistory(
         times=sample_times(waveform, n_samples),
-        observables=observables,
-        design_matrix=rows,
+        design_matrix=_evolve(sys, waveform, n_samples, observable, heisenberg=True),
         waveform_fingerprint=waveform.fingerprint(),
     )
 
@@ -423,6 +424,8 @@ def read_history(path) -> ObservableHistory:
 
     The observables must be N matrices of size d x d with d = 2F + 1, and
     the design matrix N rows of d^2 coordinates, N being the number of times.
+    The observables are derived data: they must equal the design matrix
+    mapped back by :func:`coords_to_state`, to 1e-12 of its largest entry.
     """
     doc = serialize.read_document(path, "history", _HISTORY_FIELDS, HISTORY_FORMAT_VERSION)
     d = serialize.spin_dimension(doc["F"])
@@ -433,13 +436,15 @@ def read_history(path) -> ObservableHistory:
                              ("design_matrix", design, (len(times), d * d))):
         if arr.shape != shape:
             raise serialize.DocumentError(f"{name} must have shape {shape}, got {arr.shape}", name)
+    scale = np.max(np.abs(design), initial=0.0)
+    if np.any(np.abs(observables - coords_to_state(design)) > 1e-12 * scale):
+        raise serialize.DocumentError("observables disagree with the design matrix", "observables")
     fingerprint = doc["waveform_fingerprint"]
     if not isinstance(fingerprint, str) or not fingerprint:
         raise serialize.DocumentError("waveform_fingerprint must be a nonempty string",
                                       "waveform_fingerprint")
     return ObservableHistory(
         times=times,
-        observables=observables,
         design_matrix=design,
         waveform_fingerprint=fingerprint,
     )

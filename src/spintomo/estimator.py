@@ -109,12 +109,12 @@ def _check_grid(record: MeasurementRecord, d: int, times: np.ndarray) -> None:
         raise FingerprintMismatchError("record sample times differ from the model's sample grid")
 
 
-def numerical_rank(s: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    """Count of singular values (descending) above ``cutoff`` times the largest."""
-    return int(np.count_nonzero(s > cutoff * s[0])) if s.size and s[0] > 0 else 0
+def numerical_rank(s: np.ndarray) -> int:
+    """Count of singular values (descending) above ``RANK_CUTOFF`` times the largest."""
+    return int(np.count_nonzero(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
 
 
-def _solve(values: np.ndarray, design: np.ndarray, sigma_eff, cutoff: float):
+def _solve(values: np.ndarray, design: np.ndarray, sigma_eff):
     """Core SVD solve of the trace-eliminated system.
 
     ``values`` is one record (N,) or a stack (T, N) against the same design,
@@ -131,7 +131,7 @@ def _solve(values: np.ndarray, design: np.ndarray, sigma_eff, cutoff: float):
     target = stack - design[:, 0] / math.sqrt(d)
     U, s, Vt = np.linalg.svd(traceless, full_matrices=False)
     s.setflags(write=False)
-    rank = numerical_rank(s, cutoff)
+    rank = numerical_rank(s)
     Ur, sr, Vr = U[:, :rank], s[:rank], Vt[:rank]
     # at rank 0 the empty products below are exact zeros
     x = ((target @ Ur) / sr) @ Vr
@@ -151,7 +151,7 @@ def _solve(values: np.ndarray, design: np.ndarray, sigma_eff, cutoff: float):
     return fits if values.ndim == 2 else fits[0]
 
 
-def _fit_batch(records, history: ObservableHistory, cutoff: float) -> list[LeastSquaresFit]:
+def _fit_batch(records, history: ObservableHistory) -> list[LeastSquaresFit]:
     records = list(records)
     for record in records:
         _check_match(record, history)
@@ -161,23 +161,19 @@ def _fit_batch(records, history: ObservableHistory, cutoff: float) -> list[Least
         raise ValueError("record is empty")
     values = np.stack([record.values for record in records])
     sigma_eff = [record.sigma / math.sqrt(record.n_averaged) for record in records]
-    return _solve(values, history.design_matrix, sigma_eff, cutoff)
+    return _solve(values, history.design_matrix, sigma_eff)
 
 
-def least_squares(
-    record: MeasurementRecord,
-    history: ObservableHistory,
-    cutoff: float = RANK_CUTOFF,
-) -> LeastSquaresFit:
+def least_squares(record: MeasurementRecord, history: ObservableHistory) -> LeastSquaresFit:
     """Ordinary least-squares fit of the record over traceless coordinates.
 
     Solves min_x || A x + a0/sqrt(d) - M ||^2 where A is the design matrix
     restricted to traceless coordinates, via SVD with relative cutoff
-    ``cutoff``. The parameter covariance is sigma_eff^2 (A^T A)^+ on the
+    ``RANK_CUTOFF``. The parameter covariance is sigma_eff^2 (A^T A)^+ on the
     retained singular subspace (directions beyond ``rank`` carry no
     information and are excluded rather than reported as infinite).
     """
-    return _fit_batch([record], history, cutoff)[0]
+    return _fit_batch([record], history)[0]
 
 
 def project_to_physical(rho_ls: np.ndarray) -> np.ndarray:
@@ -215,30 +211,22 @@ def project_to_physical(rho_ls: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_batch(
-    records,
-    history: ObservableHistory,
-    cutoff: float = RANK_CUTOFF,
-) -> list[EstimateResult]:
+def estimate_batch(records, history: ObservableHistory) -> list[EstimateResult]:
     """Reconstruct records driven by the same waveform: one solve, one projection.
 
     Every record is checked against ``history`` first. Results come in
     record order; an empty batch gives an empty list.
     """
-    fits = _fit_batch(records, history, cutoff)
+    fits = _fit_batch(records, history)
     if not fits:
         return []
     rho_ml = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
     return [EstimateResult(rho_ml=rho, **vars(fit)) for fit, rho in zip(fits, rho_ml)]
 
 
-def estimate(
-    record: MeasurementRecord,
-    history: ObservableHistory,
-    cutoff: float = RANK_CUTOFF,
-) -> EstimateResult:
+def estimate(record: MeasurementRecord, history: ObservableHistory) -> EstimateResult:
     """Two-step reconstruction: least squares, then positivity projection."""
-    return estimate_batch([record], history, cutoff)[0]
+    return estimate_batch([record], history)[0]
 
 
 def estimate_prefix_curve(
@@ -248,7 +236,6 @@ def estimate_prefix_curve(
     sys: SpinSystem,
     waveform: ControlWaveform,
     stride: int = 5,
-    cutoff: float = RANK_CUTOFF,
 ) -> list[tuple[float, float, float]]:
     """Reconstruction quality as the record accumulates.
 
@@ -268,7 +255,7 @@ def estimate_prefix_curve(
     top_eig = [max_eigenvalue(rho) for rho in evolved]
     ks = list(range(stride, n, stride)) + [n]
     # a generator, so each prefix's covariance is dropped once its rho_ls is taken
-    fits = (_solve(record.values[:k], history.design_matrix[:k], sigma_eff, cutoff) for k in ks)
+    fits = (_solve(record.values[:k], history.design_matrix[:k], sigma_eff) for k in ks)
     estimates = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
     prior = np.eye(history.d, dtype=complex) / history.d
     points = [(0.0, fidelity(rho0_true, prior), top_eig[0])]
@@ -290,7 +277,6 @@ def estimate_with_nuisance(
     sys: SpinSystem,
     params: dict[str, tuple[float, float]],
     budget: int = 200,
-    cutoff: float = RANK_CUTOFF,
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
 
@@ -304,16 +290,10 @@ def estimate_with_nuisance(
     record here: a drifted drive is the reason this entry point exists.
     Deterministic for fixed inputs (fixed initial simplex). If the
     evaluation budget runs out first, the best point so far is returned
-    with ``nuisance_converged`` False.
+    with ``nuisance_converged`` False. Empty ``params`` fit the nominal
+    waveform the same way, with ``nuisance_converged`` None.
     """
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
-    if not params:
-        nominal = heisenberg_history(
-            sys, waveform, measured_observable(sys), n_samples=record.n_samples
-        )
-        return estimate(record, nominal, cutoff)
-    if len(params) > 3:
-        raise ValueError("at most 3 nuisance parameters are supported")
     names = list(params)
     for name in names:
         if name not in NUISANCE_NAMES:
@@ -339,30 +319,34 @@ def estimate_with_nuisance(
 
     def objective(x: np.ndarray) -> float:
         x = np.clip(x, lows, highs)
-        fit = _solve(record.values, history_for(x).design_matrix, sigma_eff, cutoff)
+        fit = _solve(record.values, history_for(x).design_matrix, sigma_eff)
         return fit.residual_norm
 
-    from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
+    best = np.empty(0)
+    converged = None
+    if names:
+        from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
 
-    x0 = (lows + highs) / 2.0
-    result = minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        bounds=list(zip(lows, highs)),
-        options={
-            "maxfev": budget,
-            "xatol": 1e-6,
-            "fatol": 1e-14,
-            "initial_simplex": _deterministic_simplex(x0, 0.25 * (highs - lows)),
-        },
-    )
-    best = np.clip(result.x, lows, highs)
-    fit = _solve(record.values, history_for(best).design_matrix, sigma_eff, cutoff)
+        x0 = (lows + highs) / 2.0
+        result = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            bounds=list(zip(lows, highs)),
+            options={
+                "maxfev": budget,
+                "xatol": 1e-6,
+                "fatol": 1e-14,
+                "initial_simplex": _deterministic_simplex(x0, 0.25 * (highs - lows)),
+            },
+        )
+        best = np.clip(result.x, lows, highs)
+        converged = bool(result.success)
+    fit = _solve(record.values, history_for(best).design_matrix, sigma_eff)
     return EstimateResult(
         rho_ml=project_to_physical(fit.rho_ls),
         nuisance={name: float(v) for name, v in zip(names, best)},
-        nuisance_converged=bool(result.success),
+        nuisance_converged=converged,
         **vars(fit),
     )
 

@@ -1,9 +1,9 @@
 """Counter-based deterministic random draws.
 
-Streams are generated with the 4x64 Philox counter generator. Draw i of a
-noise stream keyed by ``seed`` starts at counter block ``i * 2**64``, so
-individual samples can be produced in any order (or concurrently) and still
-match a sequential run bit for bit.
+Streams are generated with the 4x64 Philox counter generator keyed by
+``seed``. Noise draw i is the first standard normal of a Philox generator
+started at ``counter = i << 64`` (counter block i), so every sample depends
+only on (seed, i) and matches a sequential run bit for bit, in any order.
 """
 
 from __future__ import annotations
@@ -24,21 +24,19 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def stream(seed: int, block: int = 0) -> np.random.Generator:
-    """Generator positioned at counter block ``block`` of stream ``seed``."""
+def stream(seed: int) -> np.random.Generator:
+    """Generator at the start (counter 0) of stream ``seed``."""
     seed = check_seed(seed)
-    if block < 0:
-        raise ValueError("counter block must be nonnegative")
-    return np.random.Generator(np.random.Philox(key=seed, counter=block << 64))
+    return np.random.Generator(np.random.Philox(key=seed, counter=0))
 
 
 def normals(seed: int, n: int) -> np.ndarray:
     """Standard-normal draws 0..n-1 of stream ``seed``.
 
-    Draw i is the first standard normal of ``stream(seed, i)``. One bit
-    generator serves all draws: before draw i its counter is set to block i
-    with an empty output buffer, the state a generator freshly built at
-    that block starts from.
+    Draw i is the first standard normal of a Philox generator keyed by
+    ``seed`` and started at ``counter = i << 64``. One bit generator serves
+    all draws: before draw i its counter is set to block i with an empty
+    output buffer, the state such a freshly built generator starts from.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

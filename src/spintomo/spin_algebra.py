@@ -5,6 +5,15 @@ magnetic quantum number m = +F ... -F (row/column 0 is the stretched state
 m = +F), Condon-Shortley phases. Density matrices are plain complex numpy
 arrays validated with :func:`check_density_matrix` where a contract requires
 a physical state.
+
+Operators are represented by their real coordinates in an orthonormal
+Hermitian (generalized Gell-Mann) basis, and the index maps
+:func:`state_to_coords` and :func:`coords_to_state` are the only definition
+of that basis: element a is ``coords_to_state`` of the a-th unit vector.
+Element 0 is I/sqrt(d); then, for each pair j < k in row-major order, the
+symmetric and antisymmetric elements on entries (j, k) and (k, j); then the
+d - 1 traceless diagonal elements. All are orthonormal under the
+Hilbert-Schmidt inner product, so the coordinate map is an isometry.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "SpinSystem",
-    "HermitianBasis",
     "build_spin_system",
     "measured_observable",
     "hermitian_basis",
@@ -95,62 +103,17 @@ def measured_observable(sys: SpinSystem) -> np.ndarray:
     return sys.Fx @ sys.Fy + sys.Fy @ sys.Fx
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianBasis:
-    """Orthonormal Hermitian operator basis (generalized Gell-Mann).
-
-    Element 0 is I/sqrt(d); elements 1 .. d^2-1 are traceless and mutually
-    orthonormal under the Hilbert-Schmidt inner product. Coordinates of a
-    Hermitian matrix in this basis are real, and the coordinate map is an
-    isometry between the Hilbert-Schmidt and Euclidean norms.
-    """
-
-    d: int
-    elements: np.ndarray  # (d*d, d, d) complex
-
-    def __post_init__(self):
-        self.elements.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def _basis_elements(d: int) -> np.ndarray:
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    elements = np.zeros((d * d, d, d), dtype=complex)
-    elements[0] = np.eye(d) / math.sqrt(d)
-    idx = 1
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = inv_sqrt2
-            sym[k, j] = inv_sqrt2
-            elements[idx] = sym
-            idx += 1
-            anti = np.zeros((d, d), dtype=complex)
-            anti[j, k] = -1j * inv_sqrt2
-            anti[k, j] = 1j * inv_sqrt2
-            elements[idx] = anti
-            idx += 1
-    for level in range(1, d):
-        diag = np.zeros(d, dtype=complex)
-        diag[:level] = 1.0
-        diag[level] = -level
-        elements[idx] = np.diag(diag / math.sqrt(level * (level + 1)))
-        idx += 1
-    elements.setflags(write=False)
-    return elements
-
-
-def hermitian_basis(sys: SpinSystem) -> HermitianBasis:
-    """The cached d^2-element Hermitian basis for this system's dimension."""
-    return HermitianBasis(d=sys.d, elements=_basis_elements(sys.d))
-
-
 @lru_cache(maxsize=None)
 def _diagonal_rows(d: int) -> np.ndarray:
-    """Diagonals of the d-1 traceless diagonal basis elements, shape (d-1, d)."""
-    rows = np.diagonal(_basis_elements(d)[d * (d - 1) + 1 :], axis1=1, axis2=2).real.copy()
+    """Diagonals of the d-1 traceless diagonal basis elements, shape (d-1, d).
+
+    Row l-1 is (1, ..., 1, -l, 0, ...) with l ones, times 1/sqrt(l(l+1)).
+    """
+    rows = np.zeros((d - 1, d))
+    for level in range(1, d):
+        rows[level - 1, : level + 1] = [1.0] * level + [-level]
+        # multiply by the reciprocal: dividing is one ulp off at d >= 4 (e.g. -3/sqrt(12))
+        rows[level - 1] *= 1.0 / math.sqrt(level * (level + 1))
     rows.setflags(write=False)
     return rows
 
@@ -205,6 +168,18 @@ def coords_to_state(coords: np.ndarray) -> np.ndarray:
     idx = np.arange(d)
     mat[..., idx, idx] = diag
     return mat
+
+
+@lru_cache(maxsize=None)
+def _basis(d: int) -> np.ndarray:
+    elements = coords_to_state(np.eye(d * d))
+    elements.setflags(write=False)
+    return elements
+
+
+def hermitian_basis(sys: SpinSystem) -> np.ndarray:
+    """The cached, read-only (d^2, d, d) stack of Hermitian basis elements."""
+    return _basis(sys.d)
 
 
 def _half_factorial(twice: int) -> int:
@@ -282,8 +257,19 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
 
 
 def _unitary(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H, from its eigendecomposition."""
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+# kind -> the parameter names it accepts; the first one, if any, is required
+TEST_STATE_PARAMS = {
+    "basis_state": ("m",),
+    "spin_coherent": ("theta", "phi"),
+    "cat": (),
+    "mixed": (),
+    "twisted": ("mu",),
+}
 
 
 def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
@@ -294,7 +280,7 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
     kind:
         One of ``basis_state`` (requires ``m``), ``spin_coherent``
         (``theta``, optional ``phi``), ``cat``, ``mixed``, ``twisted``
-        (requires ``mu``).
+        (requires ``mu``); see :data:`TEST_STATE_PARAMS`.
 
     Returns
     -------
@@ -304,42 +290,31 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
     (|m=+F> + i|m=-F>)/sqrt(2); ``mixed`` is I/d; ``twisted`` applies
     exp(-i mu Fx^2) to the stretched state.
     """
+    if kind not in TEST_STATE_PARAMS:
+        raise ValueError(f"unknown test state kind {kind!r}")
+    names = TEST_STATE_PARAMS[kind]
+    extra = set(params) - set(names)
+    if extra:
+        raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(extra)}")
+    if names and names[0] not in params:
+        raise ValueError(f"{kind} requires parameter {names[0]}")
     d = sys.d
-
-    def _only(*names):
-        extra = set(params) - set(names)
-        if extra:
-            raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(extra)}")
-
     if kind == "basis_state":
-        _only("m")
-        if "m" not in params:
-            raise ValueError("basis_state requires parameter m")
         ket = np.zeros(d, dtype=complex)
         ket[sys.index_of_m(params["m"])] = 1.0
     elif kind == "spin_coherent":
-        _only("theta", "phi")
-        if "theta" not in params:
-            raise ValueError("spin_coherent requires parameter theta")
         theta = float(params["theta"])
         phi = float(params.get("phi", 0.0))
         axis = -math.sin(phi) * sys.Fx + math.cos(phi) * sys.Fy
         ket = _unitary(axis, theta)[:, 0]
     elif kind == "cat":
-        _only()
         ket = np.zeros(d, dtype=complex)
         ket[0] = 1.0 / math.sqrt(2.0)
         ket[-1] = 1j / math.sqrt(2.0)
     elif kind == "mixed":
-        _only()
         return np.eye(d, dtype=complex) / d
-    elif kind == "twisted":
-        _only("mu")
-        if "mu" not in params:
-            raise ValueError("twisted requires parameter mu")
+    else:  # twisted
         ket = _unitary(sys.Fx @ sys.Fx, float(params["mu"]))[:, 0]
-    else:
-        raise ValueError(f"unknown test state kind {kind!r}")
     ket = ket / np.linalg.norm(ket)
     return np.outer(ket, ket.conj())
 
@@ -352,18 +327,18 @@ def is_hermitian(mat: np.ndarray, tol: float = 1e-10) -> bool:
     )
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    d: int | None = None,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    min_eigenvalue: float = -1e-10,
-) -> np.ndarray:
+# the physical-state contract of check_density_matrix
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_MIN_EIGENVALUE = -1e-10
+
+
+def check_density_matrix(rho: np.ndarray, d: int | None = None) -> np.ndarray:
     """Validate the physical-state contract; returns rho as a complex array.
 
     Raises ValueError naming the violated condition: finite entries,
-    Hermiticity, unit trace, or an eigenvalue below ``min_eigenvalue``.
+    Hermiticity and unit trace (each to 1e-12), or an eigenvalue below
+    -1e-10.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -373,12 +348,12 @@ def check_density_matrix(
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_defect > herm_tol:
+    if herm_defect > _HERM_TOL:
         raise ValueError(f"density matrix is not Hermitian (defect {herm_defect:.3e})")
     trace_defect = abs(np.trace(rho) - 1.0)
-    if trace_defect > trace_tol:
+    if trace_defect > _TRACE_TOL:
         raise ValueError(f"density matrix trace differs from 1 by {trace_defect:.3e}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < min_eigenvalue:
+    if lo < _MIN_EIGENVALUE:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import serialize
-from .spin_algebra import SpinSystem, check_density_matrix, clebsch_gordan
+from .spin_algebra import SpinSystem, build_spin_system, check_density_matrix, clebsch_gordan
 
 __all__ = [
     "MultipoleOperators",
@@ -52,14 +53,15 @@ class MultipoleOperators:
         }
 
 
-_MULTIPOLE_CACHE: dict[int, MultipoleOperators] = {}
-
-
 def multipole_operators(sys: SpinSystem) -> MultipoleOperators:
-    """Build (and cache) the d^2 multipole operators for this spin."""
-    if sys.d in _MULTIPOLE_CACHE:
-        return _MULTIPOLE_CACHE[sys.d]
-    d, F = sys.d, sys.F
+    """The d^2 multipole operators for this spin (built once per dimension)."""
+    return _multipole_operators(sys.d)
+
+
+@lru_cache(maxsize=None)
+def _multipole_operators(d: int) -> MultipoleOperators:
+    sys = build_spin_system((d - 1) / 2.0)
+    F = sys.F
     ms = sys.m_values
     ops: dict[int, dict[int, np.ndarray]] = {}
     for k in range(d):  # k = 0 .. 2F
@@ -75,9 +77,7 @@ def multipole_operators(sys: SpinSystem) -> MultipoleOperators:
             T.setflags(write=False)
             row[q] = T
         ops[k] = row
-    result = MultipoleOperators(F=F, d=d, ops=ops)
-    _MULTIPOLE_CACHE[sys.d] = result
-    return result
+    return MultipoleOperators(F=F, d=d, ops=ops)
 
 
 @dataclass(frozen=True, eq=False)

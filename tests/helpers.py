@@ -1,4 +1,6 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and reference implementations for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -20,6 +22,38 @@ def random_density(rng: np.random.Generator, d: int, rank: int | None = None) ->
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def basis_elements_reference(d: int) -> np.ndarray:
+    """Generalized Gell-Mann basis built element by element (reference).
+
+    I/sqrt(d) first; then for each pair j < k in row-major order the
+    symmetric and the antisymmetric element on entries (j, k), (k, j); then
+    the traceless diagonal elements diag(1, ..., 1, -l, 0, ...)/sqrt(l(l+1)).
+    """
+    elements = np.zeros((d * d, d, d), dtype=complex)
+    elements[0] = np.eye(d) / math.sqrt(d)
+    idx = 1
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = inv_sqrt2
+            sym[k, j] = inv_sqrt2
+            elements[idx] = sym
+            idx += 1
+            anti = np.zeros((d, d), dtype=complex)
+            anti[j, k] = -1j * inv_sqrt2
+            anti[k, j] = 1j * inv_sqrt2
+            elements[idx] = anti
+            idx += 1
+    for level in range(1, d):
+        diag = np.zeros(d, dtype=complex)
+        diag[:level] = 1.0
+        diag[level] = -level
+        elements[idx] = np.diag(diag / math.sqrt(level * (level + 1)))
+        idx += 1
+    return elements
 
 
 def water_filling_reference(rho: np.ndarray) -> np.ndarray:

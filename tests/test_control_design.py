@@ -60,7 +60,6 @@ class TestCompleteness:
         perm = rng.permutation(150)
         shuffled = ObservableHistory(
             times=np.sort(default_history.times[perm]),
-            observables=default_history.observables[perm].copy(),
             design_matrix=default_history.design_matrix[perm].copy(),
             waveform_fingerprint=default_history.waveform_fingerprint,
         )

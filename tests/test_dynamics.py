@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,7 +23,7 @@ from spintomo import (
     step_propagator,
     write_history,
 )
-from spintomo import dynamics
+from spintomo import dynamics, serialize
 from spintomo import test_state as make_state
 from spintomo.metrics import purity
 
@@ -151,7 +153,7 @@ class TestLindblad:
         gamma = 150.0
         K = sum(A.conj().T @ A for A in jumps)
         want = np.empty((16, 16))
-        for b, B in enumerate(hermitian_basis(s).elements):
+        for b, B in enumerate(hermitian_basis(s)):
             LB = -1j * (H @ B - B @ H)
             LB += gamma * (sum(A @ B @ A.conj().T for A in jumps) - 0.5 * (K @ B + B @ K))
             want[:, b] = state_to_coords(LB)
@@ -421,6 +423,22 @@ class TestHistoryFile:
         assert (tmp_path / "history.json").read_bytes() == (
             tmp_path / "history2.json"
         ).read_bytes()
+
+    def test_rejects_observables_that_disagree_with_design(self, tmp_path):
+        s = build_spin_system(1)
+        wf = ControlWaveform(n_steps=2, dt=2e-5, phi=(0.1, 1.4), omega_larmor=5e3, chi=2e3)
+        path = tmp_path / "history.json"
+        write_history(heisenberg_history(s, wf, measured_observable(s), n_samples=4), path)
+        doc = json.loads(path.read_text())
+        entry = doc["observables"][2][0][1]
+        # one ulp is within the check: earlier writers derived observables separately
+        entry[0] = float(np.nextafter(entry[0], np.inf))
+        path.write_text(json.dumps(doc))
+        read_history(path)
+        entry[0] += 1e-6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(serialize.DocumentError, match="observables disagree"):
+            read_history(path)
 
     def test_rejects_bad_documents(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -65,7 +65,6 @@ class TestLeastSquares:
         )
         history = ObservableHistory(
             times=default_history.times[:1].copy(),
-            observables=default_history.observables[:1].copy(),
             design_matrix=default_history.design_matrix[:1].copy(),
             waveform_fingerprint=default_history.waveform_fingerprint,
         )
@@ -103,7 +102,6 @@ class TestLeastSquares:
         )
         empty_history = ObservableHistory(
             times=np.zeros(0),
-            observables=np.zeros((0, 7, 7), dtype=complex),
             design_matrix=np.zeros((0, 49)),
             waveform_fingerprint=default_history.waveform_fingerprint,
         )
@@ -236,7 +234,6 @@ class TestEstimate:
         perm = rng.permutation(150)
         shuffled_history = ObservableHistory(
             times=default_history.times[perm].copy(),
-            observables=default_history.observables[perm].copy(),
             design_matrix=default_history.design_matrix[perm].copy(),
             waveform_fingerprint=default_history.waveform_fingerprint,
         )
@@ -369,6 +366,16 @@ class TestNuisance:
         viaN = estimate_with_nuisance(record, default_waveform, sys3, {})
         assert np.max(np.abs(plain.rho_ml - viaN.rho_ml)) < 1e-12
         assert viaN.nuisance == {}
+
+    def test_empty_params_skip_the_fingerprint_check(self, sys3, default_waveform,
+                                                     default_history):
+        record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.4, seed=6)
+        foreign = replace(record, waveform_fingerprint="0123456789abcdef")
+        result = estimate_with_nuisance(foreign, default_waveform, sys3, {})
+        plain = estimate(record, default_history)
+        assert np.array_equal(result.rho_ls, plain.rho_ls)
+        assert np.array_equal(result.rho_ml, plain.rho_ml)
+        assert result.nuisance == {} and result.nuisance_converged is None
 
     def test_recovers_unit_scale(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "basis_state", m=-3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_density
+from helpers import basis_elements_reference, random_density
 from spintomo import (
     build_spin_system,
     check_density_matrix,
@@ -86,16 +86,26 @@ class TestHermitianBasis:
             np.array([[0, -1j], [1j, 0]]) * r,
             np.array([[1, 0], [0, -1]]) * r,
         ]
-        for got, want in zip(basis.elements, expected):
+        for got, want in zip(basis, expected):
             assert np.max(np.abs(got - want)) < 1e-15
 
     def test_gram_is_identity(self, sys3):
-        E = hermitian_basis(sys3).elements
+        E = hermitian_basis(sys3)
         gram = np.einsum("aij,bij->ab", E.conj(), E)
         assert np.max(np.abs(gram - np.eye(49))) < 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 20))
+    def test_maps_define_the_reference_basis(self, d):
+        # bit for bit, so the signs of zero entries match too
+        want = basis_elements_reference(d).tobytes()
+        assert coords_to_state(np.eye(d * d)).tobytes() == want
+        if d > 1:
+            basis = hermitian_basis(build_spin_system((d - 1) / 2))
+            assert basis.tobytes() == want
+            assert not basis.flags.writeable
+
     def test_count_and_tracelessness(self, sys3):
-        E = hermitian_basis(sys3).elements
+        E = hermitian_basis(sys3)
         assert E.shape == (49, 7, 7)
         assert np.max(np.abs(E[1:].trace(axis1=1, axis2=2))) < 1e-12
         assert np.max(np.abs(E[0] - np.eye(7) / math.sqrt(7))) < 1e-15
@@ -124,7 +134,7 @@ class TestCoordinates:
     def test_batched_maps_match_definition(self):
         rng = np.random.default_rng(6)
         for d in (2, 5):
-            basis = hermitian_basis(build_spin_system((d - 1) / 2)).elements
+            basis = basis_elements_reference(d)
             mats = rng.normal(size=(3, 4, d, d)) + 1j * rng.normal(size=(3, 4, d, d))
             # Re Tr[B_a^dag X] for arbitrary, not only Hermitian, matrices
             want = np.einsum("aij,...ij->...a", basis.conj(), mats).real
