@@ -21,7 +21,7 @@ import sys as _sys
 import numpy as np
 
 from . import serialize
-from .config import ConfigError, ExperimentConfig, config_to_document, load_config
+from .config import ConfigError, ExperimentConfig, config_to_document, load_config, parse_config
 from .control_design import completeness_report, optimize_waveform
 from .dynamics import heisenberg_history
 from .estimator import (
@@ -30,7 +30,7 @@ from .estimator import (
     estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
-    read_estimate,
+    parse_estimate,
     write_estimate,
 )
 from .measurement import (
@@ -175,11 +175,11 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
 def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 360) -> int:
     doc = serialize.read_document(input_path, "input", error=ConfigError)
     if "rho_ml" in doc:
-        result, meta = read_estimate(input_path)
+        result, meta = parse_estimate(doc)
         rho = check_density_matrix(result.rho_ml)
         sys_ = build_spin_system(meta["F"])
     else:
-        config = load_config(input_path)
+        config = parse_config(doc)
         sys_ = config.spin_system()
         rho = config.single_state
     grid = wigner_function(rho, sys_, n_theta=n_theta, n_phi=n_phi)
@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=5)
     p.add_argument("--nuisance", metavar="NAME:LO:HI[,...]", default=None,
                    help="co-estimate drive scale factors (skips the fingerprint check)")
-    p.add_argument("--budget", type=int, default=200)
+    p.add_argument("--budget", type=int, default=200,
+                   help="most observable histories the --nuisance search builds, "
+                        "its 9-point grid included")
 
     p = sub.add_parser("sweep", help="fidelity statistics over trial seeds")
     p.add_argument("config")

@@ -6,7 +6,9 @@ the linear system is small and well conditioned), followed by projection of
 the possibly non-positive fit onto the nearest physical density matrix in
 Frobenius distance. Optionally a small set of named scale factors of the
 drive (nuisance parameters) is co-estimated by minimizing the least-squares
-residual over recomputed observable histories.
+residual over recomputed observable histories, one history per trial point:
+each scale is searched in turn, on a 9-point grid over its bounds and then
+by Brent's bracketed golden-section/parabolic method, in numpy alone.
 """
 
 from __future__ import annotations
@@ -46,10 +48,15 @@ __all__ = [
     "estimate_with_nuisance",
     "write_estimate",
     "read_estimate",
+    "parse_estimate",
 ]
 
 RANK_CUTOFF = 1e-10
 NUISANCE_NAMES = ("omega_scale", "chi_scale")
+_GRID_POINTS = 9  # of a scale's first search, bounds included
+_XATOL = 1e-6  # on each scale
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(math.ulp(1.0))
 ESTIMATE_FORMAT_VERSION = 1
 
 _ESTIMATE_FIELDS = (
@@ -264,11 +271,89 @@ def estimate_prefix_curve(
     return points
 
 
-def _deterministic_simplex(x0: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    simplex = np.tile(x0, (len(x0) + 1, 1))
-    for i in range(len(x0)):
-        simplex[i + 1, i] += widths[i]
-    return simplex
+def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
+    """Brent's (1973) minimizer of ``f`` on [a, b], from the evaluated point (x, fx).
+
+    Golden-section steps, parabolic ones where the last three points allow,
+    until the bracket test holds at ``_XATOL``; every trial point lies
+    inside the bracket. Returns the best point and its value.
+    """
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0
+    while True:
+        xm = (a + b) / 2.0
+        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - (b - a) / 2.0:
+            return x, fx
+        golden = abs(e) <= tol1
+        if not golden:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0 else (p, -q)
+            golden = abs(p) >= abs(0.5 * q * e) or not q * (a - x) < p < q * (b - x)
+            if not golden:
+                e, d = d, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _coordinate_search(f, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Minimize ``f`` over the box [lows, highs] by Brent searches along one coordinate at a time.
+
+    A coordinate's first search brackets the best of ``_GRID_POINTS``
+    uniform points by its neighbours; later ones bracket +-2 times its last
+    move. Starts at the box centre and stops once every coordinate has been
+    searched since another one last moved by more than ``_XATOL``, so a
+    function of one variable gets exactly one search. Returns the best
+    point found.
+    """
+    grid = np.linspace(lows, highs, _GRID_POINTS)
+    x = grid[_GRID_POINTS // 2].copy()
+    moves: list[float | None] = [None] * len(x)
+    settled: set[int] = set()
+    k = 0
+    while len(settled) < len(x):
+        def along(t: float) -> float:
+            y = x.copy()
+            y[k] = t
+            return f(y)
+
+        start = x[k]
+        if moves[k] is None:
+            values = [along(t) for t in grid[:, k]]
+            i = int(np.argmin(values))
+            a, b = grid[max(i - 1, 0), k], grid[min(i + 1, _GRID_POINTS - 1), k]
+            x[k], fx = grid[i, k], values[i]
+        else:
+            a = max(lows[k], start - 2.0 * abs(moves[k]))
+            b = min(highs[k], start + 2.0 * abs(moves[k]))
+        x[k], fx = _brent(along, a, b, x[k], fx)
+        moves[k] = x[k] - start
+        settled = {k} | (settled if abs(moves[k]) <= _XATOL else set())
+        k = (k + 1) % len(x)
+    return x
+
+
+class _BudgetSpent(Exception):
+    """The nuisance search has built all the histories its budget allows."""
 
 
 def estimate_with_nuisance(
@@ -282,16 +367,21 @@ def estimate_with_nuisance(
 
     ``params`` maps names from {omega_scale, chi_scale} to (lower, upper)
     bounds. For Gaussian noise, minimizing the least-squares residual over
-    the scales is equivalent to maximizing the likelihood, so an outer
-    Nelder-Mead searches the scales while the inner linear fit is redone
-    against a freshly propagated observable history at each trial point.
+    the scales is equivalent to maximizing the likelihood. Each trial point
+    gets a freshly propagated observable history and the inner linear fit;
+    the scales are searched one at a time, first on a 9-point grid over the
+    bounds (the profile need not be unimodal), then by Brent's
+    golden-section/parabolic refinement of the best grid point between its
+    neighbours (``_coordinate_search``). Every trial point lies inside the
+    bounds.
 
     The waveform fingerprint is deliberately not checked against the
     record here: a drifted drive is the reason this entry point exists.
-    Deterministic for fixed inputs (fixed initial simplex). If the
-    evaluation budget runs out first, the best point so far is returned
-    with ``nuisance_converged`` False. Empty ``params`` fit the nominal
-    waveform the same way, with ``nuisance_converged`` None.
+    The search is deterministic. ``budget`` counts histories, grid points
+    included; the best point's fit is kept, so the result builds none
+    beyond them. If the budget runs out first, the best point so far is
+    returned with ``nuisance_converged`` False. Empty ``params`` fit the
+    nominal waveform the same way, with ``nuisance_converged`` None.
     """
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
@@ -306,46 +396,38 @@ def estimate_with_nuisance(
         raise ValueError("budget must be at least 1")
 
     observable = measured_observable(sys)
-
-    def history_for(x: np.ndarray) -> ObservableHistory:
-        scales = dict(zip(names, x))
-        scaled = waveform.with_scales(
-            omega_scale=scales.get("omega_scale", 1.0),
-            chi_scale=scales.get("chi_scale", 1.0),
-        )
-        return heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
-
     sigma_eff = record.sigma / math.sqrt(record.n_averaged)
+    residuals: dict[tuple[float, ...], float] = {}
+    best: dict = {}
 
     def objective(x: np.ndarray) -> float:
-        x = np.clip(x, lows, highs)
-        fit = _solve(record.values, history_for(x).design_matrix, sigma_eff)
+        key = tuple(x.tolist())
+        if key in residuals:
+            return residuals[key]
+        if len(residuals) == budget:
+            raise _BudgetSpent
+        scales = dict(zip(names, key))
+        scaled = waveform.with_scales(**scales)
+        history = heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
+        fit = _solve(record.values, history.design_matrix, sigma_eff)
+        residuals[key] = fit.residual_norm
+        if not best or fit.residual_norm < best["fit"].residual_norm:
+            best.update(scales=scales, fit=fit)
         return fit.residual_norm
 
-    best = np.empty(0)
     converged = None
     if names:
-        from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
-
-        x0 = (lows + highs) / 2.0
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=list(zip(lows, highs)),
-            options={
-                "maxfev": budget,
-                "xatol": 1e-6,
-                "fatol": 1e-14,
-                "initial_simplex": _deterministic_simplex(x0, 0.25 * (highs - lows)),
-            },
-        )
-        best = np.clip(result.x, lows, highs)
-        converged = bool(result.success)
-    fit = _solve(record.values, history_for(best).design_matrix, sigma_eff)
+        try:
+            _coordinate_search(objective, lows, highs)
+            converged = True
+        except _BudgetSpent:
+            converged = False
+    else:
+        objective(np.empty(0))
+    fit = best["fit"]
     return EstimateResult(
         rho_ml=project_to_physical(fit.rho_ls),
-        nuisance={name: float(v) for name, v in zip(names, best)},
+        nuisance=best["scales"],
         nuisance_converged=converged,
         **vars(fit),
     )
@@ -377,14 +459,19 @@ def write_estimate(
 
 
 def read_estimate(path) -> tuple[EstimateResult, dict]:
-    """Load an estimate document; returns (result, metadata dict).
+    """Load an estimate document; returns (result, metadata dict) as :func:`parse_estimate`."""
+    return parse_estimate(serialize.read_document(path, "estimate"))
+
+
+def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
+    """Estimate from a parsed document; returns (result, metadata dict).
 
     Strict like the record and history readers: exactly the written fields,
     each of its written type, d x d matrices with d = 2F + 1, and exactly
     (d^2 - 1) d^2 / 2 covariance entries; any violation raises a
     :class:`~spintomo.serialize.DocumentError` naming the field.
     """
-    doc = serialize.read_document(path, "estimate", _ESTIMATE_FIELDS, ESTIMATE_FORMAT_VERSION)
+    serialize.check_fields(doc, "estimate", _ESTIMATE_FIELDS, ESTIMATE_FORMAT_VERSION)
     d = serialize.spin_dimension(doc["F"])
     rho = {name: serialize.pairs_to_matrix(doc[name], name) for name in ("rho_ls", "rho_ml")}
     for name, mat in rho.items():

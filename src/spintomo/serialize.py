@@ -55,10 +55,8 @@ class DocumentError(ValueError):
 def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, error=DocumentError):
     """Parse the JSON object in ``path``, naming ``kind`` in every error.
 
-    With ``fields`` the object must hold exactly those keys, and its
-    ``version`` must equal ``version``; the first missing or unknown key is
-    named in the message and in the error's ``field``. ``error`` is the
-    exception class raised.
+    With ``fields`` the object must also pass :func:`check_fields`.
+    ``error`` is the exception class raised.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -67,8 +65,15 @@ def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, e
             raise error(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{kind} document must be a JSON object")
-    if not fields:
-        return doc
+    return check_fields(doc, kind, fields, version, error) if fields else doc
+
+
+def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version, error=DocumentError):
+    """``doc`` itself if it holds exactly ``fields`` and its ``version`` equals ``version``.
+
+    The first missing or unknown key is named in the message and in the
+    error's ``field``.
+    """
     missing = [name for name in fields if name not in doc]
     if missing:
         raise error(f"{kind} document missing field: {missing[0]}", missing[0])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import CALIBRATED_SIGMA, make_waveform
 from helpers import haar_unitary, random_density, random_pure, water_filling_reference
 from spintomo import (
+    ControlWaveform,
     FingerprintMismatchError,
     ObservableHistory,
     estimate,
@@ -394,6 +395,47 @@ class TestNuisance:
         )
         assert result.nuisance_converged is False
         assert "omega_scale" in result.nuisance
+
+    @pytest.fixture(scope="class")
+    def two_scale_record(self, sys3, default_waveform):
+        drifted = default_waveform.with_scales(omega_scale=1.01, chi_scale=0.99)
+        history = heisenberg_history(sys3, drifted, measured_observable(sys3), n_samples=150)
+        return synthesize_record(make_state(sys3, "basis_state", m=-3), history, sigma=0.0, seed=0)
+
+    def test_two_scales_recovered(self, sys3, default_waveform, two_scale_record):
+        bounds = {"omega_scale": (0.95, 1.05), "chi_scale": (0.95, 1.05)}
+        result = estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds)
+        assert result.nuisance_converged is True
+        assert list(result.nuisance) == ["omega_scale", "chi_scale"]
+        assert abs(result.nuisance["omega_scale"] - 1.01) < 1e-5
+        assert abs(result.nuisance["chi_scale"] - 0.99) < 1e-5
+
+    def test_two_scale_fit_is_deterministic(self, sys3, default_waveform, two_scale_record):
+        bounds = {"chi_scale": (0.95, 1.05), "omega_scale": (0.95, 1.05)}
+        a, b = (estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds, budget=40)
+                for _ in range(2))
+        assert a.nuisance == b.nuisance and a.nuisance_converged == b.nuisance_converged
+        assert np.array_equal(a.rho_ml, b.rho_ml) and np.array_equal(a.covariance, b.covariance)
+
+    def test_budget_counts_histories_inside_the_bounds(self, sys3, default_waveform,
+                                                      two_scale_record, monkeypatch):
+        scales = []
+        with_scales = ControlWaveform.with_scales
+
+        def recording(waveform, omega_scale=1.0, chi_scale=1.0):
+            scales.append((omega_scale, chi_scale))
+            return with_scales(waveform, omega_scale=omega_scale, chi_scale=chi_scale)
+
+        monkeypatch.setattr(ControlWaveform, "with_scales", recording)
+        bounds = {"omega_scale": (0.95, 1.05), "chi_scale": (0.97, 1.0)}
+        for budget in (3, 9, 25):
+            scales.clear()
+            result = estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds,
+                                            budget=budget)
+            assert len(scales) == len(set(scales)) == budget
+            assert result.nuisance_converged is False
+            assert all(0.95 <= w <= 1.05 and 0.97 <= c <= 1.0 for w, c in scales)
+            assert (result.nuisance["omega_scale"], result.nuisance["chi_scale"]) in scales
 
     def test_parameter_validation(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "cat")
