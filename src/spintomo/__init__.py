@@ -20,12 +20,10 @@ from .dynamics import (
     heisenberg_history,
     lindblad_superoperator,
     propagate_state,
-    read_history,
     resolve_jump_ops,
     sample_times,
     step_hamiltonian,
     step_propagator,
-    write_history,
 )
 from .estimator import (
     EstimateResult,

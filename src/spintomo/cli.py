@@ -6,11 +6,11 @@ over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
 Exit codes: 0 success, 2 config/document parse error (missing, unknown or
-malformed fields, non-finite numbers), 3 invariant violation, 4 record does
-not match the config (waveform fingerprint, spin size or sample grid), 5
-waveform not informationally complete. All randomness comes from seeds in
-the config, so every command is deterministic and re-runs are
-byte-identical.
+malformed fields, non-finite numbers) or a file that cannot be read or
+written, 3 invariant violation, 4 record does not match the config (waveform
+fingerprint, spin size or sample grid), 5 waveform not informationally
+complete. All randomness comes from seeds in the config, so every command
+is deterministic and re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -56,18 +56,14 @@ _BOUND_TOL = 1e-9
 
 def _history_for(config: ExperimentConfig):
     sys_ = config.spin_system()
-    history = heisenberg_history(
-        sys_,
-        config.waveform,
-        measured_observable(sys_),
-        n_samples=config.n_samples,
+    return heisenberg_history(
+        sys_, config.waveform, measured_observable(sys_), n_samples=config.n_samples
     )
-    return sys_, history
 
 
 def cmd_simulate(config_path: str, out_record_path: str) -> int:
     config = load_config(config_path)
-    _, history = _history_for(config)
+    history = _history_for(config)
     rho0 = config.single_state
     record = synthesize_record(rho0, history, config.sigma, config.seed, config.n_averaged)
     write_record(record, out_record_path)
@@ -84,6 +80,8 @@ def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
         if len(pieces) != 3:
             raise ConfigError(f"bad --nuisance entry {item!r}; expected name:low:high")
         name, lo, hi = pieces
+        if name in params:
+            raise ConfigError(f"--nuisance names {name!r} more than once")
         try:
             params[name] = (float(lo), float(hi))
         except ValueError as exc:
@@ -115,7 +113,7 @@ def cmd_estimate(
                 if abs(value - bound) <= _BOUND_TOL:
                     print(f"warning: {name} fit stopped at its bound {bound!r}", file=_sys.stderr)
     else:
-        _, history = _history_for(config)
+        history = _history_for(config)
         result = estimate(record, history)
     write_estimate(result, out_estimate_path, record.waveform_fingerprint)
 
@@ -143,7 +141,7 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
     if n_trials < 0:
         raise ConfigError("n_trials must be nonnegative")
     config = load_config(config_path)
-    _, history = _history_for(config)
+    history = _history_for(config)
     tasks = [
         (trial, label, config.seed + trial * len(config.states) + state_index, rho)
         for trial in range(n_trials)
@@ -213,7 +211,7 @@ def cmd_design(
 
 def cmd_check(config_path: str) -> int:
     config = load_config(config_path)
-    _, history = _history_for(config)
+    history = _history_for(config)
     report = completeness_report(history)
     print(f"rank: {report.rank}")
     print(f"required: {report.d * report.d - 1}")
@@ -301,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except FingerprintMismatchError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_FINGERPRINT
-    except (ConfigError, serialize.DocumentError) as exc:
+    except (ConfigError, serialize.DocumentError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except (ValueError, IndexError) as exc:

@@ -53,13 +53,9 @@ __all__ = [
     "sample_times",
     "propagate_state",
     "heisenberg_history",
-    "write_history",
-    "read_history",
 ]
 
 JUMP_PRESETS = ("isotropic", "none")
-HISTORY_FORMAT_VERSION = 1
-_HISTORY_FIELDS = ("version", "F", "times", "observables", "design_matrix", "waveform_fingerprint")
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,48 +399,4 @@ def heisenberg_history(
         times=sample_times(waveform, n_samples),
         design_matrix=_evolve(sys, waveform, n_samples, observable, heisenberg=True),
         waveform_fingerprint=waveform.fingerprint(),
-    )
-
-
-def write_history(history: ObservableHistory, path) -> None:
-    """Cache an observable history as a versioned JSON document."""
-    doc = {
-        "version": HISTORY_FORMAT_VERSION,
-        "F": (history.d - 1) / 2.0,
-        "times": [float(t) for t in history.times],
-        "observables": [serialize.matrix_to_pairs(O) for O in history.observables],
-        "design_matrix": [[float(v) for v in row] for row in history.design_matrix],
-        "waveform_fingerprint": history.waveform_fingerprint,
-    }
-    serialize.dump_path(doc, path)
-
-
-def read_history(path) -> ObservableHistory:
-    """Parse a history document; strict about version, field set and field shapes.
-
-    The observables must be N matrices of size d x d with d = 2F + 1, and
-    the design matrix N rows of d^2 coordinates, N being the number of times.
-    The observables are derived data: they must equal the design matrix
-    mapped back by :func:`coords_to_state`, to 1e-12 of its largest entry.
-    """
-    doc = serialize.read_document(path, "history", _HISTORY_FIELDS, HISTORY_FORMAT_VERSION)
-    d = serialize.spin_dimension(doc["F"])
-    times = serialize.numeric_array(doc["times"], "times", 1)
-    observables = serialize.pairs_to_matrix(doc["observables"], "observables", ndim=3)
-    design = serialize.numeric_array(doc["design_matrix"], "design_matrix", 2)
-    for name, arr, shape in (("observables", observables, (len(times), d, d)),
-                             ("design_matrix", design, (len(times), d * d))):
-        if arr.shape != shape:
-            raise serialize.DocumentError(f"{name} must have shape {shape}, got {arr.shape}", name)
-    scale = np.max(np.abs(design), initial=0.0)
-    if np.any(np.abs(observables - coords_to_state(design)) > 1e-12 * scale):
-        raise serialize.DocumentError("observables disagree with the design matrix", "observables")
-    fingerprint = doc["waveform_fingerprint"]
-    if not isinstance(fingerprint, str) or not fingerprint:
-        raise serialize.DocumentError("waveform_fingerprint must be a nonempty string",
-                                      "waveform_fingerprint")
-    return ObservableHistory(
-        times=times,
-        design_matrix=design,
-        waveform_fingerprint=fingerprint,
     )

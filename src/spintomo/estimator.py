@@ -441,7 +441,7 @@ def write_estimate(
     """Serialize an estimate; the covariance is stored as its lower triangle."""
     d = result.rho_ml.shape[0]
     cov = result.covariance
-    lower = [float(cov[i, j]) for i in range(cov.shape[0]) for j in range(i + 1)]
+    lower = cov[np.tril_indices(cov.shape[0])].tolist()
     doc = {
         "version": ESTIMATE_FORMAT_VERSION,
         "F": (d - 1) / 2.0,
@@ -466,8 +466,8 @@ def read_estimate(path) -> tuple[EstimateResult, dict]:
 def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
     """Estimate from a parsed document; returns (result, metadata dict).
 
-    Strict like the record and history readers: exactly the written fields,
-    each of its written type, d x d matrices with d = 2F + 1, and exactly
+    Strict like the record reader: exactly the written fields, each of its
+    written type, d x d matrices with d = 2F + 1, and exactly
     (d^2 - 1) d^2 / 2 covariance entries; any violation raises a
     :class:`~spintomo.serialize.DocumentError` naming the field.
     """

@@ -139,8 +139,9 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 def read_record(path) -> MeasurementRecord:
     """Parse a record document; strict about version, field set and field shapes."""
-    doc = serialize.read_document(
-        path, "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION, RecordFormatError
+    doc = serialize.check_fields(
+        serialize.read_document(path, "record", RecordFormatError),
+        "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION, RecordFormatError,
     )
     if not isinstance(doc["waveform_fingerprint"], str) or not doc["waveform_fingerprint"]:
         raise RecordFormatError("waveform_fingerprint must be a nonempty string",

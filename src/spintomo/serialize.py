@@ -52,12 +52,8 @@ class DocumentError(ValueError):
         self.field = field
 
 
-def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, error=DocumentError):
-    """Parse the JSON object in ``path``, naming ``kind`` in every error.
-
-    With ``fields`` the object must also pass :func:`check_fields`.
-    ``error`` is the exception class raised.
-    """
+def read_document(path, kind: str, error=DocumentError) -> dict:
+    """Parse the JSON object in ``path``, raising ``error`` that names ``kind``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = load(fh)
@@ -65,7 +61,7 @@ def read_document(path, kind: str, fields: tuple[str, ...] = (), version=None, e
             raise error(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{kind} document must be a JSON object")
-    return check_fields(doc, kind, fields, version, error) if fields else doc
+    return doc
 
 
 def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version, error=DocumentError):
@@ -109,11 +105,12 @@ def integer(value, field: str, error=DocumentError) -> int:
     return value
 
 
-def spin_dimension(value, error=DocumentError) -> int:
+def spin_dimension(value) -> int:
     """d = 2F + 1 for a document's F, which must be a positive integer or half-integer."""
-    twice = 2.0 * float(numeric_array(value, "F", 0, error))
+    twice = 2.0 * float(numeric_array(value, "F", 0))
     if not (twice >= 1 and twice == round(twice)):
-        raise error(f"malformed field F: {value!r} is not a positive integer or half-integer", "F")
+        message = f"malformed field F: {value!r} is not a positive integer or half-integer"
+        raise DocumentError(message, "F")
     return int(twice) + 1
 
 
@@ -153,13 +150,12 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
 
 
-def pairs_to_matrix(rows, context: str = "matrix", ndim: int = 2) -> np.ndarray:
+def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:
     """Inverse of :func:`matrix_to_pairs`, with shape validation.
 
-    With ``ndim`` = 3 ``rows`` holds a stack of matrices. Raises
-    :class:`DocumentError` unless every entry is an [re, im] pair.
+    Raises :class:`DocumentError` unless every entry is an [re, im] pair.
     """
-    arr = numeric_array(rows, context, ndim + 1)
+    arr = numeric_array(rows, context, 3)
     if arr.shape[-1] != 2:
         raise DocumentError(f"{context}: expected rows of [re, im] pairs", context)
     return arr[..., 0] + 1j * arr[..., 1]

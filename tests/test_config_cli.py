@@ -183,6 +183,17 @@ class TestCliPipeline:
         assert abs(scale - 1.0) < 2e-3
         assert "warning" not in captured.err
 
+    def test_repeated_nuisance_name_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+        assert main(["simulate", cfg, record]) == 0
+        capsys.readouterr()
+        argv = ["estimate", record, cfg, str(est),
+                "--nuisance", "omega_scale:0.99:1.01,omega_scale:0.98:1.02"]
+        assert main(argv) == 2
+        assert "omega_scale" in capsys.readouterr().err
+        assert not est.exists()
+
     @staticmethod
     def _drifted_record(tmp_path, seed, drift):
         """The shipped cat config at gamma = 200 and its record under a drive scaled by drift."""
@@ -399,6 +410,20 @@ class TestInputBinding:
         est.write_text(json.dumps(doc))
         assert main(["wigner", str(est), str(tmp_path / "w.csv"), "--n-theta", "4",
                      "--n-phi", "4"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{missing}", "{cfg}", "{out}"],
+        ["estimate", "{record}", "{missing}", "{out}"],
+        ["wigner", "{missing}", "{out}"],
+        ["sweep", "{cfg}", "1", "{no_dir}"],
+    ], ids=["record", "config", "wigner_input", "output_dir"])
+    def test_unreadable_or_unwritable_file_exit_2(self, tmp_path, capsys, argv):
+        cfg, record = self._simulate(tmp_path, base_config())
+        paths = {"cfg": cfg, "record": record, "missing": tmp_path / "missing.json",
+                 "out": tmp_path / "out.json", "no_dir": tmp_path / "no_dir" / "o.csv"}
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_spin_size_mismatch_exit_4(self, tmp_path, capsys):
         small = base_config(F=2, state={"kind": "basis_state", "m": -2})

@@ -1,4 +1,4 @@
-"""Malformed record, history and estimate documents are rejected as such.
+"""Malformed record and estimate documents are rejected as such.
 
 A property test over single-field corruptions of valid documents: a field
 missing, an unknown field, a number replaced by a non-finite literal, or a
@@ -13,9 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spintomo import heisenberg_history, load_config, measured_observable, write_history
 from spintomo.cli import main
-from spintomo.dynamics import _HISTORY_FIELDS, read_history
 from spintomo.estimator import _ESTIMATE_FIELDS, read_estimate
 from spintomo.measurement import _RECORD_FIELDS, read_record
 from spintomo.serialize import DocumentError
@@ -37,12 +35,11 @@ CONFIG = {
     "state": {"kind": "basis_state", "m": -1},
 }
 
-FIELDS = {"record": _RECORD_FIELDS, "history": _HISTORY_FIELDS, "estimate": _ESTIMATE_FIELDS}
-READERS = {"record": read_record, "history": read_history, "estimate": read_estimate}
+FIELDS = {"record": _RECORD_FIELDS, "estimate": _ESTIMATE_FIELDS}
+READERS = {"record": read_record, "estimate": read_estimate}
 # singular_values may be shorter than d^2 - 1 (a short record), so dropping
 # one of them can leave a valid document
-CAN_TRUNCATE = {"times", "values", "observables", "design_matrix", "covariance_lower",
-                "rho_ls", "rho_ml"}
+CAN_TRUNCATE = {"times", "values", "covariance_lower", "rho_ls", "rho_ml"}
 NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
 _MARK = "NON-FINITE-MARK"
 
@@ -58,15 +55,8 @@ def valid(tmp_path_factory):
     argv = ["estimate", str(record), str(config), str(estimate),
             "--nuisance", "omega_scale:0.99:1.01", "--budget", "3"]
     assert main(argv) == 0
-    cfg = load_config(config)
-    spin = cfg.spin_system()
-    history = root / "history.json"
-    write_history(
-        heisenberg_history(spin, cfg.waveform, measured_observable(spin), n_samples=cfg.n_samples),
-        history,
-    )
     docs = {kind: json.loads(path.read_text())
-            for kind, path in (("record", record), ("history", history), ("estimate", estimate))}
+            for kind, path in (("record", record), ("estimate", estimate))}
     return docs, config, root / "edited.json"
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -15,15 +13,13 @@ from spintomo import (
     lindblad_superoperator,
     measured_observable,
     propagate_state,
-    read_history,
     resolve_jump_ops,
     sample_times,
     state_to_coords,
     step_hamiltonian,
     step_propagator,
-    write_history,
 )
-from spintomo import dynamics, serialize
+from spintomo import dynamics
 from spintomo import test_state as make_state
 from spintomo.metrics import purity
 
@@ -404,58 +400,3 @@ class TestSegmentExponential:
         heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
         assert calls == []
 
-
-class TestHistoryFile:
-    def test_round_trip(self, tmp_path):
-        s = build_spin_system(1)
-        wf = ControlWaveform(
-            n_steps=2, dt=2e-5, phi=(0.1, 1.4), omega_larmor=5e3, chi=2e3, gamma_dec=40.0
-        )
-        h = heisenberg_history(s, wf, measured_observable(s), n_samples=10)
-        path = tmp_path / "history.json"
-        write_history(h, path)
-        again = read_history(path)
-        assert again.waveform_fingerprint == h.waveform_fingerprint
-        assert np.array_equal(again.times, h.times)
-        assert np.array_equal(again.design_matrix, h.design_matrix)
-        assert np.array_equal(again.observables, h.observables)
-        write_history(again, tmp_path / "history2.json")
-        assert (tmp_path / "history.json").read_bytes() == (
-            tmp_path / "history2.json"
-        ).read_bytes()
-
-    def test_rejects_observables_that_disagree_with_design(self, tmp_path):
-        s = build_spin_system(1)
-        wf = ControlWaveform(n_steps=2, dt=2e-5, phi=(0.1, 1.4), omega_larmor=5e3, chi=2e3)
-        path = tmp_path / "history.json"
-        write_history(heisenberg_history(s, wf, measured_observable(s), n_samples=4), path)
-        doc = json.loads(path.read_text())
-        entry = doc["observables"][2][0][1]
-        # one ulp is within the check: earlier writers derived observables separately
-        entry[0] = float(np.nextafter(entry[0], np.inf))
-        path.write_text(json.dumps(doc))
-        read_history(path)
-        entry[0] += 1e-6
-        path.write_text(json.dumps(doc))
-        with pytest.raises(serialize.DocumentError, match="observables disagree"):
-            read_history(path)
-
-    def test_rejects_bad_documents(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99}')
-        with pytest.raises(ValueError, match="missing field"):
-            read_history(path)
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="JSON"):
-            read_history(path)
-
-    def test_rejects_non_finite_numbers(self, tmp_path):
-        s = build_spin_system(1)
-        wf = ControlWaveform(n_steps=2, dt=2e-5, phi=(0.1, 1.4), omega_larmor=5e3, chi=2e3)
-        path = tmp_path / "history.json"
-        write_history(heisenberg_history(s, wf, measured_observable(s), n_samples=4), path)
-        text = path.read_text()
-        for bad in ("NaN", "Infinity", "-1e999"):
-            path.write_text(text.replace('"design_matrix":[[', f'"design_matrix":[[{bad},', 1))
-            with pytest.raises(ValueError, match="non-finite"):
-                read_history(path)
