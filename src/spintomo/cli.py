@@ -6,25 +6,31 @@ over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
 Exit codes: 0 success, 2 config/document parse error (missing, unknown or
-malformed fields, non-finite numbers) or a file that cannot be read or
-written, 3 invariant violation, 4 record does not match the config (waveform
-fingerprint, spin size or sample grid), 5 waveform not informationally
-complete. All randomness comes from seeds in the config, so every command
-is deterministic and re-runs are byte-identical.
+malformed fields, non-finite numbers, a bad ``--nuisance`` entry) or a file
+that cannot be read or written, 3 invariant violation, 4 record does not
+match the config (waveform fingerprint, spin size or sample grid), 5
+waveform not informationally complete. Output directories are checked
+before any work, so a missing one leaves no file written. All randomness
+comes from seeds in the config, so every command is deterministic and
+re-runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import math
+import os
 import sys as _sys
 
 import numpy as np
 
 from . import serialize
-from .config import ConfigError, ExperimentConfig, config_to_document, load_config, parse_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .control_design import completeness_report, optimize_waveform
 from .dynamics import heisenberg_history
 from .estimator import (
+    NUISANCE_NAMES,
     FingerprintMismatchError,
     estimate,
     estimate_batch,
@@ -61,12 +67,20 @@ def _history_for(config: ExperimentConfig):
     )
 
 
-def cmd_simulate(config_path: str, out_record_path: str) -> int:
-    config = load_config(config_path)
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail as ``open`` would, before any work, on an output whose directory is missing."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
+def cmd_simulate(args) -> int:
+    _check_output_dirs(args.out_record)
+    config = load_config(args.config)
     history = _history_for(config)
     rho0 = config.single_state
     record = synthesize_record(rho0, history, config.sigma, config.seed, config.n_averaged)
-    write_record(record, out_record_path)
+    write_record(record, args.out_record)
     clean = noiseless_values(rho0, history)
     print(f"fingerprint: {record.waveform_fingerprint}")
     print(f"noiseless_rms: {_f(float(np.sqrt(np.mean(clean**2))))}")
@@ -83,29 +97,26 @@ def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
         if name in params:
             raise ConfigError(f"--nuisance names {name!r} more than once")
         try:
-            params[name] = (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
         except ValueError as exc:
             raise ConfigError(f"bad --nuisance bounds in {item!r}") from exc
+        if name not in NUISANCE_NAMES:
+            raise ConfigError(f"unknown nuisance parameter {name!r}; valid: {NUISANCE_NAMES}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError("nuisance bounds must be finite with lower < upper")
+        params[name] = (lo, hi)
     return params
 
 
-def cmd_estimate(
-    record_path: str,
-    config_path: str,
-    out_estimate_path: str,
-    prefix_curve: str | None = None,
-    stride: int = 5,
-    nuisance: str | None = None,
-    budget: int = 200,
-) -> int:
-    record = read_record(record_path)
-    config = load_config(config_path)
+def cmd_estimate(args) -> int:
+    _check_output_dirs(args.out_estimate, args.prefix_curve)
+    record = read_record(args.record)
+    config = load_config(args.config)
     sys_ = config.spin_system()
-    history = None
-    if nuisance:
-        params = _parse_nuisance(nuisance)
+    if args.nuisance:
+        params = _parse_nuisance(args.nuisance)
         result = estimate_with_nuisance(
-            record, config.waveform, sys_, params, budget=budget
+            record, config.waveform, sys_, params, budget=args.budget
         )
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")
@@ -115,36 +126,41 @@ def cmd_estimate(
     else:
         history = _history_for(config)
         result = estimate(record, history)
-    write_estimate(result, out_estimate_path, record.waveform_fingerprint)
 
     truth = config.states[0][1] if len(config.states) == 1 else None
-    if truth is not None:
-        print(f"fidelity: {_f(fidelity(truth, result.rho_ml))}")
-    if prefix_curve is not None:
+    skipped = points = None
+    if args.prefix_curve is not None:
         if truth is None:
-            print("prefix curve skipped: config does not name a single true state")
-        elif nuisance:
+            skipped = "config does not name a single true state"
+        elif args.nuisance:
             # the record's fingerprint cannot match a rescaled waveform
-            print("prefix curve skipped: not available together with --nuisance")
+            skipped = "not available together with --nuisance"
         else:
             points = estimate_prefix_curve(
-                record, history, truth, sys_, config.waveform, stride=stride
+                record, history, truth, sys_, config.waveform, stride=args.stride
             )
-            with open(prefix_curve, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("time,fidelity,max_eigenvalue\n")
-                for t, fid, top in points:
-                    fh.write(f"{_f(t)},{_f(fid)},{_f(top)}\n")
+    write_estimate(result, args.out_estimate, record.waveform_fingerprint)
+    if truth is not None:
+        print(f"fidelity: {_f(fidelity(truth, result.rho_ml))}")
+    if skipped:
+        print(f"prefix curve skipped: {skipped}")
+    if points is not None:
+        with open(args.prefix_curve, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("time,fidelity,max_eigenvalue\n")
+            for t, fid, top in points:
+                fh.write(f"{_f(t)},{_f(fid)},{_f(top)}\n")
     return EXIT_OK
 
 
-def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
-    if n_trials < 0:
+def cmd_sweep(args) -> int:
+    if args.n_trials < 0:
         raise ConfigError("n_trials must be nonnegative")
-    config = load_config(config_path)
+    _check_output_dirs(args.out_csv)
+    config = load_config(args.config)
     history = _history_for(config)
     tasks = [
         (trial, label, config.seed + trial * len(config.states) + state_index, rho)
-        for trial in range(n_trials)
+        for trial in range(args.n_trials)
         for state_index, (label, rho) in enumerate(config.states)
     ]
     records = [
@@ -155,7 +171,7 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
         fidelity(rho, result.rho_ml)
         for (_trial, _label, _seed, rho), result in zip(tasks, estimate_batch(records, history))
     ]
-    with open(out_csv, "w", encoding="utf-8", newline="\n") as fh:
+    with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,state,seed,fidelity\n")
         for (trial, label, seed, _rho), fid in zip(tasks, fids):
             fh.write(f"{trial},{label},{seed},{_f(fid)}\n")
@@ -170,8 +186,9 @@ def cmd_sweep(config_path: str, n_trials: int, out_csv: str) -> int:
     return EXIT_OK
 
 
-def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 360) -> int:
-    doc = serialize.read_document(input_path, "input", error=ConfigError)
+def cmd_wigner(args) -> int:
+    _check_output_dirs(args.out_csv)
+    doc = serialize.read_document(args.input, "input")
     if "rho_ml" in doc:
         result, meta = parse_estimate(doc)
         rho = check_density_matrix(result.rho_ml)
@@ -180,37 +197,31 @@ def cmd_wigner(input_path: str, out_csv: str, n_theta: int = 181, n_phi: int = 3
         config = parse_config(doc)
         sys_ = config.spin_system()
         rho = config.single_state
-    grid = wigner_function(rho, sys_, n_theta=n_theta, n_phi=n_phi)
-    write_wigner_csv(grid, out_csv)
+    grid = wigner_function(rho, sys_, n_theta=args.n_theta, n_phi=args.n_phi)
+    write_wigner_csv(grid, args.out_csv)
     print(f"grid: {grid.n_theta}x{grid.n_phi}")
     return EXIT_OK
 
 
-def cmd_design(
-    config_path: str,
-    out_config_path: str,
-    budget: int = 50,
-    seed: int = 0,
-    objective: str = "min_singular_value",
-    sensitivity_weight: float = 0.0,
-) -> int:
-    config = load_config(config_path)
+def cmd_design(args) -> int:
+    _check_output_dirs(args.out_config)
+    doc = serialize.read_document(args.config, "config")
+    config = parse_config(doc)
     sys_ = config.spin_system()
     result = optimize_waveform(
-        sys_, config.waveform, budget=budget, seed=seed,
-        n_samples=config.n_samples, objective=objective, sensitivity_weight=sensitivity_weight,
+        sys_, config.waveform, budget=args.budget, seed=args.seed, n_samples=config.n_samples,
+        objective=args.objective, sensitivity_weight=args.sensitivity_weight,
     )
-    doc = config_to_document(config_path)
     doc["waveform"]["phi"] = [float(p) for p in result.waveform.phi]
-    serialize.dump_path(doc, out_config_path)
+    serialize.dump_path(doc, args.out_config)
     print(f"objective: {_f(result.objective)}")
     print(f"evaluations: {result.evaluations}")
     print(f"fingerprint: {result.waveform.fingerprint()}")
     return EXIT_OK
 
 
-def cmd_check(config_path: str) -> int:
-    config = load_config(config_path)
+def cmd_check(args) -> int:
+    config = load_config(args.config)
     history = _history_for(config)
     report = completeness_report(history)
     print(f"rank: {report.rank}")
@@ -229,10 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a measurement record from a config")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("config")
     p.add_argument("out_record")
 
     p = sub.add_parser("estimate", help="reconstruct a state from a record")
+    p.set_defaults(run=cmd_estimate)
     p.add_argument("record")
     p.add_argument("config")
     p.add_argument("out_estimate")
@@ -246,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "its 9-point grid included")
 
     p = sub.add_parser("sweep", help="fidelity statistics over trial seeds")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("config")
     p.add_argument("n_trials", type=int)
     p.add_argument("out_csv")
@@ -253,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted and ignored; all records are estimated in one batch")
 
     p = sub.add_parser("wigner", help="Wigner-function grid of a config state or estimate")
+    p.set_defaults(run=cmd_wigner)
     p.add_argument("input", help="config JSON or estimate JSON")
     p.add_argument("out_csv")
     p.add_argument("--n-theta", type=int, default=181)
     p.add_argument("--n-phi", type=int, default=360)
 
     p = sub.add_parser("design", help="optimize the field-angle schedule")
+    p.set_defaults(run=cmd_design)
     p.add_argument("config")
     p.add_argument("out_config")
     p.add_argument("--budget", type=int, default=50)
@@ -269,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="penalize conditioning loss under +-1%% Larmor drift")
 
     p = sub.add_parser("check", help="report informational completeness")
+    p.set_defaults(run=cmd_check)
     p.add_argument("config")
     return parser
 
@@ -276,30 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out_record)
-        if args.command == "estimate":
-            return cmd_estimate(
-                args.record, args.config, args.out_estimate,
-                prefix_curve=args.prefix_curve, stride=args.stride,
-                nuisance=args.nuisance, budget=args.budget,
-            )
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.n_trials, args.out_csv)
-        if args.command == "wigner":
-            return cmd_wigner(args.input, args.out_csv, n_theta=args.n_theta, n_phi=args.n_phi)
-        if args.command == "design":
-            return cmd_design(
-                args.config, args.out_config, budget=args.budget, seed=args.seed,
-                objective=args.objective, sensitivity_weight=args.sensitivity_weight,
-            )
-        if args.command == "check":
-            return cmd_check(args.config)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
     except FingerprintMismatchError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_FINGERPRINT
-    except (ConfigError, serialize.DocumentError, OSError) as exc:
+    except (serialize.DocumentError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     except (ValueError, IndexError) as exc:

@@ -23,13 +23,13 @@ from .spin_algebra import (
     test_state,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "config_to_document"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 CONFIG_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Config parse/validation failure; the message names the offending key."""
+# a config parse/validation failure; the message names the offending key
+ConfigError = serialize.DocumentError
 
 
 def _require(block: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -212,9 +212,4 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(config_to_document(path))
-
-
-def config_to_document(path) -> dict:
-    """Raw config dict for rewriting (e.g. after waveform optimization)."""
-    return serialize.read_document(path, "config", error=ConfigError)
+    return parse_config(serialize.read_document(path, "config"))

@@ -41,8 +41,8 @@ _RECORD_FIELDS = (
 )
 
 
-class RecordFormatError(serialize.DocumentError):
-    """Raised for malformed, truncated, or wrong-version record documents."""
+# raised for malformed, truncated, or wrong-version record documents
+RecordFormatError = serialize.DocumentError
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +140,17 @@ def write_record(record: MeasurementRecord, path) -> None:
 def read_record(path) -> MeasurementRecord:
     """Parse a record document; strict about version, field set and field shapes."""
     doc = serialize.check_fields(
-        serialize.read_document(path, "record", RecordFormatError),
-        "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION, RecordFormatError,
+        serialize.read_document(path, "record"), "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION
     )
     if not isinstance(doc["waveform_fingerprint"], str) or not doc["waveform_fingerprint"]:
         raise RecordFormatError("waveform_fingerprint must be a nonempty string",
                                 field="waveform_fingerprint")
-    fields = {name: serialize.numeric_array(doc[name], name, ndim, RecordFormatError)
+    fields = {name: serialize.numeric_array(doc[name], name, ndim)
               for name, ndim in (("F", 0), ("times", 1), ("values", 1), ("sigma", 0))}
     if len(fields["times"]) != len(fields["values"]):
         raise RecordFormatError("times and values must have the same length", "values")
-    seed = serialize.integer(doc["seed"], "seed", RecordFormatError)
-    n_averaged = serialize.integer(doc["n_averaged"], "n_averaged", RecordFormatError)
+    seed = serialize.integer(doc["seed"], "seed")
+    n_averaged = serialize.integer(doc["n_averaged"], "n_averaged")
     try:
         return MeasurementRecord(
             F=float(fields["F"]),

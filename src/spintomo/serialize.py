@@ -45,26 +45,29 @@ def load(fh):
 
 
 class DocumentError(ValueError):
-    """A malformed, incomplete or wrong-version document; ``field`` names the culprit."""
+    """A malformed, incomplete or wrong-version config, record or estimate.
+
+    ``field`` names the culprit where one document field is to blame.
+    """
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
         self.field = field
 
 
-def read_document(path, kind: str, error=DocumentError) -> dict:
-    """Parse the JSON object in ``path``, raising ``error`` that names ``kind``."""
+def read_document(path, kind: str) -> dict:
+    """Parse the JSON object in ``path``; a :class:`DocumentError` names ``kind``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = load(fh)
         except ValueError as exc:
-            raise error(f"{kind} file is not valid JSON: {exc}") from exc
+            raise DocumentError(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{kind} document must be a JSON object")
+        raise DocumentError(f"{kind} document must be a JSON object")
     return doc
 
 
-def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version, error=DocumentError):
+def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version):
     """``doc`` itself if it holds exactly ``fields`` and its ``version`` equals ``version``.
 
     The first missing or unknown key is named in the message and in the
@@ -72,21 +75,21 @@ def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version, error=D
     """
     missing = [name for name in fields if name not in doc]
     if missing:
-        raise error(f"{kind} document missing field: {missing[0]}", missing[0])
+        raise DocumentError(f"{kind} document missing field: {missing[0]}", missing[0])
     unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise error(f"{kind} document has unknown field: {unknown[0]}", unknown[0])
+        raise DocumentError(f"{kind} document has unknown field: {unknown[0]}", unknown[0])
     if type(doc["version"]) is not int or doc["version"] != version:  # not true, not 1.0
-        raise error(f"unsupported {kind} format version {doc['version']!r}", "version")
+        raise DocumentError(f"unsupported {kind} format version {doc['version']!r}", "version")
     return doc
 
 
-def numeric_array(value, field: str, ndim: int, error=DocumentError) -> np.ndarray:
+def numeric_array(value, field: str, ndim: int) -> np.ndarray:
     """Document field ``field`` as a float array with ``ndim`` dimensions.
 
     The value must be numbers nested exactly ``ndim`` lists deep (0 for a
     bare number) with every list at one depth of the same length; booleans,
-    strings, null, objects and ragged nesting raise ``error``.
+    strings, null, objects and ragged nesting raise :class:`DocumentError`.
     """
     try:
         arr = np.asarray(value)
@@ -94,14 +97,14 @@ def numeric_array(value, field: str, ndim: int, error=DocumentError) -> np.ndarr
         arr = None
     if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
         shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
-        raise error(f"malformed field {field}: expected {shape}", field)
+        raise DocumentError(f"malformed field {field}: expected {shape}", field)
     return arr.astype(float)
 
 
-def integer(value, field: str, error=DocumentError) -> int:
-    """Document field ``field`` as an int; floats and booleans raise ``error``."""
+def integer(value, field: str) -> int:
+    """Document field ``field`` as an int; floats and booleans raise DocumentError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise error(f"malformed field {field}: expected an integer", field)
+        raise DocumentError(f"malformed field {field}: expected an integer", field)
     return value
 
 

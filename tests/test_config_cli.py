@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import spintomo
-from spintomo import ConfigError, estimate_with_nuisance, load_config
-from spintomo.cli import main
+from spintomo import ConfigError, RecordFormatError, cli, estimate_with_nuisance, load_config
+from spintomo.cli import build_parser, main
 from spintomo.measurement import read_record
+from spintomo.serialize import DocumentError
 
 
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -194,6 +196,38 @@ class TestCliPipeline:
         assert "omega_scale" in capsys.readouterr().err
         assert not est.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("omega_scale:nan:1.05", "finite"),
+        ("omega_scale:0.95:inf", "finite"),
+        ("omega_scale:1.05:0.95", "lower < upper"),
+        ("bogus:0.9:1.1", "unknown nuisance parameter 'bogus'"),
+    ], ids=["nan_lower", "inf_upper", "reversed", "unknown_name"])
+    def test_bad_nuisance_spec_exit_2(self, tmp_path, capsys, spec, message):
+        cfg = write_config(tmp_path, base_config())
+        record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+        assert main(["simulate", cfg, record]) == 0
+        capsys.readouterr()
+        assert main(["estimate", record, cfg, str(est), "--nuisance", spec]) == 2
+        assert message in capsys.readouterr().err
+        assert not est.exists()
+
+    @pytest.mark.parametrize("curve, stride, code", [
+        ("no_dir/c.csv", "5", 2),
+        ("c.csv", "0", 3),
+    ], ids=["curve_dir_missing", "stride_0"])
+    def test_failed_prefix_curve_writes_no_estimate(self, tmp_path, capsys, curve, stride, code):
+        cfg = write_config(tmp_path, base_config())
+        record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+        assert main(["simulate", cfg, record]) == 0
+        capsys.readouterr()
+        argv = ["estimate", record, cfg, str(est),
+                "--prefix-curve", str(tmp_path / curve), "--stride", stride]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not est.exists()
+
     @staticmethod
     def _drifted_record(tmp_path, seed, drift):
         """The shipped cat config at gamma = 200 and its record under a drive scaled by drift."""
@@ -334,6 +368,19 @@ def test_check_and_estimate_report_one_rank(tmp_path, capsys, chi):
     assert main(["check", cfg]) == (0 if chi else 5)
     rank = int(capsys.readouterr().out.split("rank:")[1].split()[0])
     assert rank == json.loads(est.read_text())["rank"] == (48 if chi else 5)
+
+
+def test_every_subcommand_binds_its_handler():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    names = {"simulate", "estimate", "sweep", "wigner", "design", "check"}
+    assert set(subparsers.choices) == names
+    for name, sub in subparsers.choices.items():
+        assert sub.get_default("run") is getattr(cli, f"cmd_{name}")
+
+
+def test_one_document_error():
+    assert ConfigError is RecordFormatError is DocumentError
 
 
 def test_shipped_configs_parse():
