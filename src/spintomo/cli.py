@@ -6,13 +6,13 @@ over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
 Exit codes: 0 success, 2 config/document parse error (missing, unknown or
-malformed fields, non-finite numbers, a bad ``--nuisance`` entry) or a file
-that cannot be read or written, 3 invariant violation, 4 record does not
-match the config (waveform fingerprint, spin size or sample grid), 5
-waveform not informationally complete. Output directories are checked
-before any work, so a missing one leaves no file written. All randomness
-comes from seeds in the config, so every command is deterministic and
-re-runs are byte-identical.
+malformed fields, non-finite numbers, a bad ``--nuisance`` entry, an integer
+option below its least value) or a file that cannot be read or written, 3
+invariant violation, 4 record does not match the config (waveform
+fingerprint, spin size or sample grid), 5 waveform not informationally
+complete. Output directories are checked before any work, so a missing one
+leaves no file written. All randomness comes from seeds in the config, so
+every command is deterministic and re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -153,8 +153,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.n_trials < 0:
-        raise ConfigError("n_trials must be nonnegative")
     _check_output_dirs(args.out_csv)
     config = load_config(args.config)
     history = _history_for(config)
@@ -232,6 +230,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.complete else EXIT_INCOMPLETE
 
 
+def _at_least(minimum: int):
+    """argparse ``type``: an int of at least ``minimum``; a smaller one exits 2 as a bad option."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintomo",
@@ -251,17 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_estimate")
     p.add_argument("--prefix-curve", metavar="CSV", default=None,
                    help="also write a time-resolved fidelity/purity curve")
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--stride", type=_at_least(1), default=5)
     p.add_argument("--nuisance", metavar="NAME:LO:HI[,...]", default=None,
                    help="co-estimate drive scale factors (skips the fingerprint check)")
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=_at_least(1), default=200,
                    help="most observable histories the --nuisance search builds, "
                         "its 9-point grid included")
 
     p = sub.add_parser("sweep", help="fidelity statistics over trial seeds")
     p.set_defaults(run=cmd_sweep)
     p.add_argument("config")
-    p.add_argument("n_trials", type=int)
+    p.add_argument("n_trials", type=_at_least(0))
     p.add_argument("out_csv")
     p.add_argument("--jobs", type=int, default=4,
                    help="accepted and ignored; all records are estimated in one batch")
@@ -270,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_wigner)
     p.add_argument("input", help="config JSON or estimate JSON")
     p.add_argument("out_csv")
-    p.add_argument("--n-theta", type=int, default=181)
-    p.add_argument("--n-phi", type=int, default=360)
+    p.add_argument("--n-theta", type=_at_least(8), default=181)
+    p.add_argument("--n-phi", type=_at_least(8), default=360)
 
     p = sub.add_parser("design", help="optimize the field-angle schedule")
     p.set_defaults(run=cmd_design)
     p.add_argument("config")
     p.add_argument("out_config")
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--objective", default="min_singular_value",
                    choices=["min_singular_value", "condition_number", "covariance_trace"])

@@ -26,35 +26,20 @@ from .spin_algebra import (
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 CONFIG_VERSION = 1
+# every parameter some test-state kind takes
+_STATE_PARAMS = tuple({key for keys in TEST_STATE_PARAMS.values() for key in keys})
 
 
-# a config parse/validation failure; the message names the offending key
+# a config parse/validation failure; the message and ``field`` name the offending key
 ConfigError = serialize.DocumentError
 
 
-def _require(block: dict, context: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{context}' must be an object")
-    for key in required:
-        if key not in block:
-            raise ConfigError(f"missing key '{key}' in '{context}'")
-    unknown = set(block) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in '{context}'")
-
-
-def _number(block: dict, context: str, key: str) -> float:
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' in '{context}' must be a number")
-    return float(value)
-
-
-def _integer(block: dict, context: str, key: str) -> int:
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{key}' in '{context}' must be an integer")
-    return value
+def _checked(field: str, make):
+    """``make()``, with the ValueError a model constructor raises reported against ``field``."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"malformed field {field}: {exc}", field) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,113 +65,64 @@ class ExperimentConfig:
 
 
 def _parse_phi(raw, n_steps: int) -> tuple[float, ...]:
-    if isinstance(raw, str):
-        if not raw.startswith("random:"):
-            raise ConfigError("key 'phi' in 'waveform' must be a list or 'random:<seed>'")
-        try:
-            phi_seed = int(raw.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError("key 'phi' in 'waveform': random seed must be an integer") from exc
-        return tuple(rand.uniform_angles(phi_seed, n_steps))
-    if not isinstance(raw, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
-        raise ConfigError("key 'phi' in 'waveform' must be a list of numbers or 'random:<seed>'")
-    return tuple(float(v) for v in raw)
+    """``waveform.phi``: a list of angles, or ``"random:<seed>"`` for ``n_steps`` uniform draws."""
+    if isinstance(raw, str) and raw.startswith("random:"):
+        seed = raw.split(":", 1)[1]
+        return tuple(_checked("waveform.phi", lambda: rand.uniform_angles(int(seed), n_steps)))
+    return tuple(serialize.numeric_array(raw, "waveform.phi", 1).tolist())
 
 
-def _parse_state(block: dict, sys: SpinSystem, context: str) -> tuple[str, np.ndarray]:
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{context}' must be an object")
-    if "matrix" in block:
-        _require(block, context, ("matrix",))
-        try:
-            rho = check_density_matrix(serialize.pairs_to_matrix(block["matrix"], context), sys.d)
-        except ValueError as exc:
-            raise ConfigError(f"'{context}': {exc}") from exc
-        return "matrix", rho
-    if "kind" not in block:
-        raise ConfigError(f"missing key 'kind' in '{context}'")
-    kind = block["kind"]
-    if kind not in TEST_STATE_PARAMS:
-        raise ConfigError(f"key 'kind' in '{context}' has unknown value {kind!r}")
+def _parse_state(block, sys: SpinSystem, field: str) -> tuple[str, np.ndarray]:
+    """One input state: an explicit ``matrix`` of [re, im] pairs or a test-state ``kind``."""
+    if isinstance(block, dict) and "matrix" in block:
+        serialize.check_fields(block, field, ("matrix",))
+        rho = serialize.pairs_to_matrix(block["matrix"], f"{field}.matrix")
+        return "matrix", _checked(field, lambda: check_density_matrix(rho, sys.d))
+    serialize.check_fields(block, field, ("kind",), optional=_STATE_PARAMS)
+    kind = serialize.choice(block["kind"], f"{field}.kind", TEST_STATE_PARAMS)
     allowed = TEST_STATE_PARAMS[kind]
-    _require(block, context, ("kind",), allowed)
-    params = {key: _number(block, context, key) for key in allowed if key in block}
-    try:
-        rho = test_state(sys, kind, **params)
-    except ValueError as exc:
-        raise ConfigError(f"'{context}': {exc}") from exc
-    return kind, rho
+    serialize.check_fields(block, field, ("kind",), optional=allowed)
+    params = {key: serialize.number(block[key], f"{field}.{key}")
+              for key in allowed if key in block}
+    return kind, _checked(field, lambda: test_state(sys, kind, **params))
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    _require(
-        doc,
-        "config",
-        ("version", "F", "waveform", "sampling", "noise"),
-        ("state", "states"),
-    )
-    if doc["version"] != CONFIG_VERSION:
-        raise ConfigError(f"key 'version' has unsupported value {doc['version']!r}")
-    F = doc["F"]
-    if isinstance(F, bool) or not isinstance(F, (int, float)):
-        raise ConfigError("key 'F' must be a number")
-    try:
-        sys = build_spin_system(F)
-    except ValueError as exc:
-        raise ConfigError(f"key 'F': {exc}") from exc
+    """The experiment a config document describes; a malformed field raises ConfigError."""
+    fields = ("version", "F", "waveform", "sampling", "noise")
+    serialize.check_fields(doc, "config", fields, CONFIG_VERSION, ("state", "states"))
+    sys = build_spin_system((serialize.spin_dimension(doc["F"]) - 1) / 2)
 
-    wf = doc["waveform"]
-    _require(
-        wf,
-        "waveform",
-        ("n_steps", "dt", "phi", "omega_larmor", "chi"),
-        ("gamma_dec", "jump_preset"),
-    )
-    n_steps = _integer(wf, "waveform", "n_steps")
-    if n_steps < 1:
-        raise ConfigError("key 'n_steps' in 'waveform' must be >= 1")
-    preset = wf.get("jump_preset", "isotropic")
-    if preset not in JUMP_PRESETS:
-        raise ConfigError(f"key 'jump_preset' in 'waveform' has unknown value {preset!r}")
-    try:
-        waveform = ControlWaveform(
-            n_steps=n_steps,
-            dt=_number(wf, "waveform", "dt"),
-            phi=_parse_phi(wf["phi"], n_steps),
-            omega_larmor=_number(wf, "waveform", "omega_larmor"),
-            chi=_number(wf, "waveform", "chi"),
-            gamma_dec=_number(wf, "waveform", "gamma_dec") if "gamma_dec" in wf else 0.0,
-            jump_ops=preset,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"'waveform': {exc}") from exc
+    wf = serialize.check_fields(doc["waveform"], "waveform",
+                                ("n_steps", "dt", "phi", "omega_larmor", "chi"),
+                                optional=("gamma_dec", "jump_preset"))
+    n_steps = serialize.integer(wf["n_steps"], "waveform.n_steps", 1)
+    phi = _parse_phi(wf["phi"], n_steps)
+    rates = {key: serialize.number(wf[key], f"waveform.{key}")
+             for key in ("dt", "omega_larmor", "chi", "gamma_dec") if key in wf}
+    preset = serialize.choice(wf.get("jump_preset", "isotropic"), "waveform.jump_preset",
+                              JUMP_PRESETS)
+    waveform = _checked("waveform", lambda: ControlWaveform(n_steps=n_steps, phi=phi,
+                                                            jump_ops=preset, **rates))
 
-    sampling = doc["sampling"]
-    _require(sampling, "sampling", ("n_samples",), ("substeps",))
-    n_samples = _integer(sampling, "sampling", "n_samples")
-    if n_samples < 1 or n_samples % n_steps != 0:
-        raise ConfigError(
-            "key 'n_samples' in 'sampling' must be a positive multiple of waveform n_steps"
-        )
+    sampling = serialize.check_fields(doc["sampling"], "sampling", ("n_samples",),
+                                      optional=("substeps",))
+    n_samples = serialize.integer(sampling["n_samples"], "sampling.n_samples", 1)
+    if n_samples % n_steps:
+        raise ConfigError("malformed field sampling.n_samples: must be a multiple of "
+                          "waveform.n_steps", "sampling.n_samples")
     # accepted for v1 documents and ignored: each segment is exponentiated exactly
-    if "substeps" in sampling and _integer(sampling, "sampling", "substeps") < 1:
-        raise ConfigError("key 'substeps' in 'sampling' must be >= 1")
+    if "substeps" in sampling:
+        serialize.integer(sampling["substeps"], "sampling.substeps", 1)
 
-    noise = doc["noise"]
-    _require(noise, "noise", ("sigma", "seed"), ("n_averaged",))
-    sigma = _number(noise, "noise", "sigma")
+    noise = serialize.check_fields(doc["noise"], "noise", ("sigma", "seed"),
+                                   optional=("n_averaged",))
+    sigma = serialize.number(noise["sigma"], "noise.sigma")
     if sigma < 0:
-        raise ConfigError("key 'sigma' in 'noise' must be nonnegative")
-    seed = _integer(noise, "noise", "seed")
-    try:
-        rand.check_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(f"key 'seed' in 'noise': {exc}") from exc
-    n_averaged = _integer(noise, "noise", "n_averaged") if "n_averaged" in noise else 1
-    if n_averaged < 1:
-        raise ConfigError("key 'n_averaged' in 'noise' must be >= 1")
+        raise ConfigError("malformed field noise.sigma: must be nonnegative", "noise.sigma")
+    seed = serialize.integer(noise["seed"], "noise.seed")
+    _checked("noise.seed", lambda: rand.check_seed(seed))
+    n_averaged = serialize.integer(noise.get("n_averaged", 1), "noise.n_averaged", 1)
 
     if ("state" in doc) == ("states" in doc):
         raise ConfigError("config must contain exactly one of 'state' or 'states'")
@@ -195,7 +131,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         raw_states = doc["states"]
         if not isinstance(raw_states, list) or not raw_states:
-            raise ConfigError("key 'states' must be a nonempty list of state objects")
+            raise ConfigError("malformed field states: expected a nonempty list of state objects",
+                              "states")
         states = tuple(
             _parse_state(block, sys, f"states[{i}]") for i, block in enumerate(raw_states)
         )

@@ -167,8 +167,7 @@ def _fit_batch(records, history: ObservableHistory) -> list[LeastSquaresFit]:
     if history.n_samples < 1:
         raise ValueError("record is empty")
     values = np.stack([record.values for record in records])
-    sigma_eff = [record.sigma / math.sqrt(record.n_averaged) for record in records]
-    return _solve(values, history.design_matrix, sigma_eff)
+    return _solve(values, history.design_matrix, [record.sigma_eff for record in records])
 
 
 def least_squares(record: MeasurementRecord, history: ObservableHistory) -> LeastSquaresFit:
@@ -257,12 +256,11 @@ def estimate_prefix_curve(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     n = record.n_samples
-    sigma_eff = record.sigma / math.sqrt(record.n_averaged)
     evolved = propagate_state(rho0_true, sys, waveform, n_samples=n)
     top_eig = [max_eigenvalue(rho) for rho in evolved]
     ks = list(range(stride, n, stride)) + [n]
     # a generator, so each prefix's covariance is dropped once its rho_ls is taken
-    fits = (_solve(record.values[:k], history.design_matrix[:k], sigma_eff) for k in ks)
+    fits = (_solve(record.values[:k], history.design_matrix[:k], record.sigma_eff) for k in ks)
     estimates = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
     prior = np.eye(history.d, dtype=complex) / history.d
     points = [(0.0, fidelity(rho0_true, prior), top_eig[0])]
@@ -396,7 +394,6 @@ def estimate_with_nuisance(
         raise ValueError("budget must be at least 1")
 
     observable = measured_observable(sys)
-    sigma_eff = record.sigma / math.sqrt(record.n_averaged)
     residuals: dict[tuple[float, ...], float] = {}
     best: dict = {}
 
@@ -409,7 +406,7 @@ def estimate_with_nuisance(
         scales = dict(zip(names, key))
         scaled = waveform.with_scales(**scales)
         history = heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
-        fit = _solve(record.values, history.design_matrix, sigma_eff)
+        fit = _solve(record.values, history.design_matrix, record.sigma_eff)
         residuals[key] = fit.residual_norm
         if not best or fit.residual_norm < best["fit"].residual_norm:
             best.update(scales=scales, fit=fit)
@@ -499,11 +496,10 @@ def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
     result = EstimateResult(
         **rho,
         covariance=cov,
-        residual_norm=float(serialize.numeric_array(doc["residual_norm"], "residual_norm", 0)),
+        residual_norm=serialize.number(doc["residual_norm"], "residual_norm"),
         rank=serialize.integer(doc["rank"], "rank"),
         singular_values=serialize.numeric_array(doc["singular_values"], "singular_values", 1),
-        nuisance={k: float(serialize.numeric_array(v, f"nuisance.{k}", 0))
-                  for k, v in nuisance.items()},
+        nuisance={k: serialize.number(v, f"nuisance.{k}") for k, v in nuisance.items()},
         nuisance_converged=converged,
     )
     return result, {"F": (d - 1) / 2.0, "waveform_fingerprint": doc["waveform_fingerprint"]}

@@ -76,6 +76,11 @@ class MeasurementRecord:
     def n_samples(self) -> int:
         return len(self.values)
 
+    @property
+    def sigma_eff(self) -> float:
+        """Noise standard deviation of one sample: sigma / sqrt(n_averaged)."""
+        return self.sigma / math.sqrt(self.n_averaged)
+
 
 def noiseless_values(rho0: np.ndarray, history: ObservableHistory) -> np.ndarray:
     """The exact expectation sequence Tr[O_i rho0]."""
@@ -145,18 +150,19 @@ def read_record(path) -> MeasurementRecord:
     if not isinstance(doc["waveform_fingerprint"], str) or not doc["waveform_fingerprint"]:
         raise RecordFormatError("waveform_fingerprint must be a nonempty string",
                                 field="waveform_fingerprint")
-    fields = {name: serialize.numeric_array(doc[name], name, ndim)
-              for name, ndim in (("F", 0), ("times", 1), ("values", 1), ("sigma", 0))}
-    if len(fields["times"]) != len(fields["values"]):
+    d = serialize.spin_dimension(doc["F"])
+    times, values = (serialize.numeric_array(doc[name], name, 1) for name in ("times", "values"))
+    if len(times) != len(values):
         raise RecordFormatError("times and values must have the same length", "values")
+    sigma = serialize.number(doc["sigma"], "sigma")
     seed = serialize.integer(doc["seed"], "seed")
     n_averaged = serialize.integer(doc["n_averaged"], "n_averaged")
     try:
         return MeasurementRecord(
-            F=float(fields["F"]),
-            times=fields["times"],
-            values=fields["values"],
-            sigma=float(fields["sigma"]),
+            F=(d - 1) / 2.0,
+            times=times,
+            values=values,
+            sigma=sigma,
             seed=seed,
             n_averaged=n_averaged,
             waveform_fingerprint=doc["waveform_fingerprint"],

@@ -4,7 +4,9 @@ All floats are printed with 17 significant digits, which round-trips every
 IEEE-754 double exactly, so writing the same document twice produces
 byte-identical files. Complex matrices are stored as row-major nested lists
 of [re, im] pairs. Documents are read back with :func:`load`, which rejects
-non-finite numbers.
+non-finite numbers, and every config, record and estimate field is checked
+by the checkers here (:func:`check_fields`, :func:`number`, :func:`integer`,
+:func:`choice`, :func:`spin_dimension`), which raise :class:`DocumentError`.
 """
 
 from __future__ import annotations
@@ -67,19 +69,27 @@ def read_document(path, kind: str) -> dict:
     return doc
 
 
-def check_fields(doc: dict, kind: str, fields: tuple[str, ...], version):
-    """``doc`` itself if it holds exactly ``fields`` and its ``version`` equals ``version``.
+def check_fields(doc, kind: str, fields: tuple[str, ...], version=None,
+                 optional: tuple[str, ...] = ()):
+    """``doc`` itself if it is an object holding all of ``fields`` and nothing beyond ``optional``.
 
-    The first missing or unknown key is named in the message and in the
-    error's ``field``.
+    A document (``fields`` holds ``version``) is named by its ``kind`` and its
+    ``version`` must equal ``version``; an object nested in a config is named
+    by its field ``kind``, and its keys as ``waveform.dt``. The first missing
+    or unknown key is named in the message and in the error's ``field``.
     """
-    missing = [name for name in fields if name not in doc]
+    if not isinstance(doc, dict):
+        raise DocumentError(f"malformed field {kind}: expected an object", kind)
+    document = "version" in fields
+    where, prefix = (f"{kind} document", "") if document else ("document", f"{kind}.")
+    missing = [prefix + name for name in fields if name not in doc]
     if missing:
-        raise DocumentError(f"{kind} document missing field: {missing[0]}", missing[0])
-    unknown = sorted(set(doc) - set(fields))
+        raise DocumentError(f"{where} missing field: {missing[0]}", missing[0])
+    unknown = [prefix + name for name in sorted(set(doc) - set(fields) - set(optional))]
     if unknown:
-        raise DocumentError(f"{kind} document has unknown field: {unknown[0]}", unknown[0])
-    if type(doc["version"]) is not int or doc["version"] != version:  # not true, not 1.0
+        raise DocumentError(f"{where} has unknown field: {unknown[0]}", unknown[0])
+    if document and (type(doc["version"]) is not int or doc["version"] != version):
+        # true == 1 and 1.0 == 1 in Python, so the type is checked too
         raise DocumentError(f"unsupported {kind} format version {doc['version']!r}", "version")
     return doc
 
@@ -101,17 +111,32 @@ def numeric_array(value, field: str, ndim: int) -> np.ndarray:
     return arr.astype(float)
 
 
-def integer(value, field: str) -> int:
-    """Document field ``field`` as an int; floats and booleans raise DocumentError."""
+def number(value, field: str) -> float:
+    """Document field ``field`` as a float; booleans, strings, lists and null raise."""
+    return float(numeric_array(value, field, 0))
+
+
+def integer(value, field: str, minimum: int | None = None) -> int:
+    """Document field ``field`` as an int of at least ``minimum``; floats and booleans raise."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(f"malformed field {field}: expected an integer", field)
+    if minimum is not None and value < minimum:
+        raise DocumentError(f"malformed field {field}: must be at least {minimum}", field)
+    return value
+
+
+def choice(value, field: str, choices) -> str:
+    """Document field ``field``, which must be one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        message = f"malformed field {field}: {value!r} is not one of {', '.join(choices)}"
+        raise DocumentError(message, field)
     return value
 
 
 def spin_dimension(value) -> int:
     """d = 2F + 1 for a document's F, which must be a positive integer or half-integer."""
-    twice = 2.0 * float(numeric_array(value, "F", 0))
-    if not (twice >= 1 and twice == round(twice)):
+    twice = 2.0 * number(value, "F")
+    if not (twice >= 1 and twice.is_integer()):  # an overflow to inf is no integer
         message = f"malformed field F: {value!r} is not a positive integer or half-integer"
         raise DocumentError(message, "F")
     return int(twice) + 1

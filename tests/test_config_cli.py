@@ -213,8 +213,7 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("curve, stride, code", [
         ("no_dir/c.csv", "5", 2),
-        ("c.csv", "0", 3),
-    ], ids=["curve_dir_missing", "stride_0"])
+    ], ids=["curve_dir_missing"])
     def test_failed_prefix_curve_writes_no_estimate(self, tmp_path, capsys, curve, stride, code):
         cfg = write_config(tmp_path, base_config())
         record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
@@ -227,6 +226,33 @@ class TestCliPipeline:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not est.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{record}", "{cfg}", "{out}", "--prefix-curve", "{csv}", "--stride", "0"],
+        ["estimate", "{record}", "{cfg}", "{out}", "--budget", "0"],
+        ["estimate", "{record}", "{cfg}", "{out}", "--nuisance", "omega_scale:0.95:1.05",
+         "--budget", "0"],
+        ["design", "{cfg}", "{out}", "--budget", "0"],
+        ["wigner", "{cfg}", "{csv}", "--n-theta", "0"],
+        ["wigner", "{cfg}", "{csv}", "--n-phi", "7"],
+        ["wigner", "{cfg}", "{csv}", "--n-theta", "-2"],
+        ["sweep", "{cfg}", "-1", "{csv}"],
+    ], ids=["stride_0", "budget_0", "nuisance_budget_0", "design_budget_0", "n_theta_0",
+            "n_phi_7", "n_theta_negative", "sweep_trials_negative"])
+    def test_out_of_range_integer_option_exit_2(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, base_config())
+        record = tmp_path / "record.json"
+        assert main(["simulate", cfg, str(record)]) == 0
+        capsys.readouterr()
+        out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+        paths = {"cfg": cfg, "record": record, "out": out, "csv": csv}
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(**paths) for arg in argv])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+        assert not out.exists() and not csv.exists()
 
     @staticmethod
     def _drifted_record(tmp_path, seed, drift):
@@ -455,8 +481,8 @@ class TestInputBinding:
         doc = json.loads(est.read_text())
         doc["rho_ml"][0][0][0] = float("nan")
         est.write_text(json.dumps(doc))
-        assert main(["wigner", str(est), str(tmp_path / "w.csv"), "--n-theta", "4",
-                     "--n-phi", "4"]) == 2
+        assert main(["wigner", str(est), str(tmp_path / "w.csv"), "--n-theta", "8",
+                     "--n-phi", "8"]) == 2
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "{missing}", "{cfg}", "{out}"],
@@ -471,6 +497,37 @@ class TestInputBinding:
         capsys.readouterr()
         assert main([arg.format(**paths) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("F", [2.3, 0, -1, 1e308])
+    def test_record_spin_not_half_integer_exit_2(self, tmp_path, capsys, F):
+        cfg, record = self._simulate(tmp_path, base_config())
+        doc = json.loads(record.read_text())
+        doc["F"] = F
+        record.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 2
+        assert "malformed field F" in capsys.readouterr().err
+        with pytest.raises(DocumentError) as info:
+            read_record(record)
+        assert info.value.field == "F"
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_config_version_must_be_integer_1_exit_2(self, tmp_path, capsys, version):
+        cfg = write_config(tmp_path, base_config(version=version))
+        assert main(["check", cfg]) == 2
+        assert "version" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.field == "version"
+
+    @pytest.mark.parametrize("kind", [["cat"], {"kind": "cat"}], ids=["list", "object"])
+    def test_state_kind_must_be_a_name_exit_2(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, base_config(state={"kind": kind}))
+        assert main(["check", cfg]) == 2
+        assert "state.kind" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.field == "state.kind"
 
     def test_spin_size_mismatch_exit_4(self, tmp_path, capsys):
         small = base_config(F=2, state={"kind": "basis_state", "m": -2})

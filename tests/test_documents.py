@@ -1,9 +1,11 @@
-"""Malformed record and estimate documents are rejected as such.
+"""Malformed config, record and estimate documents are rejected as such.
 
 A property test over single-field corruptions of valid documents: a field
 missing, an unknown field, a number replaced by a non-finite literal, or a
-field of the wrong shape or type. Every reader must raise DocumentError,
-and the commands that read records (``estimate``) and estimates
+field of the wrong shape or type. Config corruptions hit the top-level
+fields and those inside ``waveform``, ``sampling``, ``noise`` and
+``state``. Every reader must raise DocumentError, and the commands that
+read configs (``check``), records (``estimate``) and estimates
 (``wigner``) must exit 2.
 """
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintomo.cli import main
+from spintomo.config import load_config
 from spintomo.estimator import _ESTIMATE_FIELDS, read_estimate
 from spintomo.measurement import _RECORD_FIELDS, read_record
 from spintomo.serialize import DocumentError
@@ -30,13 +33,19 @@ CONFIG = {
         "gamma_dec": 0.0,
         "jump_preset": "isotropic",
     },
-    "sampling": {"n_samples": 8},
+    "sampling": {"n_samples": 8, "substeps": 1},
     "noise": {"sigma": 0.5, "seed": 3, "n_averaged": 1},
     "state": {"kind": "basis_state", "m": -1},
 }
 
-FIELDS = {"record": _RECORD_FIELDS, "estimate": _ESTIMATE_FIELDS}
-READERS = {"record": read_record, "estimate": read_estimate}
+# every optional key is present in CONFIG, so the fields of a config
+# object are its keys; "<kind>.<key>" names an object inside a document
+FIELDS = {"record": _RECORD_FIELDS, "estimate": _ESTIMATE_FIELDS, "config": tuple(CONFIG),
+          **{f"config.{key}": tuple(CONFIG[key])
+             for key in ("waveform", "sampling", "noise", "state")}}
+READERS = {"record": read_record, "estimate": read_estimate, "config": load_config}
+# keys a config may leave out
+OPTIONAL = {"gamma_dec", "jump_preset", "substeps", "n_averaged"}
 # singular_values may be shorter than d^2 - 1 (a short record), so dropping
 # one of them can leave a valid document
 CAN_TRUNCATE = {"times", "values", "covariance_lower", "rho_ls", "rho_ml"}
@@ -56,7 +65,7 @@ def valid(tmp_path_factory):
             "--nuisance", "omega_scale:0.99:1.01", "--budget", "3"]
     assert main(argv) == 0
     docs = {kind: json.loads(path.read_text())
-            for kind, path in (("record", record), ("estimate", estimate))}
+            for kind, path in (("config", config), ("record", record), ("estimate", estimate))}
     return docs, config, root / "edited.json"
 
 
@@ -79,10 +88,13 @@ def _kind_of(value):
     return type(value).__name__
 
 
-def corrupt(doc, mutation, field, extra, literal, choice, retype):
-    """JSON text of ``doc`` with one corruption applied."""
+def corrupt(doc, block, mutation, field, extra, literal, choice, retype):
+    """JSON text of ``doc`` with one corruption applied to its object at key path ``block``."""
+    top = doc
+    for key in block:
+        doc = doc[key]
     value = doc[field]
-    if mutation == "missing":
+    if mutation == "missing" and field not in OPTIONAL:
         del doc[field]
     elif mutation == "extra":
         doc.update([extra])
@@ -102,14 +114,14 @@ def corrupt(doc, mutation, field, extra, literal, choice, retype):
     elif mutation == "ragged" and isinstance(value, list) and value and \
             isinstance(value[0], list) and value[0]:
         doc[field] = [value[0][:-1]] + value[1:]
-    else:  # retype, or a shape change that does not apply to this field
+    else:  # retype, or a change that does not apply to this field
         doc[field] = next(v for v in retype if _kind_of(v) != _kind_of(value))
-    return json.dumps(doc).replace(json.dumps(_MARK), literal)
+    return json.dumps(top).replace(json.dumps(_MARK), literal)
 
 
 @st.composite
 def corruptions(draw):
-    """(document kind, arguments of :func:`corrupt` after the document)."""
+    """(document or object kind, arguments of :func:`corrupt` after the key path)."""
     kind = draw(st.sampled_from(sorted(FIELDS)))
     fields = FIELDS[kind]
     mutation = draw(st.sampled_from(["missing", "extra", "non_finite", "wrap", "unwrap",
@@ -127,22 +139,24 @@ def corruptions(draw):
     return kind, (mutation, field, extra, literal, choice, retype)
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=600, derandomize=True, deadline=None)
 @given(case=corruptions())
 def test_malformed_documents_are_rejected(valid, case):
     docs, config, path = valid
-    kind, args = case
-    path.write_text(corrupt(json.loads(json.dumps(docs[kind])), *args))
+    kind, *block = case[0].split(".")
+    path.write_text(corrupt(json.loads(json.dumps(docs[kind])), block, *case[1]))
     with pytest.raises(DocumentError):
         READERS[kind](path)
-    if kind == "record":
+    if kind == "config":
+        assert main(["check", str(path)]) == 2
+    elif kind == "record":
         assert main(["estimate", str(path), str(config), str(path.with_suffix(".out"))]) == 2
     elif kind == "estimate":
         assert main(["wigner", str(path), str(path.with_suffix(".csv")),
-                     "--n-theta", "3", "--n-phi", "3"]) == 2
+                     "--n-theta", "8", "--n-phi", "8"]) == 2
 
 
-@pytest.mark.parametrize("kind", sorted(FIELDS))
+@pytest.mark.parametrize("kind", sorted(READERS))
 def test_valid_documents_still_read(valid, kind):
     docs, config, path = valid
     path.write_text(json.dumps(docs[kind]))
