@@ -26,8 +26,6 @@ from .spin_algebra import (
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
 
 CONFIG_VERSION = 1
-# every parameter some test-state kind takes
-_STATE_PARAMS = tuple({key for keys in TEST_STATE_PARAMS.values() for key in keys})
 
 
 # a config parse/validation failure; the message and ``field`` name the offending key
@@ -78,7 +76,8 @@ def _parse_state(block, sys: SpinSystem, field: str) -> tuple[str, np.ndarray]:
         serialize.check_fields(block, field, ("matrix",))
         rho = serialize.pairs_to_matrix(block["matrix"], f"{field}.matrix")
         return "matrix", _checked(field, lambda: check_density_matrix(rho, sys.d))
-    serialize.check_fields(block, field, ("kind",), optional=_STATE_PARAMS)
+    # an object with a kind, whose other keys are checked against that kind below
+    serialize.check_fields(block, field, ("kind",), optional=block)
     kind = serialize.choice(block["kind"], f"{field}.kind", TEST_STATE_PARAMS)
     allowed = TEST_STATE_PARAMS[kind]
     serialize.check_fields(block, field, ("kind",), optional=allowed)

@@ -10,7 +10,7 @@ platforms regardless of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,22 +109,20 @@ def synthesize_record(
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     check_density_matrix(rho0, history.d)
+    rand.check_seed(seed)
     clean = noiseless_values(rho0, history)
-    if sigma > 0:
-        scale = sigma / math.sqrt(n_averaged)
-        values = clean + scale * rand.normals(seed, len(clean))
-    else:
-        rand.check_seed(seed)
-        values = clean
-    return MeasurementRecord(
+    record = MeasurementRecord(
         F=(history.d - 1) / 2.0,
         times=history.times.copy(),
-        values=values,
+        values=clean,
         sigma=float(sigma),
         seed=int(seed),
         n_averaged=int(n_averaged),
         waveform_fingerprint=history.waveform_fingerprint,
     )
+    if sigma == 0:
+        return record
+    return replace(record, values=clean + record.sigma_eff * rand.normals(seed, len(clean)))
 
 
 def write_record(record: MeasurementRecord, path) -> None:

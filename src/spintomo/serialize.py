@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -70,17 +71,17 @@ def read_document(path, kind: str) -> dict:
 
 
 def check_fields(doc, kind: str, fields: tuple[str, ...], version=None,
-                 optional: tuple[str, ...] = ()):
+                 optional: Iterable[str] = ()):
     """``doc`` itself if it is an object holding all of ``fields`` and nothing beyond ``optional``.
 
-    A document (``fields`` holds ``version``) is named by its ``kind`` and its
-    ``version`` must equal ``version``; an object nested in a config is named
-    by its field ``kind``, and its keys as ``waveform.dt``. The first missing
-    or unknown key is named in the message and in the error's ``field``.
+    A document (called with a ``version``) is named by its ``kind`` and its
+    ``version`` field must equal ``version``; an object nested in a config is
+    named by its field ``kind``, and its keys as ``waveform.dt``. The first
+    missing or unknown key is named in the message and in the error's ``field``.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"malformed field {kind}: expected an object", kind)
-    document = "version" in fields
+    document = version is not None
     where, prefix = (f"{kind} document", "") if document else ("document", f"{kind}.")
     missing = [prefix + name for name in fields if name not in doc]
     if missing:

@@ -4,9 +4,10 @@ A property test over single-field corruptions of valid documents: a field
 missing, an unknown field, a number replaced by a non-finite literal, or a
 field of the wrong shape or type. Config corruptions hit the top-level
 fields and those inside ``waveform``, ``sampling``, ``noise`` and
-``state``. Every reader must raise DocumentError, and the commands that
-read configs (``check``), records (``estimate``) and estimates
-(``wigner``) must exit 2.
+``state``. Dropping a required field is also tried once for each field,
+whatever the draws. Every reader must raise DocumentError, and the
+commands that read configs (``check``), records (``estimate``) and
+estimates (``wigner``) must exit 2.
 """
 
 import json
@@ -39,13 +40,14 @@ CONFIG = {
 }
 
 # every optional key is present in CONFIG, so the fields of a config
-# object are its keys; "<kind>.<key>" names an object inside a document
+# object are its keys; "config.<key>" names an object inside a config
 FIELDS = {"record": _RECORD_FIELDS, "estimate": _ESTIMATE_FIELDS, "config": tuple(CONFIG),
           **{f"config.{key}": tuple(CONFIG[key])
              for key in ("waveform", "sampling", "noise", "state")}}
 READERS = {"record": read_record, "estimate": read_estimate, "config": load_config}
-# keys a config may leave out
-OPTIONAL = {"gamma_dec", "jump_preset", "substeps", "n_averaged"}
+# keys a config object may leave out; every record and estimate field is required
+OPTIONAL = {"config.waveform": {"gamma_dec", "jump_preset"}, "config.sampling": {"substeps"},
+            "config.noise": {"n_averaged"}}
 # singular_values may be shorter than d^2 - 1 (a short record), so dropping
 # one of them can leave a valid document
 CAN_TRUNCATE = {"times", "values", "covariance_lower", "rho_ls", "rho_ml"}
@@ -88,13 +90,13 @@ def _kind_of(value):
     return type(value).__name__
 
 
-def corrupt(doc, block, mutation, field, extra, literal, choice, retype):
-    """JSON text of ``doc`` with one corruption applied to its object at key path ``block``."""
+def corrupt(doc, kind, mutation, field, extra, literal, choice, retype):
+    """JSON text of ``doc`` with one corruption applied to its object of ``kind``."""
     top = doc
-    for key in block:
+    for key in kind.split(".")[1:]:
         doc = doc[key]
     value = doc[field]
-    if mutation == "missing" and field not in OPTIONAL:
+    if mutation == "missing" and field not in OPTIONAL.get(kind, ()):
         del doc[field]
     elif mutation == "extra":
         doc.update([extra])
@@ -121,7 +123,7 @@ def corrupt(doc, block, mutation, field, extra, literal, choice, retype):
 
 @st.composite
 def corruptions(draw):
-    """(document or object kind, arguments of :func:`corrupt` after the key path)."""
+    """Arguments of :func:`corrupt` after the document."""
     kind = draw(st.sampled_from(sorted(FIELDS)))
     fields = FIELDS[kind]
     mutation = draw(st.sampled_from(["missing", "extra", "non_finite", "wrap", "unwrap",
@@ -136,15 +138,16 @@ def corruptions(draw):
     literal = draw(st.sampled_from(NON_FINITE))
     choice = draw(st.integers(0, 10**6))
     retype = draw(st.permutations(["text", None, True, {"k": 1.0}, 2.5]))
-    return kind, (mutation, field, extra, literal, choice, retype)
+    return kind, mutation, field, extra, literal, choice, retype
 
 
-@settings(max_examples=600, derandomize=True, deadline=None)
+# about 150 examples for each of the seven document and object kinds
+@settings(max_examples=1050, derandomize=True, deadline=None)
 @given(case=corruptions())
 def test_malformed_documents_are_rejected(valid, case):
     docs, config, path = valid
-    kind, *block = case[0].split(".")
-    path.write_text(corrupt(json.loads(json.dumps(docs[kind])), block, *case[1]))
+    kind = case[0].split(".")[0]
+    path.write_text(corrupt(json.loads(json.dumps(docs[kind])), *case))
     with pytest.raises(DocumentError):
         READERS[kind](path)
     if kind == "config":
@@ -154,6 +157,18 @@ def test_malformed_documents_are_rejected(valid, case):
     elif kind == "estimate":
         assert main(["wigner", str(path), str(path.with_suffix(".csv")),
                      "--n-theta", "8", "--n-phi", "8"]) == 2
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind, fields in sorted(FIELDS.items()) for field in fields
+    if field not in OPTIONAL.get(kind, ())])
+def test_every_required_field_is_required(valid, kind, field):
+    docs, config, path = valid
+    doc = kind.split(".")[0]
+    path.write_text(corrupt(json.loads(json.dumps(docs[doc])), kind, "missing", field,
+                            None, "", 0, ()))
+    with pytest.raises(DocumentError):
+        READERS[doc](path)
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
