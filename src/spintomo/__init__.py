@@ -59,7 +59,6 @@ from .spin_algebra import (
     test_state,
 )
 from .wigner import (
-    MultipoleOperators,
     WignerGrid,
     multipole_operators,
     wigner_function,

@@ -9,10 +9,13 @@ evolves in the Heisenberg picture with :func:`heisenberg_history`, which
 keeps each evolved O_i only as its basis coordinates: one row of the
 design matrix used for estimation.
 
+The decoherence channel is a preset name from ``JUMP_PRESETS``:
+"isotropic" (jump operators Fx, Fy and Fz) or "none".
+
 Both run one kernel, which accumulates the propagator from t_0 to every
 sample time and applies it in the requested picture. Its representation
-follows from the waveform. Closed evolution (``gamma_dec`` = 0, or no jump
-operators) keeps the d x d unitaries U_i, built from one Hermitian
+follows from the waveform. Closed evolution (``gamma_dec`` = 0, or the
+"none" preset) keeps the d x d unitaries U_i, built from one Hermitian
 eigendecomposition per segment; then O_i = U_i^dag O U_i and
 rho_i = U_i rho U_i^dag for all samples in one batched product. Open
 evolution keeps a real d^2 x d^2 transfer map on the coordinates of the
@@ -65,8 +68,8 @@ class ControlWaveform:
     ``phi`` holds one field angle (radians, x-y plane) per segment of
     length ``dt``; ``omega_larmor`` is the Larmor rate of the transverse
     field, ``chi`` the strength of the Fx^2 term, and ``gamma_dec`` the
-    rate of the decoherence channel selected by ``jump_ops`` (a preset
-    name, or an explicit tuple of jump matrices).
+    rate of the decoherence channel named by ``jump_ops``, one of
+    ``JUMP_PRESETS``.
     """
 
     n_steps: int
@@ -75,7 +78,7 @@ class ControlWaveform:
     omega_larmor: float
     chi: float
     gamma_dec: float = 0.0
-    jump_ops: str | tuple[np.ndarray, ...] = "isotropic"
+    jump_ops: str = "isotropic"
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -89,14 +92,8 @@ class ControlWaveform:
         for name in ("omega_larmor", "chi", "gamma_dec"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if isinstance(self.jump_ops, str):
-            if self.jump_ops not in JUMP_PRESETS:
-                raise ValueError(f"unknown jump preset {self.jump_ops!r}")
-        else:
-            ops = tuple(np.asarray(op, dtype=complex) for op in self.jump_ops)
-            for op in ops:
-                op.setflags(write=False)
-            object.__setattr__(self, "jump_ops", ops)
+        if self.jump_ops not in JUMP_PRESETS:
+            raise ValueError(f"jump_ops must be one of {', '.join(JUMP_PRESETS)}")
 
     @property
     def duration(self) -> float:
@@ -120,35 +117,15 @@ class ControlWaveform:
             f"omega_larmor={serialize.format_float(self.omega_larmor)}",
             f"chi={serialize.format_float(self.chi)}",
             f"gamma_dec={serialize.format_float(self.gamma_dec)}",
+            f"jumps={self.jump_ops}",
         ]
-        if isinstance(self.jump_ops, str):
-            parts.append(f"jumps={self.jump_ops}")
-        else:
-            flat = []
-            for op in self.jump_ops:
-                flat.extend(
-                    serialize.format_float(v)
-                    for z in op.ravel()
-                    for v in (z.real, z.imag)
-                )
-            parts.append("jumps=explicit:" + ",".join(flat))
         digest = hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
         return digest[:16]
 
 
-def resolve_jump_ops(sys: SpinSystem, spec) -> tuple[np.ndarray, ...]:
-    """Expand a jump-operator preset name into matrices."""
-    if isinstance(spec, str):
-        if spec == "isotropic":
-            return (sys.Fx, sys.Fy, sys.Fz)
-        if spec == "none":
-            return ()
-        raise ValueError(f"unknown jump preset {spec!r}")
-    ops = tuple(np.asarray(op, dtype=complex) for op in spec)
-    for op in ops:
-        if op.shape != (sys.d, sys.d):
-            raise ValueError(f"jump operator has shape {op.shape}, expected {(sys.d, sys.d)}")
-    return ops
+def resolve_jump_ops(sys: SpinSystem, preset: str) -> tuple[np.ndarray, ...]:
+    """The jump operators of a preset name from ``JUMP_PRESETS``."""
+    return {"isotropic": (sys.Fx, sys.Fy, sys.Fz), "none": ()}[preset]
 
 
 def step_hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) -> np.ndarray:
@@ -310,9 +287,7 @@ def _evolve(
     picture (O_i). Row 0 is the coordinate vector of ``op`` itself.
     """
     per_step = _samples_per_step(waveform, n_samples)
-    jumps = resolve_jump_ops(sys, waveform.jump_ops)
-    if waveform.gamma_dec == 0:
-        jumps = ()
+    jumps = resolve_jump_ops(sys, waveform.jump_ops) if waveform.gamma_dec > 0 else ()
     steps = _interval_propagators(sys, waveform, n_samples, per_step, jumps)
     if jumps:
         # the cumulative transfer map is applied as it grows, so only one

@@ -121,21 +121,17 @@ def numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > RANK_CUTOFF * s[0])) if s.size and s[0] > 0 else 0
 
 
-def _solve(values: np.ndarray, design: np.ndarray, sigma_eff):
-    """Core SVD solve of the trace-eliminated system.
+def _solve(values: np.ndarray, design: np.ndarray):
+    """Core SVD solve of the trace-eliminated system for a (T, N) stack of records.
 
-    ``values`` is one record (N,) or a stack (T, N) against the same design,
-    with one ``sigma_eff`` or one per record. One SVD and one rank decision
-    serve the stack; each distinct noise level gets one covariance, shared
-    read-only. Returns one fit for a vector, a list of T fits for a stack.
+    One SVD and one rank decision serve the stack. Returns the (T, d, d)
+    rho_ls stack, the T residual norms, the rank, the singular values, and
+    the kept right singular vectors ``Vr`` and values ``sr`` from which
+    :func:`_fit` builds covariances.
     """
-    values = np.asarray(values, dtype=float)
-    stack = np.atleast_2d(values)
-    sigmas = np.broadcast_to(np.asarray(sigma_eff, dtype=float), stack.shape[:1])
-    dim = design.shape[1]
-    d = math.isqrt(dim)
+    d = math.isqrt(design.shape[1])
     traceless = design[:, 1:]
-    target = stack - design[:, 0] / math.sqrt(d)
+    target = values - design[:, 0] / math.sqrt(d)
     U, s, Vt = np.linalg.svd(traceless, full_matrices=False)
     s.setflags(write=False)
     rank = numerical_rank(s)
@@ -143,19 +139,23 @@ def _solve(values: np.ndarray, design: np.ndarray, sigma_eff):
     # at rank 0 the empty products below are exact zeros
     x = ((target @ Ur) / sr) @ Vr
     residuals = [float(np.linalg.norm(r)) for r in x @ traceless.T - target]
+    trace_coord = np.full((len(values), 1), 1.0 / math.sqrt(d))
+    return coords_to_state(np.concatenate((trace_coord, x), axis=1)), residuals, rank, s, Vr, sr
+
+
+def _fit(records: list, design: np.ndarray) -> list[LeastSquaresFit]:
+    """Fits of ``records`` against one design: one solve, one shared covariance per noise level."""
+    rho_ls, residuals, rank, s, Vr, sr = _solve(np.stack([r.values for r in records]), design)
     covariances = {}
-    for sigma in set(sigmas.tolist()):
+    for sigma in {record.sigma_eff for record in records}:
         covariance = (sigma**2) * (Vr.T * (1.0 / sr**2)) @ Vr
         covariances[sigma] = (covariance + covariance.T) / 2.0
         covariances[sigma].setflags(write=False)
-    trace_coord = np.full((len(stack), 1), 1.0 / math.sqrt(d))
-    rho_ls = coords_to_state(np.concatenate((trace_coord, x), axis=1))
-    fits = [
-        LeastSquaresFit(rho_ls=rho, covariance=covariances[sigma], residual_norm=residual,
-                        rank=rank, singular_values=s)
-        for rho, sigma, residual in zip(rho_ls, sigmas.tolist(), residuals)
+    return [
+        LeastSquaresFit(rho_ls=rho, covariance=covariances[record.sigma_eff],
+                        residual_norm=residual, rank=rank, singular_values=s)
+        for rho, record, residual in zip(rho_ls, records, residuals)
     ]
-    return fits if values.ndim == 2 else fits[0]
 
 
 def _fit_batch(records, history: ObservableHistory) -> list[LeastSquaresFit]:
@@ -166,8 +166,7 @@ def _fit_batch(records, history: ObservableHistory) -> list[LeastSquaresFit]:
         return []
     if history.n_samples < 1:
         raise ValueError("record is empty")
-    values = np.stack([record.values for record in records])
-    return _solve(values, history.design_matrix, [record.sigma_eff for record in records])
+    return _fit(records, history.design_matrix)
 
 
 def least_squares(record: MeasurementRecord, history: ObservableHistory) -> LeastSquaresFit:
@@ -257,15 +256,14 @@ def estimate_prefix_curve(
         raise ValueError("stride must be at least 1")
     n = record.n_samples
     evolved = propagate_state(rho0_true, sys, waveform, n_samples=n)
-    top_eig = [max_eigenvalue(rho) for rho in evolved]
     ks = list(range(stride, n, stride)) + [n]
-    # a generator, so each prefix's covariance is dropped once its rho_ls is taken
-    fits = (_solve(record.values[:k], history.design_matrix[:k], record.sigma_eff) for k in ks)
-    estimates = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
+    rho_ls = [_solve(record.values[None, :k], history.design_matrix[:k])[0][0] for k in ks]
+    estimates = project_to_physical(np.stack(rho_ls))
     prior = np.eye(history.d, dtype=complex) / history.d
-    points = [(0.0, fidelity(rho0_true, prior), top_eig[0])]
+    points = [(0.0, fidelity(rho0_true, prior), max_eigenvalue(evolved[0]))]
     for k, est in zip(ks, estimates):
-        points.append((float(record.times[k - 1]), fidelity(rho0_true, est), top_eig[k - 1]))
+        top_eig = max_eigenvalue(evolved[k - 1])
+        points.append((float(record.times[k - 1]), fidelity(rho0_true, est), top_eig))
     return points
 
 
@@ -376,10 +374,10 @@ def estimate_with_nuisance(
     The waveform fingerprint is deliberately not checked against the
     record here: a drifted drive is the reason this entry point exists.
     The search is deterministic. ``budget`` counts histories, grid points
-    included; the best point's fit is kept, so the result builds none
-    beyond them. If the budget runs out first, the best point so far is
-    returned with ``nuisance_converged`` False. Empty ``params`` fit the
-    nominal waveform the same way, with ``nuisance_converged`` None.
+    included; the best point's design matrix is kept and fitted once at the
+    end. If the budget runs out first, the best point so far is returned
+    with ``nuisance_converged`` False. Empty ``params`` fit the nominal
+    waveform the same way, with ``nuisance_converged`` None.
     """
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
@@ -406,11 +404,10 @@ def estimate_with_nuisance(
         scales = dict(zip(names, key))
         scaled = waveform.with_scales(**scales)
         history = heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
-        fit = _solve(record.values, history.design_matrix, record.sigma_eff)
-        residuals[key] = fit.residual_norm
-        if not best or fit.residual_norm < best["fit"].residual_norm:
-            best.update(scales=scales, fit=fit)
-        return fit.residual_norm
+        residuals[key] = _solve(record.values[None], history.design_matrix)[1][0]
+        if not best or residuals[key] < best["residual"]:
+            best.update(scales=scales, residual=residuals[key], design=history.design_matrix)
+        return residuals[key]
 
     converged = None
     if names:
@@ -421,7 +418,7 @@ def estimate_with_nuisance(
             converged = False
     else:
         objective(np.empty(0))
-    fit = best["fit"]
+    fit = _fit([record], best["design"])[0]
     return EstimateResult(
         rho_ml=project_to_physical(fit.rho_ls),
         nuisance=best["scales"],

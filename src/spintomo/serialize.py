@@ -134,11 +134,17 @@ def choice(value, field: str, choices) -> str:
     return value
 
 
+MAX_SPIN = 32  # largest F a document may name: the d^4 Wigner multipole table is 0.29 GB at d = 65
+
+
 def spin_dimension(value) -> int:
-    """d = 2F + 1 for a document's F, which must be a positive integer or half-integer."""
+    """d = 2F + 1 for a document's F: a positive integer or half-integer up to ``MAX_SPIN``."""
     twice = 2.0 * number(value, "F")
     if not (twice >= 1 and twice.is_integer()):  # an overflow to inf is no integer
         message = f"malformed field F: {value!r} is not a positive integer or half-integer"
+        raise DocumentError(message, "F")
+    if twice > 2 * MAX_SPIN:
+        message = f"malformed field F: {value!r} exceeds the largest spin {MAX_SPIN}"
         raise DocumentError(message, "F")
     return int(twice) + 1
 

@@ -20,7 +20,6 @@ from . import serialize
 from .spin_algebra import SpinSystem, build_spin_system, check_density_matrix, clebsch_gordan
 
 __all__ = [
-    "MultipoleOperators",
     "WignerGrid",
     "multipole_operators",
     "wigner_function",
@@ -31,35 +30,17 @@ __all__ = [
 CONVENTION = "unit-integral"  # integral of W over the sphere equals 1
 
 
-@dataclass(frozen=True, eq=False)
-class MultipoleOperators:
-    """Orthonormal tensor operators T_kq, k = 0..2F, q = -k..k.
+def multipole_operators(sys: SpinSystem) -> dict[int, dict[int, np.ndarray]]:
+    """The d^2 orthonormal tensor operators as ``{k: {q: T_kq}}``, k = 0..2F, q = -k..k.
 
     Matrix elements are <F m'|T_kq|F m> = sqrt((2k+1)/(2F+1)) <F m; k q|F m'>.
+    The table is built once per dimension and shared; its matrices are read-only.
     """
-
-    F: float
-    d: int
-    ops: dict[int, dict[int, np.ndarray]]
-
-    def op(self, k: int, q: int) -> np.ndarray:
-        return self.ops[k][q]
-
-    def coefficients(self, rho: np.ndarray) -> dict[int, dict[int, complex]]:
-        """Expansion coefficients Tr[T_kq^dag rho]."""
-        return {
-            k: {q: complex(np.vdot(T, rho)) for q, T in row.items()}
-            for k, row in self.ops.items()
-        }
-
-
-def multipole_operators(sys: SpinSystem) -> MultipoleOperators:
-    """The d^2 multipole operators for this spin (built once per dimension)."""
     return _multipole_operators(sys.d)
 
 
 @lru_cache(maxsize=None)
-def _multipole_operators(d: int) -> MultipoleOperators:
+def _multipole_operators(d: int) -> dict[int, dict[int, np.ndarray]]:
     sys = build_spin_system((d - 1) / 2.0)
     F = sys.F
     ms = sys.m_values
@@ -77,7 +58,7 @@ def _multipole_operators(d: int) -> MultipoleOperators:
             T.setflags(write=False)
             row[q] = T
         ops[k] = row
-    return MultipoleOperators(F=F, d=d, ops=ops)
+    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +110,16 @@ def _harmonic_norm(k: int, q: int) -> float:
 
 def _evaluate(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     tensors = multipole_operators(sys)
-    coeffs = tensors.coefficients(rho)
     kmax = sys.d - 1
     P = _legendre_table(kmax, np.cos(thetas))
     scale = math.sqrt(sys.d / (4.0 * math.pi))
     values = np.zeros((len(thetas), len(phis)))
     for k in range(kmax + 1):
-        # q = 0 coefficient is real for Hermitian rho
-        values += (scale * _harmonic_norm(k, 0) * coeffs[k][0].real) * P[k, 0][:, None]
+        # coefficients Tr[T_kq^dag rho], q >= 0; the q = 0 one is real for Hermitian rho
+        c0 = complex(np.vdot(tensors[k][0], rho)).real
+        values += (scale * _harmonic_norm(k, 0) * c0) * P[k, 0][:, None]
         for q in range(1, k + 1):
-            c = coeffs[k][q]
+            c = complex(np.vdot(tensors[k][q], rho))
             radial = (2.0 * scale * _harmonic_norm(k, q)) * P[k, q]
             values += radial[:, None] * (
                 c.real * np.cos(q * phis)[None, :] - c.imag * np.sin(q * phis)[None, :]

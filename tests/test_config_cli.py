@@ -12,7 +12,7 @@ import spintomo
 from spintomo import ConfigError, RecordFormatError, cli, estimate_with_nuisance, load_config
 from spintomo.cli import build_parser, main
 from spintomo.measurement import read_record
-from spintomo.serialize import DocumentError
+from spintomo.serialize import DocumentError, spin_dimension
 
 
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -510,6 +510,24 @@ class TestInputBinding:
         with pytest.raises(DocumentError) as info:
             read_record(record)
         assert info.value.field == "F"
+
+    @pytest.mark.parametrize("F", [32.5, 1e9])
+    @pytest.mark.parametrize("kind", ["config", "record", "estimate"])
+    def test_spin_above_bound_exit_2(self, tmp_path, capsys, kind, F):
+        cfg, record = self._simulate(tmp_path, base_config())
+        est = tmp_path / "e.json"
+        assert main(["estimate", str(record), cfg, str(est)]) == 0
+        path = {"config": pathlib.Path(cfg), "record": record, "estimate": est}[kind]
+        doc = json.loads(path.read_text())
+        doc["F"] = F
+        path.write_text(json.dumps(doc))
+        argv = {"config": ["check", cfg],
+                "record": ["estimate", str(record), cfg, str(tmp_path / "e2.json")],
+                "estimate": ["wigner", str(est), str(tmp_path / "w.csv")]}[kind]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"malformed field F: {F!r} exceeds the largest spin 32" in capsys.readouterr().err
+        assert spin_dimension(32) == 65
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_config_version_must_be_integer_1_exit_2(self, tmp_path, capsys, version):

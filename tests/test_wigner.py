@@ -30,26 +30,26 @@ from spintomo.wigner import _harmonic_norm, _legendre_table
 class TestMultipoles:
     def test_orthonormal_and_complete(self, sys3):
         mp = multipole_operators(sys3)
-        ops = [mp.op(k, q) for k in range(7) for q in range(-k, k + 1)]
+        ops = [mp[k][q] for k in range(7) for q in range(-k, k + 1)]
         assert len(ops) == 49
         gram = np.array([[np.vdot(a, b) for b in ops] for a in ops])
         assert np.max(np.abs(gram - np.eye(49))) < 1e-10
 
     def test_scalar_is_normalized_identity(self, sys3):
         mp = multipole_operators(sys3)
-        assert np.max(np.abs(mp.op(0, 0) - np.eye(7) / math.sqrt(7))) < 1e-14
+        assert np.max(np.abs(mp[0][0] - np.eye(7) / math.sqrt(7))) < 1e-14
 
     def test_dipole_proportional_to_fz(self, sys3):
         mp = multipole_operators(sys3)
         c = math.sqrt(3.0 / (3 * 4 * 7))  # sqrt(3/(F(F+1)(2F+1)))
-        assert np.max(np.abs(mp.op(1, 0) - c * sys3.Fz)) < 1e-12
+        assert np.max(np.abs(mp[1][0] - c * sys3.Fz)) < 1e-12
 
     def test_adjoint_symmetry(self, sys3):
         mp = multipole_operators(sys3)
         for k in (1, 3, 6):
             for q in range(-k, k + 1):
-                lhs = mp.op(k, q).conj().T
-                rhs = (-1) ** q * mp.op(k, -q)
+                lhs = mp[k][q].conj().T
+                rhs = (-1) ** q * mp[k][-q]
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
