@@ -92,7 +92,7 @@ class ControlWaveform:
         for name in ("omega_larmor", "chi", "gamma_dec"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.jump_ops not in JUMP_PRESETS:
+        if not isinstance(self.jump_ops, str) or self.jump_ops not in JUMP_PRESETS:
             raise ValueError(f"jump_ops must be one of {', '.join(JUMP_PRESETS)}")
 
     @property

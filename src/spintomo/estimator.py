@@ -435,16 +435,15 @@ def write_estimate(
     """Serialize an estimate; the covariance is stored as its lower triangle."""
     d = result.rho_ml.shape[0]
     cov = result.covariance
-    lower = cov[np.tril_indices(cov.shape[0])].tolist()
     doc = {
         "version": ESTIMATE_FORMAT_VERSION,
         "F": (d - 1) / 2.0,
         "rho_ls": serialize.matrix_to_pairs(result.rho_ls),
         "rho_ml": serialize.matrix_to_pairs(result.rho_ml),
-        "covariance_lower": lower,
+        "covariance_lower": cov[np.tril_indices(cov.shape[0])],
         "residual_norm": float(result.residual_norm),
         "rank": int(result.rank),
-        "singular_values": [float(s) for s in result.singular_values],
+        "singular_values": result.singular_values,
         "nuisance": {k: float(v) for k, v in result.nuisance.items()},
         "nuisance_converged": result.nuisance_converged,
         "waveform_fingerprint": waveform_fingerprint,

@@ -130,8 +130,8 @@ def write_record(record: MeasurementRecord, path) -> None:
     doc = {
         "version": RECORD_FORMAT_VERSION,
         "F": float(record.F),
-        "times": [float(t) for t in record.times],
-        "values": [float(v) for v in record.values],
+        "times": record.times,
+        "values": record.values,
         "sigma": float(record.sigma),
         "seed": int(record.seed),
         "n_averaged": int(record.n_averaged),

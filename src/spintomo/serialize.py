@@ -2,11 +2,16 @@
 
 All floats are printed with 17 significant digits, which round-trips every
 IEEE-754 double exactly, so writing the same document twice produces
-byte-identical files. Complex matrices are stored as row-major nested lists
-of [re, im] pairs. Documents are read back with :func:`load`, which rejects
-non-finite numbers, and every config, record and estimate field is checked
-by the checkers here (:func:`check_fields`, :func:`number`, :func:`integer`,
-:func:`choice`, :func:`spin_dimension`), which raise :class:`DocumentError`.
+byte-identical files. A float ndarray is written in one pass: one
+:func:`check_finite` over the whole array, then one ``%`` formatting of all
+its entries into a bracket template of its shape. ``FLOAT_FORMAT % x`` gives
+the same bytes as ``format(x, ".17g")`` (:func:`format_float`), so a number
+reads the same whether it was written alone or inside an array. Complex
+matrices are stored as row-major nested lists of [re, im] pairs. Documents
+are read back with :func:`load`, which rejects non-finite numbers, and every
+config, record and estimate field is checked by the checkers here
+(:func:`check_fields`, :func:`number`, :func:`integer`, :func:`choice`,
+:func:`spin_dimension`), which raise :class:`DocumentError`.
 """
 
 from __future__ import annotations
@@ -18,12 +23,24 @@ from collections.abc import Iterable
 import numpy as np
 
 
+FLOAT_FORMAT = "%.17g"  # printf form of format(x, ".17g"): the same bytes for every double
+
+
 def format_float(x: float) -> str:
     """Render a finite double with 17 significant digits."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return format(x, ".17g")
+
+
+def check_finite(arr) -> np.ndarray:
+    """``arr`` as a float array; a non-finite entry raises as in :func:`format_float`."""
+    arr = np.asarray(arr, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"cannot serialize non-finite number {float(arr[bad][0])!r}")
+    return arr
 
 
 def _reject_non_finite(token: str):
@@ -149,13 +166,23 @@ def spin_dimension(value) -> int:
     return int(twice) + 1
 
 
+def _template(shape: tuple[int, ...]) -> str:
+    """JSON text of an array of ``shape`` with ``FLOAT_FORMAT`` for every entry."""
+    if not shape:
+        return FLOAT_FORMAT
+    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+
+
 def _encode(obj) -> str:
     if isinstance(obj, dict):
         items = ",".join(f"{json.dumps(str(k))}:{_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        return "[" + ",".join(_encode(v) for v in seq) + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            return _template(obj.shape) % tuple(check_finite(obj).ravel().tolist())
+        return _encode(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_encode(v) for v in obj) + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -179,10 +206,10 @@ def dump_path(document: dict, path) -> None:
         fh.write(dumps(document))
 
 
-def matrix_to_pairs(mat: np.ndarray) -> list:
-    """Complex matrix -> row-major nested [re, im] pairs."""
+def matrix_to_pairs(mat: np.ndarray) -> np.ndarray:
+    """Complex (d, d) matrix -> (d, d, 2) float array of its [re, im] pairs."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], -1)
 
 
 def pairs_to_matrix(rows, context: str = "matrix") -> np.ndarray:

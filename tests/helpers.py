@@ -1,5 +1,6 @@
 """Shared random-state generators and reference implementations for the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -85,3 +86,35 @@ def water_filling_reference(rho: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     out = (V * w) @ V.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def dumps_reference(document) -> str:
+    """Document JSON text encoded one number at a time (reference).
+
+    The recursive encoder ``serialize.dumps`` used before arrays were
+    formatted whole: every ndarray goes through ``tolist()`` and every float
+    through ``format(x, ".17g")`` after its own finiteness check.
+    """
+
+    def encode(obj) -> str:
+        if isinstance(obj, dict):
+            return "{" + ",".join(f"{json.dumps(str(k))}:{encode(v)}" for k, v in obj.items()) + "}"
+        if isinstance(obj, (list, tuple, np.ndarray)):
+            seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+            return "[" + ",".join(encode(v) for v in seq) + "]"
+        if isinstance(obj, (bool, np.bool_)):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            if not math.isfinite(x):
+                raise ValueError(f"cannot serialize non-finite number {x!r}")
+            return format(x, ".17g")
+        if obj is None:
+            return "null"
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+    return encode(document) + "\n"

@@ -40,10 +40,12 @@ class TestControlWaveform:
             )
 
     def test_jump_ops_is_a_preset_name(self, sys3):
-        with pytest.raises(ValueError, match="isotropic, none"):
-            ControlWaveform(
-                n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0, jump_ops=(sys3.Fz,)
-            )
+        # a bare array gets this message too, not numpy's ambiguous-truth-value error
+        for jump_ops in ((sys3.Fz,), sys3.Fz, (sys3.Fx, sys3.Fy), "dephasing"):
+            with pytest.raises(ValueError, match="jump_ops must be one of isotropic, none"):
+                ControlWaveform(
+                    n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0, jump_ops=jump_ops
+                )
 
     def test_fingerprint_tracks_content(self, default_waveform):
         same = make_waveform()

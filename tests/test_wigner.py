@@ -17,6 +17,8 @@ except ImportError:  # scipy < 1.15
 
 from helpers import random_density
 from spintomo import (
+    WignerGrid,
+    build_spin_system,
     multipole_operators,
     wigner_function,
     wigner_integral,
@@ -147,12 +149,39 @@ def test_csv_export(sys3, tmp_path):
     assert float(value) == pytest.approx(1 / (4 * np.pi), abs=1e-12)
 
 
+def csv_reference(grid) -> bytes:
+    """The CSV file of ``grid`` built one number at a time."""
+    lines = [f"# n_theta={grid.n_theta}", f"# n_phi={grid.n_phi}", "# convention=unit-integral",
+             "theta,phi,value"]
+    for i, theta in enumerate(grid.thetas):
+        for j, phi in enumerate(grid.phis):
+            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_csv_bytes_match_row_by_row_reference(sys3, tmp_path):
     grid = wigner_function(random_density(np.random.default_rng(5), 7), sys3, n_theta=9, n_phi=11)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
-    lines = ["# n_theta=9", "# n_phi=11", "# convention=unit-integral", "theta,phi,value"]
-    for i, theta in enumerate(grid.thetas):
-        for j, phi in enumerate(grid.phis):
-            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == csv_reference(grid)
+
+
+def test_csv_bytes_match_reference_on_default_grid(tmp_path):
+    sys1 = build_spin_system(1)
+    grid = wigner_function(random_density(np.random.default_rng(6), 3), sys1)
+    assert (grid.n_theta, grid.n_phi) == (181, 360)
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(grid, path)
+    assert path.read_bytes() == csv_reference(grid)
+
+
+@pytest.mark.parametrize("field", ["thetas", "phis", "values"])
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_csv_of_non_finite_grid_raises_and_writes_nothing(sys3, tmp_path, field, bad):
+    grid = wigner_function(make_state(sys3, "cat"), sys3, n_theta=9, n_phi=11)
+    arrays = {"thetas": grid.thetas.copy(), "phis": grid.phis.copy(), "values": grid.values.copy()}
+    arrays[field].flat[-1] = bad
+    path = tmp_path / "wigner.csv"
+    with pytest.raises(ValueError, match=f"non-finite number {bad!r}"):
+        write_wigner_csv(WignerGrid(**arrays), path)
+    assert not path.exists()
