@@ -28,12 +28,10 @@ from .dynamics import (
 from .estimator import (
     EstimateResult,
     FingerprintMismatchError,
-    LeastSquaresFit,
     estimate,
     estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
-    least_squares,
     project_to_physical,
     read_estimate,
     write_estimate,

@@ -104,21 +104,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     waveform = _checked("waveform", lambda: ControlWaveform(n_steps=n_steps, phi=phi,
                                                             jump_ops=preset, **rates))
 
-    sampling = serialize.check_fields(doc["sampling"], "sampling", ("n_samples",),
-                                      optional=("substeps",))
+    sampling = serialize.check_fields(doc["sampling"], "sampling", ("n_samples",))
     n_samples = serialize.integer(sampling["n_samples"], "sampling.n_samples", 1)
     if n_samples % n_steps:
         raise ConfigError("malformed field sampling.n_samples: must be a multiple of "
                           "waveform.n_steps", "sampling.n_samples")
-    # accepted for v1 documents and ignored: each segment is exponentiated exactly
-    if "substeps" in sampling:
-        serialize.integer(sampling["substeps"], "sampling.substeps", 1)
 
     noise = serialize.check_fields(doc["noise"], "noise", ("sigma", "seed"),
                                    optional=("n_averaged",))
-    sigma = serialize.number(noise["sigma"], "noise.sigma")
-    if sigma < 0:
-        raise ConfigError("malformed field noise.sigma: must be nonnegative", "noise.sigma")
+    sigma = serialize.number(noise["sigma"], "noise.sigma", 0)
     seed = serialize.integer(noise["seed"], "noise.seed")
     _checked("noise.seed", lambda: rand.check_seed(seed))
     n_averaged = serialize.integer(noise.get("n_averaged", 1), "noise.n_averaged", 1)

@@ -4,11 +4,13 @@ The estimate is produced in two steps: an ordinary least-squares fit over
 the traceless basis coordinates (the trace coordinate is fixed by hand, so
 the linear system is small and well conditioned), followed by projection of
 the possibly non-positive fit onto the nearest physical density matrix in
-Frobenius distance. Optionally a small set of named scale factors of the
-drive (nuisance parameters) is co-estimated by minimizing the least-squares
-residual over recomputed observable histories, one history per trial point:
-each scale is searched in turn, on a 9-point grid over its bounds and then
-by Brent's bracketed golden-section/parabolic method, in numpy alone.
+Frobenius distance. Both steps and the fit's covariance are built in one
+place, so every estimate is one :class:`EstimateResult`. Optionally a small
+set of named scale factors of the drive (nuisance parameters) is
+co-estimated by minimizing the least-squares residual over recomputed
+observable histories, one history per trial point: each scale is searched
+in turn, on a 9-point grid over its bounds and then by Brent's bracketed
+golden-section/parabolic method, in numpy alone.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ from .spin_algebra import (
 
 __all__ = [
     "FingerprintMismatchError",
-    "LeastSquaresFit",
     "EstimateResult",
-    "least_squares",
     "project_to_physical",
     "estimate",
     "estimate_batch",
@@ -70,21 +70,18 @@ class FingerprintMismatchError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class LeastSquaresFit:
-    """Unconstrained fit: rho_ls may have negative eigenvalues."""
+class EstimateResult:
+    """A reconstruction: the unconstrained fit rho_ls and its projection rho_ml.
+
+    rho_ls may have negative eigenvalues; rho_ml is a valid density matrix.
+    """
 
     rho_ls: np.ndarray
+    rho_ml: np.ndarray
     covariance: np.ndarray  # (d^2-1, d^2-1), traceless coordinates
     residual_norm: float
     rank: int
     singular_values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EstimateResult(LeastSquaresFit):
-    """Full reconstruction output: the fit and its projection rho_ml, a valid density matrix."""
-
-    rho_ml: np.ndarray
     nuisance: dict[str, float] = field(default_factory=dict)
     nuisance_converged: bool | None = None
 
@@ -127,7 +124,7 @@ def _solve(values: np.ndarray, design: np.ndarray):
     One SVD and one rank decision serve the stack. Returns the (T, d, d)
     rho_ls stack, the T residual norms, the rank, the singular values, and
     the kept right singular vectors ``Vr`` and values ``sr`` from which
-    :func:`_fit` builds covariances.
+    :func:`_estimates` builds covariances.
     """
     d = math.isqrt(design.shape[1])
     traceless = design[:, 1:]
@@ -143,42 +140,25 @@ def _solve(values: np.ndarray, design: np.ndarray):
     return coords_to_state(np.concatenate((trace_coord, x), axis=1)), residuals, rank, s, Vr, sr
 
 
-def _fit(records: list, design: np.ndarray) -> list[LeastSquaresFit]:
-    """Fits of ``records`` against one design: one solve, one shared covariance per noise level."""
+def _estimates(records: list, design: np.ndarray, **nuisance) -> list[EstimateResult]:
+    """Estimates of ``records`` against one design, in record order.
+
+    One solve of the stacked values, one covariance per noise level, one
+    projection of the rho_ls stack. ``nuisance`` holds the
+    :class:`EstimateResult` fields ``nuisance`` and ``nuisance_converged``.
+    """
     rho_ls, residuals, rank, s, Vr, sr = _solve(np.stack([r.values for r in records]), design)
     covariances = {}
     for sigma in {record.sigma_eff for record in records}:
         covariance = (sigma**2) * (Vr.T * (1.0 / sr**2)) @ Vr
         covariances[sigma] = (covariance + covariance.T) / 2.0
         covariances[sigma].setflags(write=False)
+    rho_ml = project_to_physical(rho_ls)
     return [
-        LeastSquaresFit(rho_ls=rho, covariance=covariances[record.sigma_eff],
-                        residual_norm=residual, rank=rank, singular_values=s)
-        for rho, record, residual in zip(rho_ls, records, residuals)
+        EstimateResult(rho_ls=ls, rho_ml=ml, covariance=covariances[record.sigma_eff],
+                       residual_norm=residual, rank=rank, singular_values=s, **nuisance)
+        for ls, ml, record, residual in zip(rho_ls, rho_ml, records, residuals)
     ]
-
-
-def _fit_batch(records, history: ObservableHistory) -> list[LeastSquaresFit]:
-    records = list(records)
-    for record in records:
-        _check_match(record, history)
-    if not records:
-        return []
-    if history.n_samples < 1:
-        raise ValueError("record is empty")
-    return _fit(records, history.design_matrix)
-
-
-def least_squares(record: MeasurementRecord, history: ObservableHistory) -> LeastSquaresFit:
-    """Ordinary least-squares fit of the record over traceless coordinates.
-
-    Solves min_x || A x + a0/sqrt(d) - M ||^2 where A is the design matrix
-    restricted to traceless coordinates, via SVD with relative cutoff
-    ``RANK_CUTOFF``. The parameter covariance is sigma_eff^2 (A^T A)^+ on the
-    retained singular subspace (directions beyond ``rank`` carry no
-    information and are excluded rather than reported as infinite).
-    """
-    return _fit_batch([record], history)[0]
 
 
 def project_to_physical(rho_ls: np.ndarray) -> np.ndarray:
@@ -222,15 +202,27 @@ def estimate_batch(records, history: ObservableHistory) -> list[EstimateResult]:
     Every record is checked against ``history`` first. Results come in
     record order; an empty batch gives an empty list.
     """
-    fits = _fit_batch(records, history)
-    if not fits:
+    records = list(records)
+    for record in records:
+        _check_match(record, history)
+    if not records:
         return []
-    rho_ml = project_to_physical(np.stack([fit.rho_ls for fit in fits]))
-    return [EstimateResult(rho_ml=rho, **vars(fit)) for fit, rho in zip(fits, rho_ml)]
+    if history.n_samples < 1:
+        raise ValueError("record is empty")
+    return _estimates(records, history.design_matrix)
 
 
 def estimate(record: MeasurementRecord, history: ObservableHistory) -> EstimateResult:
-    """Two-step reconstruction: least squares, then positivity projection."""
+    """Two-step reconstruction: least squares, then positivity projection.
+
+    The fit solves min_x || A x + a0/sqrt(d) - M ||^2, where A is the design
+    matrix restricted to traceless coordinates, by SVD with relative cutoff
+    ``RANK_CUTOFF``; below full rank it is the minimum-norm solution. The
+    parameter covariance is sigma_eff^2 (A^T A)^+ on the retained singular
+    subspace (directions beyond ``rank`` carry no information and are
+    excluded rather than reported as infinite). rho_ml is the projection of
+    rho_ls by :func:`project_to_physical`.
+    """
     return estimate_batch([record], history)[0]
 
 
@@ -418,13 +410,8 @@ def estimate_with_nuisance(
             converged = False
     else:
         objective(np.empty(0))
-    fit = _fit([record], best["design"])[0]
-    return EstimateResult(
-        rho_ml=project_to_physical(fit.rho_ls),
-        nuisance=best["scales"],
-        nuisance_converged=converged,
-        **vars(fit),
-    )
+    return _estimates([record], best["design"], nuisance=best["scales"],
+                      nuisance_converged=converged)[0]
 
 
 def write_estimate(
@@ -460,8 +447,10 @@ def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
     """Estimate from a parsed document; returns (result, metadata dict).
 
     Strict like the record reader: exactly the written fields, each of its
-    written type, d x d matrices with d = 2F + 1, and exactly
-    (d^2 - 1) d^2 / 2 covariance entries; any violation raises a
+    written type, d x d matrices with d = 2F + 1, exactly (d^2 - 1) d^2 / 2
+    covariance entries, at most d^2 - 1 singular values, none negative, a
+    rank from 0 to their count, a nonnegative residual norm and only scales
+    from ``NUISANCE_NAMES``; any violation raises a
     :class:`~spintomo.serialize.DocumentError` naming the field.
     """
     serialize.check_fields(doc, "estimate", _ESTIMATE_FIELDS, ESTIMATE_FORMAT_VERSION)
@@ -478,9 +467,15 @@ def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
     cov = np.zeros((dim2, dim2))
     rows, cols = np.tril_indices(dim2)
     cov[rows, cols] = cov[cols, rows] = lower
-    nuisance = doc["nuisance"]
-    if not isinstance(nuisance, dict):
-        raise serialize.DocumentError("malformed field nuisance: expected an object", "nuisance")
+    singular_values = serialize.numeric_array(doc["singular_values"], "singular_values", 1, 0)
+    if len(singular_values) > dim2:
+        message = f"malformed field singular_values: more than {dim2} for d={d}"
+        raise serialize.DocumentError(message, "singular_values")
+    rank = serialize.integer(doc["rank"], "rank", 0)
+    if rank > len(singular_values):
+        message = f"malformed field rank: {rank} exceeds the {len(singular_values)} singular values"
+        raise serialize.DocumentError(message, "rank")
+    nuisance = serialize.check_fields(doc["nuisance"], "nuisance", (), optional=NUISANCE_NAMES)
     converged = doc["nuisance_converged"]
     if converged is not None and not isinstance(converged, bool):
         message = "malformed field nuisance_converged: expected true, false or null"
@@ -492,9 +487,9 @@ def parse_estimate(doc: dict) -> tuple[EstimateResult, dict]:
     result = EstimateResult(
         **rho,
         covariance=cov,
-        residual_norm=serialize.number(doc["residual_norm"], "residual_norm"),
-        rank=serialize.integer(doc["rank"], "rank"),
-        singular_values=serialize.numeric_array(doc["singular_values"], "singular_values", 1),
+        residual_norm=serialize.number(doc["residual_norm"], "residual_norm", 0),
+        rank=rank,
+        singular_values=singular_values,
         nuisance={k: serialize.number(v, f"nuisance.{k}") for k, v in nuisance.items()},
         nuisance_converged=converged,
     )

@@ -8,10 +8,11 @@ its entries into a bracket template of its shape. ``FLOAT_FORMAT % x`` gives
 the same bytes as ``format(x, ".17g")`` (:func:`format_float`), so a number
 reads the same whether it was written alone or inside an array. Complex
 matrices are stored as row-major nested lists of [re, im] pairs. Documents
-are read back with :func:`load`, which rejects non-finite numbers, and every
-config, record and estimate field is checked by the checkers here
-(:func:`check_fields`, :func:`number`, :func:`integer`, :func:`choice`,
-:func:`spin_dimension`), which raise :class:`DocumentError`.
+are read back with :func:`read_document`, and every config, record and
+estimate field is checked by the checkers here (:func:`check_fields`,
+:func:`numeric_array`, :func:`number`, :func:`integer`, :func:`choice`,
+:func:`spin_dimension`), which raise :class:`DocumentError`; a non-finite
+number fails at parse time or, once per array, in :func:`numeric_array`.
 """
 
 from __future__ import annotations
@@ -47,23 +48,6 @@ def _reject_non_finite(token: str):
     raise ValueError(f"non-finite number {token} is not allowed")
 
 
-def _finite_float(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        _reject_non_finite(token)
-    return value
-
-
-def load(fh):
-    """Parse a JSON document from a text file, rejecting non-finite numbers.
-
-    Python's json accepts the non-standard NaN and Infinity literals and
-    turns overflowing numbers such as 1e999 into inf; here all of them raise
-    ValueError, as does malformed JSON (JSONDecodeError is a ValueError).
-    """
-    return json.load(fh, parse_constant=_reject_non_finite, parse_float=_finite_float)
-
-
 class DocumentError(ValueError):
     """A malformed, incomplete or wrong-version config, record or estimate.
 
@@ -76,10 +60,15 @@ class DocumentError(ValueError):
 
 
 def read_document(path, kind: str) -> dict:
-    """Parse the JSON object in ``path``; a :class:`DocumentError` names ``kind``."""
+    """Parse the JSON object in ``path``; a :class:`DocumentError` names ``kind``.
+
+    Python's json accepts the non-standard NaN and Infinity literals; here
+    they raise, as does malformed JSON. An overflowing number such as 1e999
+    parses to inf and is rejected by :func:`numeric_array` with its field.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = load(fh)
+            doc = json.load(fh, parse_constant=_reject_non_finite)
         except ValueError as exc:
             raise DocumentError(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -112,12 +101,14 @@ def check_fields(doc, kind: str, fields: tuple[str, ...], version=None,
     return doc
 
 
-def numeric_array(value, field: str, ndim: int) -> np.ndarray:
+def numeric_array(value, field: str, ndim: int, minimum: float | None = None) -> np.ndarray:
     """Document field ``field`` as a float array with ``ndim`` dimensions.
 
     The value must be numbers nested exactly ``ndim`` lists deep (0 for a
-    bare number) with every list at one depth of the same length; booleans,
-    strings, null, objects and ragged nesting raise :class:`DocumentError`.
+    bare number) with every list at one depth of the same length, each
+    finite and at least ``minimum``; booleans, strings, null, objects,
+    ragged nesting, non-finite and smaller entries raise
+    :class:`DocumentError`.
     """
     try:
         arr = np.asarray(value)
@@ -126,12 +117,19 @@ def numeric_array(value, field: str, ndim: int) -> np.ndarray:
     if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
         shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
         raise DocumentError(f"malformed field {field}: expected {shape}", field)
-    return arr.astype(float)
+    arr = arr.astype(float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        message = f"malformed field {field}: non-finite number {float(arr[bad][0])!r}"
+        raise DocumentError(message, field)
+    if minimum is not None and np.any(arr < minimum):
+        raise DocumentError(f"malformed field {field}: must be at least {minimum}", field)
+    return arr
 
 
-def number(value, field: str) -> float:
-    """Document field ``field`` as a float; booleans, strings, lists and null raise."""
-    return float(numeric_array(value, field, 0))
+def number(value, field: str, minimum: float | None = None) -> float:
+    """Document field ``field`` as one float, checked as by :func:`numeric_array`."""
+    return float(numeric_array(value, field, 0, minimum))
 
 
 def integer(value, field: str, minimum: int | None = None) -> int:

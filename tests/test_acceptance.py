@@ -305,7 +305,7 @@ def test_ac11_determinism(tmp_path):
                 "omega_larmor": 62831.853071795864, "chi": 37699.11184307752,
                 "gamma_dec": 0.0, "jump_preset": "isotropic",
             },
-            "sampling": {"n_samples": 150, "substeps": 4},
+            "sampling": {"n_samples": 150},
             "noise": {"sigma": 0.9, "seed": 7, "n_averaged": 1},
             "state": {"kind": "cat"},
         }

@@ -31,7 +31,7 @@ def base_config(**overrides):
             "gamma_dec": 0.0,
             "jump_preset": "isotropic",
         },
-        "sampling": {"n_samples": 150, "substeps": 4},
+        "sampling": {"n_samples": 150},
         "noise": {"sigma": 0.9, "seed": 7, "n_averaged": 1},
         "state": {"kind": "basis_state", "m": -3},
     }
@@ -570,21 +570,12 @@ class TestInputBinding:
         record.write_text(json.dumps(doc))
         assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 4
 
-    def test_substeps_is_accepted_and_ignored(self, tmp_path):
-        outputs = []
-        for substeps in (1, 4):
-            doc = base_config()
-            doc["sampling"]["substeps"] = substeps
-            cfg, record = self._simulate(tmp_path, doc, f"record{substeps}.json")
-            est, curve = tmp_path / f"e{substeps}.json", tmp_path / f"c{substeps}.csv"
-            argv = ["estimate", str(record), cfg, str(est), "--prefix-curve", str(curve)]
-            assert main(argv) == 0
-            outputs.append([p.read_bytes() for p in (record, est, curve)])
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("substeps", [0, 1.5, True])
-    def test_substeps_still_validated(self, tmp_path, substeps):
+    def test_substeps_is_an_unknown_field_exit_2(self, tmp_path, capsys):
         doc = base_config()
-        doc["sampling"]["substeps"] = substeps
-        with pytest.raises(ConfigError, match="substeps"):
-            load_config(write_config(tmp_path, doc))
+        doc["sampling"]["substeps"] = 4
+        cfg = write_config(tmp_path, doc)
+        assert main(["check", cfg]) == 2
+        assert "sampling.substeps" in capsys.readouterr().err
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.field == "sampling.substeps"

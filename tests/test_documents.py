@@ -34,7 +34,7 @@ CONFIG = {
         "gamma_dec": 0.0,
         "jump_preset": "isotropic",
     },
-    "sampling": {"n_samples": 8, "substeps": 1},
+    "sampling": {"n_samples": 8},
     "noise": {"sigma": 0.5, "seed": 3, "n_averaged": 1},
     "state": {"kind": "basis_state", "m": -1},
 }
@@ -46,8 +46,7 @@ FIELDS = {"record": _RECORD_FIELDS, "estimate": _ESTIMATE_FIELDS, "config": tupl
              for key in ("waveform", "sampling", "noise", "state")}}
 READERS = {"record": read_record, "estimate": read_estimate, "config": load_config}
 # keys a config object may leave out; every record and estimate field is required
-OPTIONAL = {"config.waveform": {"gamma_dec", "jump_preset"}, "config.sampling": {"substeps"},
-            "config.noise": {"n_averaged"}}
+OPTIONAL = {"config.waveform": {"gamma_dec", "jump_preset"}, "config.noise": {"n_averaged"}}
 # singular_values may be shorter than d^2 - 1 (a short record), so dropping
 # one of them can leave a valid document
 CAN_TRUNCATE = {"times", "values", "covariance_lower", "rho_ls", "rho_ml"}

@@ -19,7 +19,6 @@ from spintomo import (
     estimate_with_nuisance,
     fidelity,
     heisenberg_history,
-    least_squares,
     measured_observable,
     project_to_physical,
     read_estimate,
@@ -28,6 +27,7 @@ from spintomo import (
     write_estimate,
 )
 from spintomo import test_state as make_state
+from spintomo.serialize import DocumentError
 
 
 class TestLeastSquares:
@@ -35,7 +35,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(20)
         rho = random_density(rng, 7)
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
-        fit = least_squares(record, default_history)
+        fit = estimate(record, default_history)
         assert fit.rank == 48
         assert np.linalg.norm(fit.rho_ls - rho) < 1e-8
         assert fit.residual_norm < 1e-9
@@ -47,7 +47,7 @@ class TestLeastSquares:
         history = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
         rho = make_state(sys3, "twisted", mu=0.7)
         record = synthesize_record(rho, history, sigma=0.0, seed=0)
-        fit = least_squares(record, history)
+        fit = estimate(record, history)
         assert fit.rank == 1
         coords = state_to_coords(fit.rho_ls)
         direction = state_to_coords(measured_observable(sys3))[1:]
@@ -69,7 +69,7 @@ class TestLeastSquares:
             design_matrix=default_history.design_matrix[:1].copy(),
             waveform_fingerprint=default_history.waveform_fingerprint,
         )
-        fit = least_squares(record, history)
+        fit = estimate(record, history)
         assert fit.rank == 1
         # covariance lives on the 1-d retained subspace only
         assert np.linalg.matrix_rank(fit.covariance, tol=1e-12) == 1
@@ -82,17 +82,17 @@ class TestLeastSquares:
             n_samples=150,
         )
         with pytest.raises(FingerprintMismatchError):
-            least_squares(record, other)
+            estimate(record, other)
 
     def test_spin_size_and_grid_bound_to_history(self, sys3, default_history):
         record = synthesize_record(make_state(sys3, "mixed"), default_history, 0.0, seed=0)
         with pytest.raises(FingerprintMismatchError, match="F=2"):
-            least_squares(replace(record, F=2.0), default_history)
+            estimate(replace(record, F=2.0), default_history)
         with pytest.raises(FingerprintMismatchError, match="times"):
-            least_squares(replace(record, times=record.times[::-1]), default_history)
+            estimate(replace(record, times=record.times[::-1]), default_history)
         with pytest.raises(FingerprintMismatchError, match="samples"):
             short = replace(record, times=record.times[:30], values=record.values[:30])
-            least_squares(short, default_history)
+            estimate(short, default_history)
 
     def test_empty_record_rejected(self, sys3, default_history):
         from spintomo import MeasurementRecord
@@ -107,7 +107,7 @@ class TestLeastSquares:
             waveform_fingerprint=default_history.waveform_fingerprint,
         )
         with pytest.raises(ValueError, match="empty"):
-            least_squares(record, empty_history)
+            estimate(record, empty_history)
 
 
 class TestProjectToPhysical:
@@ -152,7 +152,7 @@ class TestProjectToPhysical:
     def test_output_invariants(self, sys3, default_history):
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, default_history, sigma=2.0, seed=9)
-        fit = least_squares(record, default_history)
+        fit = estimate(record, default_history)
         assert np.linalg.eigvalsh(fit.rho_ls)[0] < 0  # noisy fit is indefinite here
         out = project_to_physical(fit.rho_ls)
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
@@ -376,6 +376,11 @@ class TestNuisance:
         plain = estimate(record, default_history)
         assert np.array_equal(result.rho_ls, plain.rho_ls)
         assert np.array_equal(result.rho_ml, plain.rho_ml)
+        # both paths build their result in one place, so every fit field is bitwise equal
+        assert np.array_equal(result.covariance, plain.covariance)
+        assert result.residual_norm == plain.residual_norm
+        assert result.rank == plain.rank
+        assert np.array_equal(result.singular_values, plain.singular_values)
         assert result.nuisance == {} and result.nuisance_converged is None
 
     def test_recovers_unit_scale(self, sys3, default_waveform, default_history):
@@ -517,6 +522,50 @@ class TestReadEstimateStrict:
         document[name] = [row[:6] for row in document["rho_ls" if name == "rho_ml" else "rho_ml"]]
         with pytest.raises(ValueError, match=name):
             self._read(document, tmp_path)
+
+    def test_overflowing_number_names_its_field(self, document, tmp_path):
+        path = tmp_path / "edited.json"
+        text = json.dumps(document)
+        head, tail = text.split('"covariance_lower": [', 1)
+        path.write_text(head + '"covariance_lower": [1e999, ' + tail.split(", ", 1)[1])
+        with pytest.raises(DocumentError, match="non-finite") as info:
+            read_estimate(path)
+        assert info.value.field == "covariance_lower"
+
+    @pytest.mark.parametrize("rank", [-5, 49, 1000])
+    def test_rank_within_singular_value_count(self, document, tmp_path, rank):
+        document["rank"] = rank
+        with pytest.raises(DocumentError) as info:
+            self._read(document, tmp_path)
+        assert info.value.field == "rank"
+
+    @pytest.mark.parametrize("change", ["too_many", "negative"])
+    def test_singular_values_at_most_d2_minus_1_and_nonnegative(self, document, tmp_path,
+                                                                change):
+        values = document["singular_values"]
+        assert len(values) == 48
+        if change == "too_many":
+            document["singular_values"] = values + values[-12:]
+        else:
+            document["singular_values"] = values[:-1] + [-values[-1]]
+        with pytest.raises(DocumentError) as info:
+            self._read(document, tmp_path)
+        assert info.value.field == "singular_values"
+
+    def test_residual_norm_nonnegative(self, document, tmp_path):
+        document["residual_norm"] = -2.0
+        with pytest.raises(DocumentError) as info:
+            self._read(document, tmp_path)
+        assert info.value.field == "residual_norm"
+
+    def test_nuisance_names_known_scales_only(self, document, tmp_path):
+        document["nuisance"] = {"foo": 1.0}
+        with pytest.raises(DocumentError, match="nuisance.foo") as info:
+            self._read(document, tmp_path)
+        assert info.value.field == "nuisance.foo"
+        document["nuisance"] = {"omega_scale": 1.01, "chi_scale": 0.99}
+        result, _ = self._read(document, tmp_path)
+        assert result.nuisance == {"omega_scale": 1.01, "chi_scale": 0.99}
 
     @pytest.mark.parametrize("field, value", [("nuisance", []), ("residual_norm", [1.0])])
     def test_wrong_type_is_a_value_error(self, document, tmp_path, field, value):
