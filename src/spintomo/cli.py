@@ -6,8 +6,8 @@ over seeds, ``wigner`` for quasi-probability grids, ``design`` to optimize
 a waveform, and ``check`` for informational completeness.
 
 Exit codes: 0 success, 2 config/document parse error (missing, unknown or
-malformed fields, non-finite numbers, a bad ``--nuisance`` entry, an integer
-option below its least value) or a file that cannot be read or written, 3
+malformed fields, non-finite numbers, a bad ``--nuisance`` entry, a numeric
+option out of its range) or a file that cannot be read or written, 3
 invariant violation, 4 record does not match the config (waveform
 fingerprint, spin size or sample grid), 5 waveform not informationally
 complete. Output directories are checked before any work, so a missing one
@@ -230,14 +230,15 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.complete else EXIT_INCOMPLETE
 
 
-def _at_least(minimum: int):
-    """argparse ``type``: an int of at least ``minimum``; a smaller one exits 2 as a bad option."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+def _at_least(minimum, kind=int, below=math.inf):
+    """argparse ``type``: a ``kind`` in [minimum, below); any other value, NaN too, exits 2."""
+    def number(text: str):
+        value = kind(text)
+        if not minimum <= value < below:
+            limit = f" and below {below}" if value >= minimum else ""
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}{limit}, got {value}")
         return value
-    return integer
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("out_config")
     p.add_argument("--budget", type=_at_least(1), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int, 2**64), default=0)
     p.add_argument("--objective", default="min_singular_value",
                    choices=["min_singular_value", "condition_number", "covariance_trace"])
-    p.add_argument("--sensitivity-weight", type=float, default=0.0,
+    p.add_argument("--sensitivity-weight", type=_at_least(0.0, float), default=0.0,
                    help="penalize conditioning loss under +-1%% Larmor drift")
 
     p = sub.add_parser("check", help="report informational completeness")

@@ -120,8 +120,8 @@ def optimize_waveform(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if sensitivity_weight < 0:
-        raise ValueError("sensitivity_weight must be nonnegative")
+    if not 0 <= sensitivity_weight < np.inf:
+        raise ValueError("sensitivity_weight must be finite and nonnegative")
 
     evaluations = 0
 

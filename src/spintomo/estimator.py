@@ -226,6 +226,34 @@ def estimate(record: MeasurementRecord, history: ObservableHistory) -> EstimateR
     return estimate_batch([record], history)[0]
 
 
+def _prefix_fits(values: np.ndarray, design: np.ndarray, ks: list[int]) -> list[np.ndarray]:
+    """The rho_ls of :func:`_solve` on the first k samples, for each of the ascending ``ks``.
+
+    One QR, A[:p] = L Q^T with A the traceless design and p = min(N, d^2 - 1), gives
+    every fit of k <= p samples, Q[:, :k] L_k^-1 b[:k], by one inverse and one cumsum;
+    a QR least-squares solve serves each k > p. Only prefixes certified full rank, with
+    s_min/s_max >= 1 / (||L_k^-1||_F ||A[:k]||_F) > ``RANK_CUTOFF`` (past p = d^2 - 1,
+    s_min(A[:k]) >= s_min(A[:p])), go this way; the rest go through :func:`_solve`.
+    """
+    d = math.isqrt(design.shape[1])
+    A, b = design[:, 1:], values - design[:, 0] / math.sqrt(d)
+    (N, n), p = A.shape, min(A.shape)
+    Q, R = np.linalg.qr(A[:p].T)
+    diag = np.abs(np.diagonal(R))  # s_min/s_max of L is at most that of its diagonal
+    m = int(np.argmin(np.append(diag > RANK_CUTOFF * np.maximum.accumulate(diag), False)))
+    L_inv = np.linalg.inv(R[:m, :m].T)
+    bound = np.pad(np.cumsum(np.sum(L_inv**2, axis=1)), (0, N - m if m == n else 0), mode="edge")
+    bound *= np.cumsum(np.sum(A[: len(bound)] ** 2, axis=1))  # squared
+    fast = [k for k in ks if k <= len(bound) and bound[k - 1] < RANK_CUTOFF**-2]
+    x = list(np.cumsum(Q[:, :m] * (L_inv @ b[:m]), axis=1).T[[k - 1 for k in fast if k <= p]])
+    for k in (k for k in fast if k > p):
+        Rb = np.linalg.qr(np.column_stack((A[:k], b[:k])), mode="r")
+        x.append(np.linalg.solve(Rb[:n, :n], Rb[:n, n]))
+    coords = np.insert(np.reshape(x, (len(fast), n)), 0, 1.0 / math.sqrt(d), axis=1)
+    served = dict(zip(fast, coords_to_state(coords)))
+    return [served[k] if k in served else _solve(values[None, :k], design[:k])[0][0] for k in ks]
+
+
 def estimate_prefix_curve(
     record: MeasurementRecord,
     history: ObservableHistory,
@@ -238,19 +266,19 @@ def estimate_prefix_curve(
 
     Returns (time, fidelity, max eigenvalue of the evolved true state) for
     prefix lengths k = 0, stride, 2*stride, ..., N. The k = 0 point is the
-    unbiased prior I/d at time 0; each later point reruns the full estimate
-    on the first k samples. The third column tracks how much purity the
-    true state has lost to decoherence by that time.
+    unbiased prior I/d at time 0; each later point is the estimate on the
+    first k samples (:func:`_prefix_fits`). The third column tracks how much
+    purity the true state has lost to decoherence by that time.
     """
     _check_match(record, history)
     rho0_true = check_density_matrix(rho0_true, history.d)
     if stride < 1:
         raise ValueError("stride must be at least 1")
     n = record.n_samples
-    evolved = propagate_state(rho0_true, sys, waveform, n_samples=n)
+    closed = waveform.gamma_dec == 0 or waveform.jump_ops == "none"
+    evolved = [rho0_true] * n if closed else propagate_state(rho0_true, sys, waveform, n_samples=n)
     ks = list(range(stride, n, stride)) + [n]
-    rho_ls = [_solve(record.values[None, :k], history.design_matrix[:k])[0][0] for k in ks]
-    estimates = project_to_physical(np.stack(rho_ls))
+    estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
     prior = np.eye(history.d, dtype=complex) / history.d
     points = [(0.0, fidelity(rho0_true, prior), max_eigenvalue(evolved[0]))]
     for k, est in zip(ks, estimates):

@@ -237,8 +237,18 @@ class TestCliPipeline:
         ["wigner", "{cfg}", "{csv}", "--n-phi", "7"],
         ["wigner", "{cfg}", "{csv}", "--n-theta", "-2"],
         ["sweep", "{cfg}", "-1", "{csv}"],
+        # the design options below used to be checked only after parsing, or never:
+        # a NaN weight was ignored, an infinite one failed after writing the config,
+        # and a negative weight or seed exited 3 as an invariant violation
+        ["design", "{cfg}", "{out}", "--seed=-1"],
+        ["design", "{cfg}", "{out}", f"--seed={2**64}"],
+        ["design", "{cfg}", "{out}", "--sensitivity-weight=nan"],
+        ["design", "{cfg}", "{out}", "--sensitivity-weight=inf"],
+        ["design", "{cfg}", "{out}", "--sensitivity-weight=-1"],
     ], ids=["stride_0", "budget_0", "nuisance_budget_0", "design_budget_0", "n_theta_0",
-            "n_phi_7", "n_theta_negative", "sweep_trials_negative"])
+            "n_phi_7", "n_theta_negative", "sweep_trials_negative", "design_seed_negative",
+            "design_seed_65_bits", "design_weight_nan", "design_weight_inf",
+            "design_weight_negative"])
     def test_out_of_range_integer_option_exit_2(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, base_config())
         record = tmp_path / "record.json"

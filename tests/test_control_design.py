@@ -133,6 +133,11 @@ class TestObjectiveOptions:
         with pytest.raises(ValueError, match="objective"):
             design_objective(sys3, default_waveform, objective="sharpest")
 
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_sensitivity_weight_finite_and_nonnegative(self, sys3, default_waveform, weight):
+        with pytest.raises(ValueError, match="sensitivity_weight"):
+            optimize_waveform(sys3, default_waveform, budget=1, sensitivity_weight=weight)
+
     def test_sensitivity_penalty(self, sys3, default_waveform):
         plain = optimize_waveform(sys3, default_waveform, budget=1)
         robust = optimize_waveform(

@@ -13,12 +13,14 @@ from spintomo import (
     ControlWaveform,
     FingerprintMismatchError,
     ObservableHistory,
+    build_spin_system,
     estimate,
     estimate_batch,
     estimate_prefix_curve,
     estimate_with_nuisance,
     fidelity,
     heisenberg_history,
+    max_eigenvalue,
     measured_observable,
     project_to_physical,
     read_estimate,
@@ -27,6 +29,7 @@ from spintomo import (
     write_estimate,
 )
 from spintomo import test_state as make_state
+from spintomo.estimator import _prefix_fits, _solve
 from spintomo.serialize import DocumentError
 
 
@@ -326,6 +329,7 @@ class TestEstimateBatch:
         assert project_to_physical(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPrefixCurve:
     def test_start_final_and_count(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "basis_state", m=-3)
@@ -347,8 +351,8 @@ class TestPrefixCurve:
         points = estimate_prefix_curve(
             record, default_history, rho, sys3, default_waveform, stride=10
         )
-        for _, _, top in points:
-            assert top == pytest.approx(1.0, abs=1e-9)
+        # closed evolution keeps the spectrum, so the true state's own value is exact
+        assert [top for _, _, top in points] == [max_eigenvalue(rho)] * len(points)
 
     def test_stride_validation(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "mixed")
@@ -357,6 +361,65 @@ class TestPrefixCurve:
             estimate_prefix_curve(
                 record, default_history, rho, sys3, default_waveform, stride=0
             )
+
+    @pytest.mark.parametrize("F, gamma_dec, stride", [(3, 0.0, 1), (3, 100.0, 3), (8, 0.0, 5)],
+                             ids=["F3_unitary", "F3_gamma100", "F8_underdetermined"])
+    def test_every_point_is_the_truncated_estimate(self, F, gamma_dec, stride):
+        # F = 3 has 48 traceless coordinates, so most prefixes are overdetermined;
+        # F = 8 has 288, more than the 150 samples, so every prefix is underdetermined
+        sys_ = build_spin_system(F)
+        waveform = make_waveform(gamma_dec=gamma_dec)
+        history = heisenberg_history(sys_, waveform, measured_observable(sys_), n_samples=150)
+        rho = make_state(sys_, "cat")
+        record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=5)
+        points = estimate_prefix_curve(record, history, rho, sys_, waveform, stride=stride)
+        ks = list(range(stride, 150, stride)) + [150]
+        for k, (_, fid, _) in zip(ks, points[1:], strict=True):
+            # the record and history cut to their first k samples
+            cut = ObservableHistory(history.times[:k], history.design_matrix[:k],
+                                    history.waveform_fingerprint)
+            short = replace(record, times=record.times[:k], values=record.values[:k])
+            assert abs(fid - fidelity(rho, estimate(short, cut).rho_ml)) <= 1e-12
+
+    def test_full_rank_prefixes_skip_the_svd(self, sys3, default_history, monkeypatch):
+        rho = make_state(sys3, "cat")
+        record = synthesize_record(rho, default_history, sigma=CALIBRATED_SIGMA, seed=3)
+        ks = list(range(5, 151, 5))
+        expected = [_solve(record.values[None, :k], default_history.design_matrix[:k])[0][0]
+                    for k in ks]
+        monkeypatch.setattr("spintomo.estimator._solve", None)
+        fits = _prefix_fits(record.values, default_history.design_matrix, ks)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(fits, expected)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["twelve_equal_rows", "steep_second_row"])
+    def test_rank_deficient_prefixes_take_the_svd_unchanged(self, sys3, default_waveform,
+                                                            default_history, case):
+        design = default_history.design_matrix.copy()
+        if case == "twelve_equal_rows":
+            # every prefix of 2 to 12 samples has rank 1, and L is singular from its second row
+            design[:12] = design[0]
+        else:
+            # L's diagonal stays far above the cutoff, but s_min/s_max of every prefix
+            # of two or more samples is about 1e-14: only the certificate rejects them
+            first = design[0, 1:]
+            off = np.roll(first, 1) - (np.roll(first, 1) @ first) / (first @ first) * first
+            design[1, 1:] = 1e5 * first + 1e-4 * off / np.linalg.norm(off)
+        history = ObservableHistory(default_history.times, design,
+                                    default_history.waveform_fingerprint)
+        rho = make_state(sys3, "cat")
+        record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=3)
+        ks = [1, 2, 5, 12, 13, 60, 150]
+        expected = [_solve(record.values[None, :k], design[:k])[0][0] for k in ks]
+        fits = _prefix_fits(record.values, design, ks)
+        # one sample is full rank; from two on, no prefix is certified
+        assert np.max(np.abs(fits[0] - expected[0])) <= 1e-12
+        assert all(np.array_equal(a, b) for a, b in zip(fits[1:], expected[1:]))
+        points = estimate_prefix_curve(record, history, rho, sys3, default_waveform, stride=5)
+        ks = list(range(5, 151, 5))
+        projected = project_to_physical(
+            np.stack([_solve(record.values[None, :k], design[:k])[0][0] for k in ks])
+        )
+        assert [fid for _, fid, _ in points[1:]] == [fidelity(rho, est) for est in projected]
 
 
 class TestNuisance:
