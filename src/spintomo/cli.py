@@ -286,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_design)
     p.add_argument("config")
     p.add_argument("out_config")
-    p.add_argument("--budget", type=_at_least(1), default=50)
+    p.add_argument("--budget", type=_at_least(1), default=50,
+                   help="scored candidates, the template included")
     p.add_argument("--seed", type=_at_least(0, int, 2**64), default=0)
     p.add_argument("--objective", default="min_singular_value",
                    choices=["min_singular_value", "condition_number", "covariance_trace"])

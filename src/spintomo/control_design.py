@@ -95,6 +95,9 @@ def design_objective(
     return float(-np.sum(1.0 / s**2))
 
 
+N_RESTARTS = 24  # uniform restarts before the local search of optimize_waveform
+
+
 def optimize_waveform(
     sys: SpinSystem,
     template: ControlWaveform,
@@ -106,12 +109,16 @@ def optimize_waveform(
 ) -> WaveformDesignResult:
     """Search field-angle schedules for the best estimator conditioning.
 
-    Keeps everything of ``template`` fixed except the phi list. Spends the
-    evaluation ``budget`` on the template itself, random restarts (uniform
-    angle draws from the counter-based stream ``seed``), and, if enough
-    budget remains, a Nelder-Mead polish of the best candidate. The result
-    is never worse than the template, and is deterministic given the seed;
-    ties keep the earlier candidate.
+    Keeps everything of ``template`` fixed except the phi list and scores
+    ``budget`` candidates: the template, ``N_RESTARTS`` uniform angle draws
+    from the counter-based stream ``seed``, then the steps of a (1+1)
+    evolution strategy: the best schedule so far plus a Gaussian step from
+    the same stream, whose length (0.3 at first) grows by 1.5 after a
+    success and by 1.5^(-1/4) after a failure, the one-fifth success rule.
+    A candidate replaces the best only if it scores strictly higher.
+    Candidate j depends only on the seed and the scores before it, never
+    on the budget, so the result is deterministic, never worse than the
+    template, and never worse for a larger budget.
 
     With ``sensitivity_weight`` > 0 the score is penalized by that weight
     times the objective degradation under a +-1% Larmor-rate calibration
@@ -123,11 +130,7 @@ def optimize_waveform(
     if not 0 <= sensitivity_weight < np.inf:
         raise ValueError("sensitivity_weight must be finite and nonnegative")
 
-    evaluations = 0
-
     def score(phis: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
         candidate = replace(template, phi=tuple(np.mod(phis, 2.0 * np.pi)))
         value = design_objective(sys, candidate, n_samples=n_samples, objective=objective)
         if sensitivity_weight > 0.0 and np.isfinite(value):
@@ -144,35 +147,21 @@ def optimize_waveform(
     best_phi = np.asarray(template.phi, dtype=float)
     best_obj = score(best_phi)
     improved = False
-
     n = template.n_steps
     stream = rand.stream(seed)
-    polish_budget = budget - 1 - (budget - 1) // 2
-    if polish_budget < n + 2:
-        polish_budget = 0  # not enough room for a simplex; spend it on restarts
-    restarts = budget - 1 - polish_budget
-    for _ in range(restarts):
-        phis = stream.uniform(0.0, 2.0 * np.pi, size=n)
+    step = 0.3
+    for j in range(1, budget):
+        if j <= N_RESTARTS:
+            phis = stream.uniform(0.0, 2.0 * np.pi, size=n)
+        else:
+            phis = best_phi + step * stream.standard_normal(n)
         obj = score(phis)
+        if j > N_RESTARTS:
+            step *= 1.5 if obj > best_obj else 1.5 ** -0.25
         if obj > best_obj:
             best_obj, best_phi, improved = obj, phis, True
 
-    if polish_budget > 0:
-        from scipy.optimize import minimize  # only here, so importing spintomo loads no scipy
-
-        simplex = np.tile(best_phi, (n + 1, 1))
-        for i in range(n):
-            simplex[i + 1, i] += 0.3
-        result = minimize(
-            lambda x: -score(x),
-            best_phi,
-            method="Nelder-Mead",
-            options={"maxfev": polish_budget, "initial_simplex": simplex, "xatol": 1e-4},
-        )
-        if -result.fun > best_obj:
-            best_obj, best_phi, improved = -result.fun, result.x, True
-
-    if not improved:
-        return WaveformDesignResult(waveform=template, objective=best_obj, evaluations=evaluations)
-    final = replace(template, phi=tuple(np.mod(best_phi, 2.0 * np.pi)))
-    return WaveformDesignResult(waveform=final, objective=best_obj, evaluations=evaluations)
+    waveform = template
+    if improved:
+        waveform = replace(template, phi=tuple(np.mod(best_phi, 2.0 * np.pi)))
+    return WaveformDesignResult(waveform=waveform, objective=best_obj, evaluations=budget)

@@ -14,14 +14,14 @@ The decoherence channel is a preset name from ``JUMP_PRESETS``:
 
 Both run one kernel, which accumulates the propagator from t_0 to every
 sample time and applies it in the requested picture. Its representation
-follows from the waveform. Closed evolution (``gamma_dec`` = 0, or the
-"none" preset) keeps the d x d unitaries U_i, built from one Hermitian
-eigendecomposition per segment; then O_i = U_i^dag O U_i and
-rho_i = U_i rho U_i^dag for all samples in one batched product. Open
-evolution keeps a real d^2 x d^2 transfer map on the coordinates of the
-Hermitian operator basis, with one exact exponential of the Lindblad
-generator per segment: :func:`expm`, the degree-13 Pade approximant with
-scaling and squaring, in numpy. The generator is linear in the drive, so
+follows from the waveform. Closed evolution (``ControlWaveform.closed``:
+``gamma_dec`` = 0 or the "none" preset) keeps the d x d unitaries U_i,
+built from one Hermitian eigendecomposition per segment; then
+O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all samples in one
+batched product. Open evolution keeps a real d^2 x d^2 transfer map on
+the coordinates of the Hermitian operator basis, with one exact
+exponential of the Lindblad generator per segment: :func:`expm`, the
+degree-13 Pade approximant with scaling and squaring, in numpy. The generator is linear in the drive, so
 four parts are built once per history (the commutators with Fx, Fy and
 Fx^2, and the dissipator) and each segment's generator is their
 combination omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D.
@@ -83,17 +83,24 @@ class ControlWaveform:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("waveform needs at least one segment")
-        if not self.dt > 0:
-            raise ValueError("segment duration dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and positive")
         phi = tuple(float(p) for p in self.phi)
         if len(phi) != self.n_steps:
             raise ValueError(f"phi has {len(phi)} entries for {self.n_steps} segments")
+        if not all(map(math.isfinite, phi)):
+            raise ValueError("phi must be finite")
         object.__setattr__(self, "phi", phi)
         for name in ("omega_larmor", "chi", "gamma_dec"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if not isinstance(self.jump_ops, str) or self.jump_ops not in JUMP_PRESETS:
             raise ValueError(f"jump_ops must be one of {', '.join(JUMP_PRESETS)}")
+
+    @property
+    def closed(self) -> bool:
+        """Whether the evolution is unitary: no decoherence rate, or the "none" preset."""
+        return self.gamma_dec == 0 or self.jump_ops == "none"
 
     @property
     def duration(self) -> float:
@@ -287,7 +294,7 @@ def _evolve(
     picture (O_i). Row 0 is the coordinate vector of ``op`` itself.
     """
     per_step = _samples_per_step(waveform, n_samples)
-    jumps = resolve_jump_ops(sys, waveform.jump_ops) if waveform.gamma_dec > 0 else ()
+    jumps = () if waveform.closed else resolve_jump_ops(sys, waveform.jump_ops)
     steps = _interval_propagators(sys, waveform, n_samples, per_step, jumps)
     if jumps:
         # the cumulative transfer map is applied as it grows, so only one

@@ -275,8 +275,7 @@ def estimate_prefix_curve(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     n = record.n_samples
-    closed = waveform.gamma_dec == 0 or waveform.jump_ops == "none"
-    evolved = [rho0_true] * n if closed else propagate_state(rho0_true, sys, waveform, n_samples=n)
+    evolved = [rho0_true] * n if waveform.closed else propagate_state(rho0_true, sys, waveform, n)
     ks = list(range(stride, n, stride)) + [n]
     estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
     prior = np.eye(history.d, dtype=complex) / history.d

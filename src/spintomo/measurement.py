@@ -64,8 +64,8 @@ class MeasurementRecord:
         object.__setattr__(self, "values", values)
         if len(times) != len(values):
             raise ValueError("times and values must have the same length")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if not isinstance(self.n_averaged, (int, np.integer)) or self.n_averaged < 1:
             raise ValueError("n_averaged must be an integer >= 1")
         rand.check_seed(self.seed)
@@ -106,8 +106,8 @@ def synthesize_record(
     deviation sigma / sqrt(n_averaged). ``sigma`` = 0 returns the exact
     expectation values with no generator draws.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     check_density_matrix(rho0, history.d)
     rand.check_seed(seed)
     clean = noiseless_values(rho0, history)

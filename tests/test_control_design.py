@@ -111,6 +111,31 @@ class TestOptimizeWaveform:
         assert a.objective == b.objective
         assert a.waveform.phi == b.waveform.phi
 
+    def test_objective_monotone_in_budget(self, sys3, default_waveform):
+        # candidate j never depends on the budget, so more budget never scores
+        # worse; the Nelder-Mead polish this search replaced scored 12.568 at
+        # budget 120 and 12.518 at 200
+        scores = [optimize_waveform(sys3, default_waveform, budget=b, seed=0).objective
+                  for b in [*range(1, 121, 7), 200]]
+        assert scores == sorted(scores)
+        assert scores[-1] > scores[0]
+
+    # (objective, waveform fingerprint) of the restart-then-Nelder-Mead search
+    # this one replaced, seed 0; the fingerprint hashes every angle at 17
+    # significant digits, so an equal fingerprint means an equal phi
+    RESTART_ONLY = {
+        1: (11.709595467795655, "41794e5186e110bc"),
+        4: (11.709595467795655, "41794e5186e110bc"),
+        12: (11.763033688749537, "622be981f9da8734"),
+        25: (11.908982832599227, "41e18113506e670c"),
+    }
+
+    @pytest.mark.parametrize("budget", sorted(RESTART_ONLY))
+    def test_restart_budgets_unchanged(self, sys3, default_waveform, budget):
+        result = optimize_waveform(sys3, default_waveform, budget=budget, seed=0)
+        assert (result.objective, result.waveform.fingerprint()) == self.RESTART_ONLY[budget]
+        assert result.evaluations == budget
+
     def test_budget_validation(self, sys3, default_waveform):
         with pytest.raises(ValueError, match="budget"):
             optimize_waveform(sys3, default_waveform, budget=0)

@@ -39,6 +39,26 @@ class TestControlWaveform:
                 n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0, jump_ops="bogus"
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", np.inf), ("dt", np.nan), ("phi", (np.nan,)), ("phi", (np.inf,)),
+        ("omega_larmor", np.nan), ("omega_larmor", np.inf), ("chi", np.nan),
+        ("gamma_dec", np.nan), ("gamma_dec", np.inf),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        # NaN fails no "< 0" test, and an infinite dt passes "> 0"
+        kwargs = dict(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ControlWaveform(**kwargs)
+
+    def test_closed(self):
+        def closed(gamma_dec, jump_ops):
+            return ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0,
+                                   gamma_dec=gamma_dec, jump_ops=jump_ops).closed
+
+        assert closed(0.0, "isotropic") and closed(0.0, "none") and closed(200.0, "none")
+        assert not closed(200.0, "isotropic")
+
     def test_jump_ops_is_a_preset_name(self, sys3):
         # a bare array gets this message too, not numpy's ambiguous-truth-value error
         for jump_ops in ((sys3.Fz,), sys3.Fz, (sys3.Fx, sys3.Fy), "dephasing"):

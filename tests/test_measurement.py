@@ -96,6 +96,13 @@ def test_dimension_mismatch_rejected(default_history):
         synthesize_record(np.eye(3) / 3, default_history, sigma=0.1, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [np.nan, np.inf])
+def test_synthesize_rejects_non_finite_sigma(sys3, default_history, sigma):
+    # without the check the record comes back full of NaN or inf values
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        synthesize_record(make_state(sys3, "cat"), default_history, sigma=sigma, seed=0)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         MeasurementRecord(
@@ -112,6 +119,13 @@ def test_record_validation():
             F=3, times=np.arange(2.0), values=np.zeros(2), sigma=0.1, seed=1,
             n_averaged=0, waveform_fingerprint="x",
         )
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            MeasurementRecord(
+                F=3, times=np.arange(2.0), values=np.zeros(2), sigma=sigma, seed=1,
+                n_averaged=1, waveform_fingerprint="x",
+            )
+
     with pytest.raises(ValueError, match="seed"):
         MeasurementRecord(
             F=3, times=np.arange(2.0), values=np.zeros(2), sigma=0.1, seed=-1,
