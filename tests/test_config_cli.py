@@ -425,6 +425,32 @@ def test_shipped_configs_parse():
         assert config.F == 3.0
 
 
+def _scipy_modules_after(code):
+    """Names of the scipy modules loaded by running ``code`` in a fresh interpreter."""
+    code += "; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = pathlib.Path(spintomo.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import sys, spintomo.cli") == "[]"
+
+
+def test_nuisance_estimate_loads_no_scipy(tmp_path):
+    doc = base_config()
+    doc["noise"]["sigma"] = 0.0
+    cfg = write_config(tmp_path, doc)
+    record, est = tmp_path / "record.json", tmp_path / "e.json"
+    argv = ["estimate", str(record), cfg, str(est), "--nuisance", "omega_scale:0.99:1.01",
+            "--budget", "12"]
+    code = (f"import sys; from spintomo.cli import main; "
+            f"assert main({['simulate', cfg, str(record)]!r}) == 0; assert main({argv!r}) == 0")
+    assert _scipy_modules_after(code) == "[]"
+    assert est.exists()
+
+
 def test_runs_without_scipy(tmp_path):
     # scipy is a test-only dependency: with it blocked, every module imports
     # and simulate, estimate --nuisance and design (past its restarts) run
