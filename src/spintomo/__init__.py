@@ -17,6 +17,7 @@ from .control_design import (
 from .dynamics import (
     ControlWaveform,
     ObservableHistory,
+    heisenberg_histories,
     heisenberg_history,
     lindblad_superoperator,
     propagate_state,

@@ -13,17 +13,19 @@ The decoherence channel is a preset name from ``JUMP_PRESETS``:
 "isotropic" (jump operators Fx, Fy and Fz) or "none".
 
 Both run one kernel, which accumulates the propagator from t_0 to every
-sample time and applies it in the requested picture. Its representation
-follows from the waveform. Closed evolution (``ControlWaveform.closed``:
-``gamma_dec`` = 0 or the "none" preset) keeps the d x d unitaries U_i,
-built from one Hermitian eigendecomposition per segment; then
-O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all samples in one
-batched product. Open evolution keeps a real d^2 x d^2 transfer map on
-the coordinates of the Hermitian operator basis, with one exact
-exponential of the Lindblad generator per segment: :func:`expm`, the
-degree-13 Pade approximant with scaling and squaring, in numpy. The generator is linear in the drive, so
-four parts are built once per history (the commutators with Fx, Fy and
-Fx^2, and the dissipator) and each segment's generator is their
+sample time and applies it in the requested picture, for a batch of
+waveforms that differ only in ``omega_larmor`` and ``chi``
+(:func:`heisenberg_histories`; one history is the batch of one). Closed
+evolution (``ControlWaveform.closed``: ``gamma_dec`` = 0 or the "none"
+preset) keeps the d x d unitaries U_i, from one Hermitian eigendecomposition
+per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all
+samples in one batched product. Open evolution keeps a real d^2 x d^2
+transfer map on the coordinates of the Hermitian operator basis, with one
+exact exponential of the Lindblad generator per segment: :func:`expm`, the
+degree-13 Pade approximant with scaling and squaring, in numpy, one call
+per segment for the batch. The generator is linear in the drive: four
+parts (the commutators with Fx, Fy and Fx^2, and the dissipator) are cached
+per (d, gamma_dec, preset), and each segment's generator is their
 combination omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D.
 """
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from . import serialize
 from .spin_algebra import (
     SpinSystem,
     _unitary,
+    build_spin_system,
     check_density_matrix,
     coords_to_state,
     hermitian_basis,
@@ -56,6 +60,7 @@ __all__ = [
     "sample_times",
     "propagate_state",
     "heisenberg_history",
+    "heisenberg_histories",
 ]
 
 JUMP_PRESETS = ("isotropic", "none")
@@ -200,19 +205,21 @@ _THETA13 = 5.371920351148152
 
 
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real square matrix.
+    """Matrix exponential of a real square matrix, or of each matrix of a (..., n, n) stack.
 
     Scaling and squaring with the degree-13 Pade approximant (Higham 2005):
     A is divided by 2^s so its 1-norm is at most theta_13, r_13 is formed
     from A^2, A^4 and A^6 with one linear solve, and the result is squared
-    s times.
+    s times. Each matrix of a stack has its own s, so its result is bitwise
+    the one it gets alone.
     """
     A = np.asarray(A, dtype=float)
-    norm = float(np.linalg.norm(A, 1))
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    A = A / 2.0**s
+    norms = np.linalg.norm(A, 1, axis=(-2, -1))
+    s = np.reshape([math.ceil(math.log2(n / _THETA13)) if n > _THETA13 else 0
+                    for n in norms.flat], norms.shape)
+    A = A / (2.0**s)[..., None, None]
     b = _PADE13
-    ident = np.eye(A.shape[0])
+    ident = np.eye(A.shape[-1])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
@@ -221,27 +228,29 @@ def expm(A: np.ndarray) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     R = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        R = R @ R
+    for j in range(s.max(initial=0)):
+        R = R @ R if (s > j).all() else np.where((s > j)[..., None, None], R @ R, R)
     return R
 
 
-def _generator_parts(sys: SpinSystem, gamma_dec: float, jumps) -> tuple[np.ndarray, ...]:
-    """Lindblad generators of Fx, Fy and Fx^2 (no dissipation) and of the dissipator alone."""
-    return (
-        lindblad_superoperator(sys, sys.Fx),
-        lindblad_superoperator(sys, sys.Fy),
-        lindblad_superoperator(sys, sys.Fx @ sys.Fx),
-        lindblad_superoperator(sys, np.zeros((sys.d, sys.d)), gamma_dec, jumps),
-    )
+@lru_cache(maxsize=4)  # bounded: the parts of one F = 32 key take 570 MB
+def _generator_parts(d: int, gamma_dec: float, preset: str) -> tuple[np.ndarray, ...]:
+    """Read-only Lindblad generators of Fx, Fy and Fx^2 (no dissipation) and of the dissipator."""
+    sys = build_spin_system((d - 1) / 2)
+    jumps = resolve_jump_ops(sys, preset)
+    parts = [lindblad_superoperator(sys, H) for H in (sys.Fx, sys.Fy, sys.Fx @ sys.Fx)]
+    parts.append(lindblad_superoperator(sys, np.zeros((d, d)), gamma_dec, jumps))
+    for part in parts:
+        part.setflags(write=False)
+    return tuple(parts)
 
 
-def _segment_generator(parts, waveform: ControlWaveform, step_index: int) -> np.ndarray:
-    """Lindblad generator of segment ``step_index``, assembled from :func:`_generator_parts`."""
+def _segment_generators(parts, waveforms, step_index: int) -> np.ndarray:
+    """Stacked Lindblad generators of segment ``step_index``, one per waveform."""
     c_x, c_y, c_xx, diss = parts
-    angle = waveform.phi[step_index]
-    omega = waveform.omega_larmor
-    return omega * np.cos(angle) * c_x + omega * np.sin(angle) * c_y + waveform.chi * c_xx + diss
+    angle = waveforms[0].phi[step_index]
+    omega, chi = np.array([(w.omega_larmor, w.chi) for w in waveforms]).T[:, :, None, None]
+    return omega * np.cos(angle) * c_x + omega * np.sin(angle) * c_y + chi * c_xx + diss
 
 
 def sample_times(waveform: ControlWaveform, n_samples: int) -> np.ndarray:
@@ -261,56 +270,55 @@ def _samples_per_step(waveform: ControlWaveform, n_samples: int) -> int:
     return n_samples // waveform.n_steps
 
 
-def _interval_propagators(
-    sys: SpinSystem,
-    waveform: ControlWaveform,
-    n_samples: int,
-    per_step: int,
-    jumps: tuple[np.ndarray, ...],
-):
-    """Propagator over each of the n_samples - 1 sample intervals, in order.
+def _interval_propagators(sys: SpinSystem, waveforms, n_samples: int, per_step: int):
+    """Propagators over the n_samples - 1 sample intervals, in order, stacked over the waveforms.
 
-    One exponential per segment: a d x d unitary without jump operators, the
-    real d^2 x d^2 exponential of the Lindblad generator with them.
+    One exponential per segment and waveform: d x d unitaries under closed
+    evolution, otherwise the real d^2 x d^2 exponentials of the Lindblad
+    generators, in one batched :func:`expm` call.
     """
-    dt_sample = waveform.dt / per_step
-    parts = _generator_parts(sys, waveform.gamma_dec, jumps) if jumps else None
+    first = waveforms[0]
+    dt = first.dt / per_step
+    parts = None if first.closed else _generator_parts(sys.d, first.gamma_dec, first.jump_ops)
     for i in range(n_samples - 1):
         if i % per_step == 0:
             k = i // per_step
-            if jumps:
-                step = expm(_segment_generator(parts, waveform, k) * dt_sample)
+            if parts:
+                step = expm(_segment_generators(parts, waveforms, k) * dt)
             else:
-                step = step_propagator(step_hamiltonian(sys, waveform, k), dt_sample)
+                step = np.stack([step_propagator(step_hamiltonian(sys, w, k), dt)
+                                 for w in waveforms])
         yield step
 
 
 def _evolve(
-    sys: SpinSystem, waveform: ControlWaveform, n_samples: int, op: np.ndarray, heisenberg: bool
+    sys: SpinSystem, waveforms, n_samples: int, op: np.ndarray, heisenberg: bool
 ) -> np.ndarray:
-    """Coordinates of ``op`` evolved to every sample time, shape (N, d^2).
+    """Coordinates of ``op`` evolved to every sample time under each waveform, shape (B, N, d^2).
 
     Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint
-    picture (O_i). Row 0 is the coordinate vector of ``op`` itself.
+    picture (O_i). Row 0 is the coordinate vector of ``op`` itself. The B
+    waveforms may differ only in ``omega_larmor`` and ``chi``.
     """
-    per_step = _samples_per_step(waveform, n_samples)
-    jumps = () if waveform.closed else resolve_jump_ops(sys, waveform.jump_ops)
-    steps = _interval_propagators(sys, waveform, n_samples, per_step, jumps)
-    if jumps:
-        # the cumulative transfer map is applied as it grows, so only one
-        # d^2 x d^2 map is held at a time
-        coords = np.empty((n_samples, sys.d * sys.d))
-        coords[0] = state_to_coords(op)
+    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec, w.jump_ops) for w in waveforms}) != 1:
+        raise ValueError("need one or more waveforms that differ only in omega_larmor and chi")
+    per_step = _samples_per_step(waveforms[0], n_samples)
+    steps = _interval_propagators(sys, waveforms, n_samples, per_step)
+    if not waveforms[0].closed:
+        # the cumulative transfer maps are applied as they grow, so only one
+        # d^2 x d^2 map per waveform is held at a time
+        coords = np.empty((len(waveforms), n_samples, sys.d * sys.d))
+        coords[:, 0] = state_to_coords(op)
         transfer = np.eye(sys.d * sys.d)
         for i, step in enumerate(steps, start=1):
             transfer = step @ transfer
-            coords[i] = coords[0] @ transfer if heisenberg else transfer @ coords[0]
+            coords[:, i] = coords[0, 0] @ transfer if heisenberg else transfer @ coords[0, 0]
         return coords
-    U = np.empty((n_samples, sys.d, sys.d), dtype=complex)
-    U[0] = np.eye(sys.d)
+    U = np.empty((len(waveforms), n_samples, sys.d, sys.d), dtype=complex)
+    U[:, 0] = np.eye(sys.d)
     for i, step in enumerate(steps, start=1):
-        U[i] = step @ U[i - 1]
-    Ud = U.conj().swapaxes(1, 2)
+        U[:, i] = step @ U[:, i - 1]
+    Ud = U.conj().swapaxes(-1, -2)
     return state_to_coords(Ud @ op @ U if heisenberg else U @ op @ Ud)
 
 
@@ -322,7 +330,7 @@ def propagate_state(
 ) -> list[np.ndarray]:
     """Schrodinger-picture states at every sample time (element 0 is rho0)."""
     rho0 = check_density_matrix(rho0, sys.d)
-    states = coords_to_state(_evolve(sys, waveform, n_samples, rho0, heisenberg=False))
+    states = coords_to_state(_evolve(sys, [waveform], n_samples, rho0, heisenberg=False)[0])
     states[0] = rho0
     return list(states)
 
@@ -373,12 +381,22 @@ def heisenberg_history(
     initial state, with rho(t) the Schrodinger-picture evolution under the
     same waveform.
     """
+    return heisenberg_histories(sys, [waveform], observable, n_samples)[0]
+
+
+def heisenberg_histories(
+    sys: SpinSystem, waveforms, observable: np.ndarray, n_samples: int = 150
+) -> list[ObservableHistory]:
+    """:func:`heisenberg_history` under each of a batch of waveforms, in one pass of the kernel.
+
+    The waveforms may differ only in ``omega_larmor`` and ``chi``, as the
+    trial points of a nuisance search do. Each history is bitwise equal to
+    the one its waveform gets alone.
+    """
     observable = np.asarray(observable, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if observable.shape != (sys.d, sys.d) or not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    return ObservableHistory(
-        times=sample_times(waveform, n_samples),
-        design_matrix=_evolve(sys, waveform, n_samples, observable, heisenberg=True),
-        waveform_fingerprint=waveform.fingerprint(),
-    )
+    designs = _evolve(sys, waveforms, n_samples, observable, heisenberg=True)
+    times = sample_times(waveforms[0], n_samples)
+    return [ObservableHistory(times, D, w.fingerprint()) for w, D in zip(waveforms, designs)]

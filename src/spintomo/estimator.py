@@ -9,8 +9,8 @@ place, so every estimate is one :class:`EstimateResult`. Optionally a small
 set of named scale factors of the drive (nuisance parameters) is
 co-estimated by minimizing the least-squares residual over recomputed
 observable histories, one history per trial point: each scale is searched
-in turn, on a 9-point grid over its bounds and then by Brent's bracketed
-golden-section/parabolic method, in numpy alone.
+in turn, on a 9-point grid over its bounds, built as one batch, then by
+Brent's bracketed golden-section/parabolic method, in numpy alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import serialize
 from .dynamics import (
     ControlWaveform,
     ObservableHistory,
-    heisenberg_history,
+    heisenberg_histories,
     propagate_state,
     sample_times,
 )
@@ -331,10 +331,11 @@ def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
 
 
 def _coordinate_search(f, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Minimize ``f`` over the box [lows, highs] by Brent searches along one coordinate at a time.
+    """Minimize over the box [lows, highs] by Brent searches along one coordinate at a time.
 
-    A coordinate's first search brackets the best of ``_GRID_POINTS``
-    uniform points by its neighbours; later ones bracket +-2 times its last
+    ``f`` maps an (m, n) stack of points to their m values. A coordinate's
+    first search brackets the best of ``_GRID_POINTS`` uniform points (one
+    call of ``f``) by its neighbours; later ones bracket +-2 times its last
     move. Starts at the box centre and stops once every coordinate has been
     searched since another one last moved by more than ``_XATOL``, so a
     function of one variable gets exactly one search. Returns the best
@@ -349,11 +350,11 @@ def _coordinate_search(f, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         def along(t: float) -> float:
             y = x.copy()
             y[k] = t
-            return f(y)
+            return f(y[None])[0]
 
         start = x[k]
         if moves[k] is None:
-            values = [along(t) for t in grid[:, k]]
+            values = f(np.where(np.arange(len(x)) == k, grid, x))
             i = int(np.argmin(values))
             a, b = grid[max(i - 1, 0), k], grid[min(i + 1, _GRID_POINTS - 1), k]
             x[k], fx = grid[i, k], values[i]
@@ -385,18 +386,19 @@ def estimate_with_nuisance(
     the scales is equivalent to maximizing the likelihood. Each trial point
     gets a freshly propagated observable history and the inner linear fit;
     the scales are searched one at a time, first on a 9-point grid over the
-    bounds (the profile need not be unimodal), then by Brent's
-    golden-section/parabolic refinement of the best grid point between its
-    neighbours (``_coordinate_search``). Every trial point lies inside the
-    bounds.
+    bounds (the profile need not be unimodal), built as one batch of
+    histories, then by Brent's golden-section/parabolic refinement of the
+    best grid point between its neighbours (``_coordinate_search``). Every
+    trial point lies inside the bounds.
 
     The waveform fingerprint is deliberately not checked against the
     record here: a drifted drive is the reason this entry point exists.
     The search is deterministic. ``budget`` counts histories, grid points
-    included; the best point's design matrix is kept and fitted once at the
-    end. If the budget runs out first, the best point so far is returned
-    with ``nuisance_converged`` False. Empty ``params`` fit the nominal
-    waveform the same way, with ``nuisance_converged`` None.
+    included, and none is built past it; the best point's design matrix is
+    kept and fitted once at the end. If the budget runs out first, the best
+    point built (the first of equal ones) is returned with
+    ``nuisance_converged`` False. Empty ``params`` fit the nominal waveform
+    the same way, with ``nuisance_converged`` None.
     """
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
@@ -414,19 +416,20 @@ def estimate_with_nuisance(
     residuals: dict[tuple[float, ...], float] = {}
     best: dict = {}
 
-    def objective(x: np.ndarray) -> float:
-        key = tuple(x.tolist())
-        if key in residuals:
-            return residuals[key]
-        if len(residuals) == budget:
+    def objective(points: np.ndarray) -> list[float]:
+        keys = [tuple(x.tolist()) for x in points]
+        new = list(dict.fromkeys(key for key in keys if key not in residuals))
+        spent, new = len(residuals) + len(new) > budget, new[:budget - len(residuals)]
+        scaled = [waveform.with_scales(**dict(zip(names, key))) for key in new]
+        histories = heisenberg_histories(sys, scaled, observable, record.n_samples) if new else []
+        for key, history in zip(new, histories):
+            residuals[key] = _solve(record.values[None], history.design_matrix)[1][0]
+            if not best or residuals[key] < best["residual"]:
+                best.update(scales=dict(zip(names, key)), residual=residuals[key],
+                            design=history.design_matrix)
+        if spent:
             raise _BudgetSpent
-        scales = dict(zip(names, key))
-        scaled = waveform.with_scales(**scales)
-        history = heisenberg_history(sys, scaled, observable, n_samples=record.n_samples)
-        residuals[key] = _solve(record.values[None], history.design_matrix)[1][0]
-        if not best or residuals[key] < best["residual"]:
-            best.update(scales=scales, residual=residuals[key], design=history.design_matrix)
-        return residuals[key]
+        return [residuals[key] for key in keys]
 
     converged = None
     if names:
@@ -436,7 +439,7 @@ def estimate_with_nuisance(
         except _BudgetSpent:
             converged = False
     else:
-        objective(np.empty(0))
+        objective(np.empty((1, 0)))
     return _estimates([record], best["design"], nuisance=best["scales"],
                       nuisance_converged=converged)[0]
 

@@ -64,6 +64,8 @@ class MeasurementRecord:
         object.__setattr__(self, "values", values)
         if len(times) != len(values):
             raise ValueError("times and values must have the same length")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("times and values must be finite")
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and nonnegative")
         if not isinstance(self.n_averaged, (int, np.integer)) or self.n_averaged < 1:

@@ -298,6 +298,8 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
         raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(extra)}")
     if names and names[0] not in params:
         raise ValueError(f"{kind} requires parameter {names[0]}")
+    if not all(math.isfinite(float(v)) for v in params.values()):
+        raise ValueError(f"{kind} parameters must be finite")
     d = sys.d
     if kind == "basis_state":
         ket = np.zeros(d, dtype=complex)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+from spintomo import heisenberg_history, measured_observable
+from spintomo.estimator import _solve
+
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -86,6 +89,22 @@ def water_filling_reference(rho: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     out = (V * w) @ V.conj().T
     return (out + out.conj().T) / 2.0
+
+
+def nuisance_grid_reference(record, waveform, sys, name, low, high, n_points):
+    """First minimum among the first ``n_points`` of a scale's 9-point grid (reference).
+
+    A plain loop: one ``heisenberg_history`` per grid point, in grid order,
+    each fitted alone. Returns the scale and its residual norm.
+    """
+    best = None
+    for scale in np.linspace(low, high, 9)[:n_points]:
+        scaled = waveform.with_scales(**{name: float(scale)})
+        history = heisenberg_history(sys, scaled, measured_observable(sys), record.n_samples)
+        residual = _solve(record.values[None], history.design_matrix)[1][0]
+        if best is None or residual < best[1]:
+            best = (float(scale), residual)
+    return best
 
 
 def dumps_reference(document) -> str:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,6 +11,7 @@ from spintomo import (
     build_spin_system,
     coords_to_state,
     hermitian_basis,
+    heisenberg_histories,
     heisenberg_history,
     lindblad_superoperator,
     measured_observable,
@@ -403,13 +406,13 @@ class TestSegmentExponential:
     def test_assembled_generator_matches_step_hamiltonian(self, sys3, chi, jump_ops):
         wf = make_waveform(gamma_dec=150.0, chi=chi, jump_ops=jump_ops)
         jumps = resolve_jump_ops(sys3, wf.jump_ops)
-        parts = dynamics._generator_parts(sys3, wf.gamma_dec, jumps)
+        parts = dynamics._generator_parts(sys3.d, wf.gamma_dec, wf.jump_ops)
         for k in range(wf.n_steps):
             want = lindblad_superoperator(sys3, step_hamiltonian(sys3, wf, k), wf.gamma_dec, jumps)
-            got = dynamics._segment_generator(parts, wf, k)
+            got = dynamics._segment_generators(parts, [wf], k)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_four_generator_builds_per_history(self, sys3, monkeypatch):
+    def test_generator_parts_built_once_and_read_only(self, sys3, monkeypatch):
         calls = []
         original = dynamics.lindblad_superoperator
 
@@ -418,9 +421,57 @@ class TestSegmentExponential:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "lindblad_superoperator", counted)
-        heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3))
+        dynamics._generator_parts.cache_clear()
+        for _ in range(2):
+            heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3))
         assert len(calls) == 4
         calls.clear()
         heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
         assert calls == []
+        for part in dynamics._generator_parts(sys3.d, 200.0, "isotropic"):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+
+    def test_expm_of_a_stack_is_each_matrix_alone(self, sys3):
+        # norms from 1e-3 to 1e3 give each matrix its own number of squarings
+        gen = lindblad_superoperator(sys3, 3.0 * sys3.Fx + 0.7 * (sys3.Fx @ sys3.Fx), 2.0,
+                                     resolve_jump_ops(sys3, "isotropic"))
+        stack = gen[None] * (np.logspace(-3, 3, 7) / np.linalg.norm(gen, 1))[:, None, None]
+        got = dynamics.expm(stack.reshape(7, 1, 49, 49))
+        assert got.shape == (7, 1, 49, 49)
+        for A, R in zip(stack, got):
+            assert np.array_equal(R[0], dynamics.expm(A))
+
+
+class TestHistoryBatch:
+    """heisenberg_histories: waveforms differing only in drive scales, in one kernel pass."""
+
+    @pytest.mark.parametrize("F", [1, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 200.0])
+    def test_batch_of_nine_equals_nine_batches_of_one(self, F, gamma):
+        s = build_spin_system(F)
+        O = measured_observable(s)
+        base = make_waveform(gamma_dec=gamma)
+        scales = np.linspace(0.95, 1.05, 9)
+        waveforms = [base.with_scales(omega_scale=x, chi_scale=2.0 - x) for x in scales]
+        batch = heisenberg_histories(s, waveforms, O)
+        assert len(batch) == 9
+        for wf, h in zip(waveforms, batch):
+            alone = heisenberg_history(s, wf, O)
+            assert np.array_equal(h.design_matrix, alone.design_matrix)
+            assert np.array_equal(h.times, alone.times)
+            assert h.waveform_fingerprint == alone.waveform_fingerprint
+
+    @pytest.mark.parametrize("field, value", [("dt", 4e-5), ("gamma_dec", 100.0),
+                                              ("jump_ops", "none"), ("phi", (0.0,) * 30)])
+    def test_rejects_waveforms_differing_beyond_the_scales(self, sys3, field, value):
+        base = make_waveform(gamma_dec=200.0)
+        other = replace(base, **{field: value})
+        with pytest.raises(ValueError, match="differ only in omega_larmor and chi"):
+            heisenberg_histories(sys3, [base, other], measured_observable(sys3))
+
+    def test_rejects_empty_batch(self, sys3):
+        with pytest.raises(ValueError, match="one or more waveforms"):
+            heisenberg_histories(sys3, [], measured_observable(sys3))
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CALIBRATED_SIGMA, make_waveform
-from helpers import haar_unitary, random_density, random_pure, water_filling_reference
+from helpers import (
+    haar_unitary,
+    nuisance_grid_reference,
+    random_density,
+    random_pure,
+    water_filling_reference,
+)
 from spintomo import (
     ControlWaveform,
     FingerprintMismatchError,
@@ -28,6 +34,7 @@ from spintomo import (
     synthesize_record,
     write_estimate,
 )
+from spintomo import estimator
 from spintomo import test_state as make_state
 from spintomo.estimator import _prefix_fits, _solve
 from spintomo.serialize import DocumentError
@@ -504,6 +511,38 @@ class TestNuisance:
             assert result.nuisance_converged is False
             assert all(0.95 <= w <= 1.05 and 0.97 <= c <= 1.0 for w, c in scales)
             assert (result.nuisance["omega_scale"], result.nuisance["chi_scale"]) in scales
+
+    @pytest.mark.parametrize("gamma", [0.0, 200.0])
+    @pytest.mark.parametrize("budget", [1, 5, 9])
+    def test_budget_inside_the_grid_keeps_its_first_minimum(self, sys3, gamma, budget):
+        nominal = make_waveform(gamma_dec=gamma)
+        drifted = nominal.with_scales(omega_scale=1.02)
+        history = heisenberg_history(sys3, drifted, measured_observable(sys3), n_samples=150)
+        record = synthesize_record(make_state(sys3, "cat"), history, sigma=CALIBRATED_SIGMA, seed=3)
+        result = estimate_with_nuisance(record, nominal, sys3, {"omega_scale": (0.95, 1.05)},
+                                        budget=budget)
+        scale, residual = nuisance_grid_reference(record, nominal, sys3, "omega_scale", 0.95,
+                                                  1.05, budget)
+        assert result.nuisance == {"omega_scale": scale}
+        assert result.residual_norm == residual
+        assert result.nuisance_converged is False
+
+    def test_grid_ties_keep_the_first_point(self, sys3, default_waveform, default_history,
+                                            monkeypatch):
+        # every trial point gets the nominal design, so all residuals tie exactly
+        built = []
+        histories = estimator.heisenberg_histories
+
+        def nominal_only(sys, waveforms, observable, n_samples):
+            built.append(len(waveforms))
+            return histories(sys, [default_waveform] * len(waveforms), observable, n_samples)
+
+        monkeypatch.setattr(estimator, "heisenberg_histories", nominal_only)
+        record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.5, seed=1)
+        result = estimate_with_nuisance(record, default_waveform, sys3,
+                                        {"omega_scale": (0.95, 1.05)}, budget=5)
+        assert built == [5]
+        assert result.nuisance == {"omega_scale": 0.95} and result.nuisance_converged is False
 
     def test_parameter_validation(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "cat")

@@ -133,6 +133,17 @@ def test_record_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["times", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_record_rejects_non_finite_samples(field, bad):
+    # without the check a record built in Python carries NaN or inf into estimate
+    arrays = {"times": np.arange(2.0), "values": np.zeros(2)}
+    arrays[field][1] = bad
+    with pytest.raises(ValueError, match="times and values must be finite"):
+        MeasurementRecord(F=3, sigma=0.1, seed=1, n_averaged=1, waveform_fingerprint="x",
+                          **arrays)
+
+
 class TestRecordFile:
     def test_round_trip_bit_identical(self, sys3, default_history, tmp_path):
         rho = make_state(sys3, "cat")

@@ -250,6 +250,18 @@ class TestTestStates:
             if kind != "mixed":
                 assert purity(rho) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("spin_coherent", {"theta": np.nan}),
+        ("spin_coherent", {"theta": 0.5, "phi": np.inf}),
+        ("twisted", {"mu": np.nan}),
+        ("twisted", {"mu": -np.inf}),
+        ("basis_state", {"m": np.nan}),
+    ])
+    def test_non_finite_parameters_rejected(self, sys3, kind, params):
+        # without the check these return a density matrix full of NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            make_state(sys3, kind, **params)
+
     def test_errors(self, sys3):
         with pytest.raises(ValueError):
             make_state(sys3, "basis_state", m=4)
