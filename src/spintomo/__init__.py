@@ -19,12 +19,8 @@ from .dynamics import (
     ObservableHistory,
     heisenberg_histories,
     heisenberg_history,
-    lindblad_superoperator,
     propagate_state,
-    resolve_jump_ops,
     sample_times,
-    step_hamiltonian,
-    step_propagator,
 )
 from .estimator import (
     EstimateResult,

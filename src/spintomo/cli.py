@@ -28,10 +28,11 @@ import numpy as np
 from . import serialize
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .control_design import completeness_report, optimize_waveform
-from .dynamics import heisenberg_history
+from .dynamics import heisenberg_history, sample_times
 from .estimator import (
     NUISANCE_NAMES,
     FingerprintMismatchError,
+    _check_grid,
     estimate,
     estimate_batch,
     estimate_prefix_curve,
@@ -104,6 +105,8 @@ def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
             raise ConfigError(f"unknown nuisance parameter {name!r}; valid: {NUISANCE_NAMES}")
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError("nuisance bounds must be finite with lower < upper")
+        if lo < 0:
+            raise ConfigError(f"negative --nuisance bound in {item!r}; scales are nonnegative")
         params[name] = (lo, hi)
     return params
 
@@ -115,6 +118,8 @@ def cmd_estimate(args) -> int:
     sys_ = config.spin_system()
     if args.nuisance:
         params = _parse_nuisance(args.nuisance)
+        # the fit samples on the record's grid, which must be the config's
+        _check_grid(record, sys_.d, sample_times(config.waveform, config.n_samples))
         result = estimate_with_nuisance(
             record, config.waveform, sys_, params, budget=args.budget
         )

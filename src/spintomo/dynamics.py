@@ -25,7 +25,7 @@ exact exponential of the Lindblad generator per segment: :func:`expm`, the
 degree-13 Pade approximant with scaling and squaring, in numpy, one call
 per segment for the batch. The generator is linear in the drive: four
 parts (the commutators with Fx, Fy and Fx^2, and the dissipator) are cached
-per (d, gamma_dec, preset), and each segment's generator is their
+per (d, gamma_dec), and each segment's generator is their
 combination omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D.
 """
 
@@ -53,10 +53,6 @@ from .spin_algebra import (
 __all__ = [
     "ControlWaveform",
     "ObservableHistory",
-    "step_hamiltonian",
-    "step_propagator",
-    "lindblad_superoperator",
-    "resolve_jump_ops",
     "sample_times",
     "propagate_state",
     "heisenberg_history",
@@ -135,64 +131,6 @@ class ControlWaveform:
         return digest[:16]
 
 
-def resolve_jump_ops(sys: SpinSystem, preset: str) -> tuple[np.ndarray, ...]:
-    """The jump operators of a preset name from ``JUMP_PRESETS``."""
-    return {"isotropic": (sys.Fx, sys.Fy, sys.Fz), "none": ()}[preset]
-
-
-def step_hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) -> np.ndarray:
-    """Hamiltonian of segment ``step_index``: field term plus chi * Fx^2."""
-    if not 0 <= step_index < waveform.n_steps:
-        raise IndexError(f"step index {step_index} out of range 0..{waveform.n_steps - 1}")
-    angle = waveform.phi[step_index]
-    H = waveform.omega_larmor * (np.cos(angle) * sys.Fx + np.sin(angle) * sys.Fy)
-    if waveform.chi:
-        H = H + waveform.chi * (sys.Fx @ sys.Fx)
-    return H
-
-
-def step_propagator(H: np.ndarray, dt: float) -> np.ndarray:
-    """Unitary exp(-i H dt) via eigendecomposition of Hermitian H.
-
-    ``dt`` may be negative, which steps the evolution backward.
-    """
-    H = np.asarray(H, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 1.0)
-    if not is_hermitian(H, tol=1e-10 * scale):
-        raise ValueError("step_propagator requires a Hermitian matrix")
-    return _unitary(H, dt)
-
-
-def lindblad_superoperator(
-    sys: SpinSystem,
-    H: np.ndarray,
-    gamma_dec: float = 0.0,
-    jump_ops: tuple[np.ndarray, ...] = (),
-) -> np.ndarray:
-    """Lindblad generator as a real d^2 x d^2 matrix on basis coordinates.
-
-    L(rho) = -i[H, rho] + gamma * sum_k (A_k rho A_k^dag
-    - {A_k^dag A_k, rho} / 2), evaluated on all d^2 basis elements in one
-    batched product; column b holds the coordinates of L(B_b). Trace
-    preservation shows up as an all-zero top row, so coordinate 0 is
-    conserved by the flow.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (sys.d, sys.d):
-        raise ValueError(f"Hamiltonian has shape {H.shape}, expected {(sys.d, sys.d)}")
-    jumps = [np.asarray(A, dtype=complex) for A in jump_ops] if gamma_dec > 0 else []
-    for A in jumps:
-        if A.shape != (sys.d, sys.d):
-            raise ValueError(f"jump operator has shape {A.shape}, expected {(sys.d, sys.d)}")
-    B = hermitian_basis(sys)
-    LB = -1j * (H @ B - B @ H)
-    if jumps:
-        K = sum(A.conj().T @ A for A in jumps)
-        diss = sum(A @ B @ A.conj().T for A in jumps)
-        LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
-    return np.ascontiguousarray(state_to_coords(LB).T)
-
-
 # Pade-13 numerator coefficients and the 1-norm up to which the approximant
 # is accurate to double precision without scaling (Higham, SIAM J. Matrix
 # Anal. Appl. 26, 1179, 2005, table 2.3).
@@ -234,15 +172,36 @@ def expm(A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)  # bounded: the parts of one F = 32 key take 570 MB
-def _generator_parts(d: int, gamma_dec: float, preset: str) -> tuple[np.ndarray, ...]:
-    """Read-only Lindblad generators of Fx, Fy and Fx^2 (no dissipation) and of the dissipator."""
+def _generator_parts(d: int, gamma_dec: float) -> tuple[np.ndarray, ...]:
+    """Read-only real d^2 x d^2 generators on basis coordinates, one per drive term.
+
+    -i[H, .] for H = Fx, Fy and Fx^2, then -i[0, .] plus the isotropic dissipator
+    gamma_dec sum_A (A . A^dag - {A^dag A, .} / 2) over A = Fx, Fy, Fz. Column b holds
+    the coordinates of the image of basis element B_b; trace preservation makes the
+    top row zero.
+    """
     sys = build_spin_system((d - 1) / 2)
-    jumps = resolve_jump_ops(sys, preset)
-    parts = [lindblad_superoperator(sys, H) for H in (sys.Fx, sys.Fy, sys.Fx @ sys.Fx)]
-    parts.append(lindblad_superoperator(sys, np.zeros((d, d)), gamma_dec, jumps))
-    for part in parts:
-        part.setflags(write=False)
+    B = hermitian_basis(sys)
+    jumps = (sys.Fx, sys.Fy, sys.Fz)
+    parts = []
+    for H in (sys.Fx, sys.Fy, sys.Fx @ sys.Fx, np.zeros((d, d), dtype=complex)):
+        LB = -1j * (H @ B - B @ H)
+        if len(parts) == 3:  # the zero-H commutator carries the dissipator
+            K = sum(A.conj().T @ A for A in jumps)
+            diss = sum(A @ B @ A.conj().T for A in jumps)
+            LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
+        parts.append(np.ascontiguousarray(state_to_coords(LB).T))
+        parts[-1].setflags(write=False)
     return tuple(parts)
+
+
+def _hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) -> np.ndarray:
+    """Hamiltonian of segment ``step_index``: field term plus chi * Fx^2."""
+    angle = waveform.phi[step_index]
+    H = waveform.omega_larmor * (np.cos(angle) * sys.Fx + np.sin(angle) * sys.Fy)
+    if waveform.chi:
+        H = H + waveform.chi * (sys.Fx @ sys.Fx)
+    return H
 
 
 def _segment_generators(parts, waveforms, step_index: int) -> np.ndarray:
@@ -279,15 +238,14 @@ def _interval_propagators(sys: SpinSystem, waveforms, n_samples: int, per_step: 
     """
     first = waveforms[0]
     dt = first.dt / per_step
-    parts = None if first.closed else _generator_parts(sys.d, first.gamma_dec, first.jump_ops)
+    parts = None if first.closed else _generator_parts(sys.d, first.gamma_dec)
     for i in range(n_samples - 1):
         if i % per_step == 0:
             k = i // per_step
             if parts:
                 step = expm(_segment_generators(parts, waveforms, k) * dt)
             else:
-                step = np.stack([step_propagator(step_hamiltonian(sys, w, k), dt)
-                                 for w in waveforms])
+                step = np.stack([_unitary(_hamiltonian(sys, w, k), dt) for w in waveforms])
         yield step
 
 
@@ -362,11 +320,6 @@ class ObservableHistory:
     @property
     def d(self) -> int:
         return math.isqrt(self.design_matrix.shape[1])
-
-    @property
-    def observables(self) -> np.ndarray:
-        """The O_i as an (N, d, d) complex stack, rebuilt from the design matrix."""
-        return coords_to_state(self.design_matrix)
 
 
 def heisenberg_history(

@@ -381,8 +381,8 @@ def estimate_with_nuisance(
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
 
-    ``params`` maps names from {omega_scale, chi_scale} to (lower, upper)
-    bounds. For Gaussian noise, minimizing the least-squares residual over
+    ``params`` maps names from {omega_scale, chi_scale} to bounds
+    0 <= lower < upper. For Gaussian noise, minimizing the least-squares residual over
     the scales is equivalent to maximizing the likelihood. Each trial point
     gets a freshly propagated observable history and the inner linear fit;
     the scales are searched one at a time, first on a 9-point grid over the
@@ -409,6 +409,8 @@ def estimate_with_nuisance(
     highs = np.array([float(params[n][1]) for n in names])
     if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs)) and np.all(lows < highs)):
         raise ValueError("nuisance bounds must be finite with lower < upper")
+    if np.any(lows < 0):
+        raise ValueError("nuisance bounds must be nonnegative")
     if budget < 1:
         raise ValueError("budget must be at least 1")
 

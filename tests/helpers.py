@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from spintomo import heisenberg_history, measured_observable
+from spintomo import hermitian_basis, heisenberg_history, measured_observable, state_to_coords
 from spintomo.estimator import _solve
 
 
@@ -58,6 +58,25 @@ def basis_elements_reference(d: int) -> np.ndarray:
         elements[idx] = np.diag(diag / math.sqrt(level * (level + 1)))
         idx += 1
     return elements
+
+
+def lindblad_reference(sys, H, gamma_dec=0.0, jump_ops=()) -> np.ndarray:
+    """Lindblad generator of any H and jump list, as a real d^2 x d^2 matrix on basis coordinates.
+
+    L(rho) = -i[H, rho] + gamma_dec sum_k (A_k rho A_k^dag - {A_k^dag A_k, rho} / 2),
+    evaluated on all d^2 basis elements in one batched product; column b holds
+    the coordinates of L(B_b). The general form of the four cached generator
+    parts of ``dynamics``.
+    """
+    H = np.asarray(H, dtype=complex)
+    jumps = [np.asarray(A, dtype=complex) for A in jump_ops] if gamma_dec > 0 else []
+    B = hermitian_basis(sys)
+    LB = -1j * (H @ B - B @ H)
+    if jumps:
+        K = sum(A.conj().T @ A for A in jumps)
+        diss = sum(A @ B @ A.conj().T for A in jumps)
+        LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
+    return np.ascontiguousarray(state_to_coords(LB).T)
 
 
 def water_filling_reference(rho: np.ndarray) -> np.ndarray:

@@ -201,7 +201,11 @@ class TestCliPipeline:
         ("omega_scale:0.95:inf", "finite"),
         ("omega_scale:1.05:0.95", "lower < upper"),
         ("bogus:0.9:1.1", "unknown nuisance parameter 'bogus'"),
-    ], ids=["nan_lower", "inf_upper", "reversed", "unknown_name"])
+        # a negative scale is a malformed entry, refused before any search starts
+        ("omega_scale:-0.5:1.05", "negative --nuisance bound in 'omega_scale:-0.5:1.05'"),
+        ("chi_scale:-2:-1", "negative --nuisance bound in 'chi_scale:-2:-1'"),
+    ], ids=["nan_lower", "inf_upper", "reversed", "unknown_name", "negative_lower",
+            "negative_both"])
     def test_bad_nuisance_spec_exit_2(self, tmp_path, capsys, spec, message):
         cfg = write_config(tmp_path, base_config())
         record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
@@ -598,6 +602,19 @@ class TestInputBinding:
         argv = ["estimate", str(record), cfg, str(tmp_path / "e.json"),
                 "--nuisance", "omega_scale:0.99:1.01", "--budget", "3"]
         assert main(argv) == 4
+
+    def test_sample_count_mismatch_with_nuisance_exit_4(self, tmp_path, capsys):
+        # the nuisance fit samples on the record's grid, so it is held to the config's
+        # grid as plain estimate is
+        doc = base_config()
+        doc["sampling"]["n_samples"] = 300
+        _, record = self._simulate(tmp_path, doc)
+        cfg, est = write_config(tmp_path, base_config(), "n150.json"), tmp_path / "e.json"
+        capsys.readouterr()
+        for extra in ([], ["--nuisance", "omega_scale:0.95:1.05"]):
+            assert main(["estimate", str(record), cfg, str(est)] + extra) == 4
+            assert "record has 300 samples, the model has 150" in capsys.readouterr().err
+            assert not est.exists()
 
     def test_reversed_times_exit_4(self, tmp_path):
         cfg, record = self._simulate(tmp_path, base_config())

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import make_waveform
-from helpers import random_density
+from helpers import lindblad_reference, random_density
 from spintomo import (
     ControlWaveform,
     build_spin_system,
@@ -13,18 +13,19 @@ from spintomo import (
     hermitian_basis,
     heisenberg_histories,
     heisenberg_history,
-    lindblad_superoperator,
     measured_observable,
     propagate_state,
-    resolve_jump_ops,
     sample_times,
     state_to_coords,
-    step_hamiltonian,
-    step_propagator,
 )
 from spintomo import dynamics
 from spintomo import test_state as make_state
 from spintomo.metrics import purity
+from spintomo.spin_algebra import _unitary
+
+
+def isotropic(sys):
+    return (sys.Fx, sys.Fy, sys.Fz)
 
 
 class TestControlWaveform:
@@ -84,51 +85,47 @@ class TestControlWaveform:
 
 
 class TestStepHamiltonian:
+    """Each segment's Hamiltonian, ``dynamics._hamiltonian``."""
+
     def test_field_along_x(self, sys3):
         wf = ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=2.0, chi=0.0)
-        assert np.max(np.abs(step_hamiltonian(sys3, wf, 0) - 2.0 * sys3.Fx)) < 1e-12
+        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 0) - 2.0 * sys3.Fx)) < 1e-12
 
     def test_pure_twisting(self, sys3):
         wf = ControlWaveform(n_steps=1, dt=1e-5, phi=(0.3,), omega_larmor=0.0, chi=1.5)
-        assert np.max(np.abs(step_hamiltonian(sys3, wf, 0) - 1.5 * sys3.Fx @ sys3.Fx)) < 1e-12
+        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 0) - 1.5 * sys3.Fx @ sys3.Fx)) < 1e-12
 
     def test_quarter_turn_swaps_axes(self, sys3):
         wf = ControlWaveform(
             n_steps=2, dt=1e-5, phi=(0.0, np.pi / 2), omega_larmor=1.0, chi=0.0
         )
-        assert np.max(np.abs(step_hamiltonian(sys3, wf, 1) - sys3.Fy)) < 1e-12
-
-    def test_index_out_of_range(self, sys3, default_waveform):
-        with pytest.raises(IndexError):
-            step_hamiltonian(sys3, default_waveform, default_waveform.n_steps)
+        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 1) - sys3.Fy)) < 1e-12
 
 
 class TestStepPropagator:
+    """The closed path's segment propagator exp(-i H dt), ``spin_algebra._unitary``."""
+
     def test_zero_hamiltonian(self):
-        assert np.max(np.abs(step_propagator(np.zeros((3, 3)), 0.7) - np.eye(3))) < 1e-14
+        assert np.max(np.abs(_unitary(np.zeros((3, 3)), 0.7) - np.eye(3))) < 1e-14
 
     def test_group_property(self, sys3):
-        H = step_hamiltonian(sys3, make_waveform(), 0)
-        u1 = step_propagator(H, 1e-5)
-        u2 = step_propagator(H, 2.5e-5)
-        u3 = step_propagator(H, 3.5e-5)
+        H = dynamics._hamiltonian(sys3, make_waveform(), 0)
+        u1 = _unitary(H, 1e-5)
+        u2 = _unitary(H, 2.5e-5)
+        u3 = _unitary(H, 3.5e-5)
         assert np.max(np.abs(u1 @ u2 - u3)) < 1e-10
 
     def test_unitarity(self, sys3):
-        H = step_hamiltonian(sys3, make_waveform(), 3)
-        U = step_propagator(H, 5e-5)
+        H = dynamics._hamiltonian(sys3, make_waveform(), 3)
+        U = _unitary(H, 5e-5)
         assert np.linalg.norm(U.conj().T @ U - np.eye(7)) < 1e-10
 
     def test_spin_half_analytic(self):
         s = build_spin_system(0.5)
         omega = 4.0
-        U = step_propagator(omega * s.Fz, np.pi / omega)
+        U = _unitary(omega * s.Fz, np.pi / omega)
         want = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
         assert np.max(np.abs(U - want)) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            step_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
 
 class TestLindblad:
@@ -140,17 +137,15 @@ class TestLindblad:
         dt_sample = wf.duration / 30
         direct = [rho]
         for i in range(29):
-            H = step_hamiltonian(sys3, wf, i)  # one sample per segment here
-            U = step_propagator(H, dt_sample)
+            H = dynamics._hamiltonian(sys3, wf, i)  # one sample per segment here
+            U = _unitary(H, dt_sample)
             direct.append(U @ direct[-1] @ U.conj().T)
         for a, b in zip(states, direct):
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_top_row_is_zero(self, sys3):
-        H = step_hamiltonian(sys3, make_waveform(gamma_dec=120.0), 0)
-        gen = lindblad_superoperator(
-            sys3, H, 120.0, resolve_jump_ops(sys3, "isotropic")
-        )
+        parts = dynamics._generator_parts(sys3.d, 120.0)
+        gen = dynamics._segment_generators(parts, [make_waveform(gamma_dec=120.0)], 0)[0]
         assert np.max(np.abs(gen[0])) < 1e-12
 
     def test_isotropic_fixed_point(self, sys3):
@@ -166,17 +161,13 @@ class TestLindblad:
         for s in states:
             assert abs(np.trace(s) - 1.0) < 1e-9
 
-    def test_dimension_mismatch(self, sys3):
-        with pytest.raises(ValueError):
-            lindblad_superoperator(sys3, np.eye(3), 1.0, (np.eye(3),))
-
     def test_matches_definition_column_by_column(self):
         # column b holds the coordinates of L(B_b), written out per element
         s = build_spin_system(1.5)
         rng = np.random.default_rng(12)
         H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         H = 1e4 * (H + H.conj().T)
-        jumps = resolve_jump_ops(s, "isotropic")
+        jumps = isotropic(s)
         gamma = 150.0
         K = sum(A.conj().T @ A for A in jumps)
         want = np.empty((16, 16))
@@ -184,7 +175,7 @@ class TestLindblad:
             LB = -1j * (H @ B - B @ H)
             LB += gamma * (sum(A @ B @ A.conj().T for A in jumps) - 0.5 * (K @ B + B @ K))
             want[:, b] = state_to_coords(LB)
-        got = lindblad_superoperator(s, H, gamma, jumps)
+        got = lindblad_reference(s, H, gamma, jumps)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -233,14 +224,14 @@ class TestPropagateState:
         rho0 = random_density(rng, 7)
         forward = np.eye(7, dtype=complex)
         for i in range(wf.n_steps):
-            forward = step_propagator(step_hamiltonian(sys3, wf, i), wf.dt) @ forward
+            forward = _unitary(dynamics._hamiltonian(sys3, wf, i), wf.dt) @ forward
         rho_end = forward @ rho0 @ forward.conj().T
         back = rho_end
         for i in reversed(range(wf.n_steps)):
             back = (
-                step_propagator(step_hamiltonian(sys3, wf, i), -wf.dt)
+                _unitary(dynamics._hamiltonian(sys3, wf, i), -wf.dt)
                 @ back
-                @ step_propagator(step_hamiltonian(sys3, wf, i), -wf.dt).conj().T
+                @ _unitary(dynamics._hamiltonian(sys3, wf, i), -wf.dt).conj().T
             )
         assert np.linalg.norm(back - rho0) < 1e-8
 
@@ -274,7 +265,7 @@ class TestHeisenbergHistory:
         wf = ControlWaveform(n_steps=1, dt=1e-4, phi=(0.0,), omega_larmor=0.0, chi=0.0)
         O = measured_observable(sys3)
         h = heisenberg_history(sys3, wf, O, n_samples=20)
-        for Oi in h.observables:
+        for Oi in coords_to_state(h.design_matrix):
             assert np.max(np.abs(Oi - O)) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 100.0])
@@ -311,7 +302,7 @@ class TestHeisenbergHistory:
 
     def test_design_rows_match_observables(self, sys3, default_history):
         for i in range(0, 150, 30):
-            row = state_to_coords(default_history.observables[i])
+            row = state_to_coords(coords_to_state(default_history.design_matrix[i]))
             assert np.max(np.abs(row - default_history.design_matrix[i])) < 1e-12
 
     def test_times_grid(self, sys3, default_waveform, default_history):
@@ -331,10 +322,10 @@ class TestHeisenbergHistory:
 def _reference_transfer_maps(sys, wf, n_samples):
     """Cumulative d^2 x d^2 transfer maps from expm of the Lindblad generator."""
     per_step = n_samples // wf.n_steps
-    jumps = resolve_jump_ops(sys, wf.jump_ops)
+    jumps = isotropic(sys) if wf.jump_ops == "isotropic" else ()
     steps = [
         expm(
-            lindblad_superoperator(sys, step_hamiltonian(sys, wf, s), wf.gamma_dec, jumps)
+            lindblad_reference(sys, dynamics._hamiltonian(sys, wf, s), wf.gamma_dec, jumps)
             * (wf.dt / per_step)
         )
         for s in range(wf.n_steps)
@@ -346,7 +337,7 @@ def _reference_transfer_maps(sys, wf, n_samples):
 
 
 class TestPropagationKernel:
-    """Both representations against a product of expm(lindblad_superoperator)."""
+    """Both representations against a product of expm(lindblad_reference)."""
 
     @pytest.mark.parametrize(
         "F, n_samples, gamma", [(0.5, 60, 0.0), (3, 150, 0.0), (5, 30, 0.0), (1.5, 60, 200.0)]
@@ -364,7 +355,8 @@ class TestPropagationKernel:
         h = heisenberg_history(s, wf, O, n_samples=n_samples)
         scale = np.max(np.abs(want_rows))
         assert np.max(np.abs(h.design_matrix - want_rows)) <= 1e-11 * scale
-        assert np.max(np.abs(h.observables - coords_to_state(want_rows))) <= 1e-11 * scale
+        assert np.max(np.abs(coords_to_state(h.design_matrix) - coords_to_state(want_rows))) \
+            <= 1e-11 * scale
 
         want_states = [coords_to_state(M @ state_to_coords(rho0)) for M in maps]
         got_states = propagate_state(rho0, s, wf, n_samples=n_samples)
@@ -379,7 +371,7 @@ class TestPropagationKernel:
         a = heisenberg_history(sys3, closed, O, n_samples=150)
         b = heisenberg_history(sys3, no_jumps, O, n_samples=150)
         assert np.array_equal(a.design_matrix, b.design_matrix)
-        assert np.array_equal(a.observables, b.observables)
+        assert np.array_equal(coords_to_state(a.design_matrix), coords_to_state(b.design_matrix))
         rho0 = make_state(sys3, "cat")
         for x, y in zip(
             propagate_state(rho0, sys3, closed, n_samples=150),
@@ -395,48 +387,40 @@ class TestSegmentExponential:
     def test_expm_matches_scipy(self, F):
         s = build_spin_system(F)
         H = 3.0 * s.Fx - 1.3 * s.Fy + 0.7 * (s.Fx @ s.Fx)
-        gen = lindblad_superoperator(s, H, 2.0, resolve_jump_ops(s, "isotropic"))
+        gen = lindblad_reference(s, H, 2.0, isotropic(s))
         for norm in np.logspace(-8, 3, 23):
             A = gen * (norm / np.linalg.norm(gen, 1))
             want = expm(A)
             assert np.max(np.abs(dynamics.expm(A) - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("chi, jump_ops", [(2 * np.pi * 6e3, "isotropic"), (0.0, "isotropic"),
-                                               (2 * np.pi * 6e3, "none")])
-    def test_assembled_generator_matches_step_hamiltonian(self, sys3, chi, jump_ops):
-        wf = make_waveform(gamma_dec=150.0, chi=chi, jump_ops=jump_ops)
-        jumps = resolve_jump_ops(sys3, wf.jump_ops)
-        parts = dynamics._generator_parts(sys3.d, wf.gamma_dec, wf.jump_ops)
+    @pytest.mark.parametrize("chi", [2 * np.pi * 6e3, 0.0])
+    def test_assembled_generator_matches_step_hamiltonian(self, sys3, chi):
+        # the parts are built from the basis directly, the reference from each segment's H
+        wf = make_waveform(gamma_dec=150.0, chi=chi)
+        parts = dynamics._generator_parts(sys3.d, wf.gamma_dec)
         for k in range(wf.n_steps):
-            want = lindblad_superoperator(sys3, step_hamiltonian(sys3, wf, k), wf.gamma_dec, jumps)
+            want = lindblad_reference(sys3, dynamics._hamiltonian(sys3, wf, k), wf.gamma_dec,
+                                      isotropic(sys3))
             got = dynamics._segment_generators(parts, [wf], k)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_generator_parts_built_once_and_read_only(self, sys3, monkeypatch):
-        calls = []
-        original = dynamics.lindblad_superoperator
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "lindblad_superoperator", counted)
+    def test_generator_parts_built_once_and_read_only(self, sys3):
         dynamics._generator_parts.cache_clear()
         for _ in range(2):
             heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3))
-        assert len(calls) == 4
-        calls.clear()
+        info = dynamics._generator_parts.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
-        assert calls == []
-        for part in dynamics._generator_parts(sys3.d, 200.0, "isotropic"):
+        assert dynamics._generator_parts.cache_info() == info  # closed evolution needs no parts
+        for part in dynamics._generator_parts(sys3.d, 200.0):
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0, 0] = 1.0
 
     def test_expm_of_a_stack_is_each_matrix_alone(self, sys3):
         # norms from 1e-3 to 1e3 give each matrix its own number of squarings
-        gen = lindblad_superoperator(sys3, 3.0 * sys3.Fx + 0.7 * (sys3.Fx @ sys3.Fx), 2.0,
-                                     resolve_jump_ops(sys3, "isotropic"))
+        gen = lindblad_reference(sys3, 3.0 * sys3.Fx + 0.7 * (sys3.Fx @ sys3.Fx), 2.0,
+                                 isotropic(sys3))
         stack = gen[None] * (np.logspace(-3, 3, 7) / np.linalg.norm(gen, 1))[:, None, None]
         got = dynamics.expm(stack.reshape(7, 1, 49, 49))
         assert got.shape == (7, 1, 49, 49)

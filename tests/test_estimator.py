@@ -554,6 +554,19 @@ class TestNuisance:
                 record, default_waveform, sys3, {"omega_scale": (1.1, 0.9)}
             )
 
+    @pytest.mark.parametrize("bounds", [{"omega_scale": (-0.5, 1.05)},
+                                        {"chi_scale": (-2.0, -1.0)}])
+    def test_negative_bound_rejected_before_any_history(self, sys3, default_waveform,
+                                                        default_history, monkeypatch, bounds):
+        # refused up front, not when the first negative trial scale builds its waveform
+        def no_history(*args):
+            raise AssertionError("a history was built")
+
+        monkeypatch.setattr(estimator, "heisenberg_histories", no_history)
+        record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.0, seed=0)
+        with pytest.raises(ValueError, match="nuisance bounds must be nonnegative"):
+            estimate_with_nuisance(record, default_waveform, sys3, bounds)
+
 
 def test_estimate_file_round_trip(sys3, default_history, tmp_path):
     rho = make_state(sys3, "cat")

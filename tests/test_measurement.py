@@ -6,6 +6,7 @@ from spintomo import (
     MeasurementRecord,
     RecordFormatError,
     build_spin_system,
+    coords_to_state,
     heisenberg_history,
     measured_observable,
     noiseless_values,
@@ -26,7 +27,7 @@ def test_sigma_zero_is_exact(sys3, default_history):
 
 def test_mixed_state_gives_zero_signal(sys3, default_history):
     # O_i stays traceless under the trace-preserving unital evolution
-    traces = np.trace(default_history.observables, axis1=1, axis2=2)
+    traces = np.trace(coords_to_state(default_history.design_matrix), axis1=1, axis2=2)
     assert np.max(np.abs(traces)) < 1e-10
     record = synthesize_record(make_state(sys3, "mixed"), default_history, sigma=0.0, seed=0)
     assert np.max(np.abs(record.values)) < 1e-10
