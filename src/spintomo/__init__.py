@@ -39,6 +39,7 @@ from .measurement import (
     noiseless_values,
     read_record,
     synthesize_record,
+    synthesize_records,
     write_record,
 )
 from .metrics import fidelity, max_eigenvalue, purity, trace_distance

@@ -44,9 +44,10 @@ from .measurement import (
     noiseless_values,
     read_record,
     synthesize_record,
+    synthesize_records,
     write_record,
 )
-from .metrics import fidelity
+from .metrics import _fidelities, fidelity
 from .serialize import format_float as _f
 from .spin_algebra import build_spin_system, check_density_matrix, measured_observable
 from .wigner import wigner_function, write_wigner_csv
@@ -160,24 +161,34 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     _check_output_dirs(args.out_csv)
     config = load_config(args.config)
+    n_states = len(config.states)
+    # row k is trial k // n_states of state k % n_states, with seed config.seed + k
+    n_rows = args.n_trials * n_states
+    if n_rows and config.seed + n_rows - 1 > 2**64 - 1:
+        raise ConfigError(f"the last sweep seed, {config.seed + n_rows - 1}, does not fit "
+                          "in 64 bits; lower noise.seed or the trial count")
     history = _history_for(config)
-    tasks = [
-        (trial, label, config.seed + trial * len(config.states) + state_index, rho)
-        for trial in range(args.n_trials)
-        for state_index, (label, rho) in enumerate(config.states)
+    # one state check, one signal and one sqrt(rho) per state
+    by_state = [
+        synthesize_records(
+            rho, history, config.sigma,
+            [config.seed + trial * n_states + state_index for trial in range(args.n_trials)],
+            config.n_averaged,
+        )
+        for state_index, (_label, rho) in enumerate(config.states)
     ]
-    records = [
-        synthesize_record(rho, history, config.sigma, seed, config.n_averaged)
-        for _trial, _label, seed, rho in tasks
+    results = estimate_batch([r for row in zip(*by_state) for r in row], history)
+    fids_by_state = [
+        _fidelities(rho, np.reshape([r.rho_ml for r in results[state_index::n_states]],
+                                    (-1, history.d, history.d)))
+        for state_index, (_label, rho) in enumerate(config.states)
     ]
-    fids = [
-        fidelity(rho, result.rho_ml)
-        for (_trial, _label, _seed, rho), result in zip(tasks, estimate_batch(records, history))
-    ]
+    fids = [fid for row in zip(*fids_by_state) for fid in row]
     with open(args.out_csv, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("trial,state,seed,fidelity\n")
-        for (trial, label, seed, _rho), fid in zip(tasks, fids):
-            fh.write(f"{trial},{label},{seed},{_f(fid)}\n")
+        for k, fid in enumerate(fids):
+            trial, state_index = divmod(k, n_states)
+            fh.write(f"{trial},{config.states[state_index][0]},{config.seed + k},{_f(fid)}\n")
     if fids:
         q1, q3 = np.percentile(fids, [25, 75])
         print(f"trials: {len(fids)}")

@@ -86,13 +86,27 @@ class EstimateResult:
     nuisance_converged: bool | None = None
 
 
-def _check_match(record: MeasurementRecord, history: ObservableHistory) -> None:
-    if record.waveform_fingerprint != history.waveform_fingerprint:
-        raise FingerprintMismatchError(
-            f"record fingerprint {record.waveform_fingerprint} does not match "
-            f"history fingerprint {history.waveform_fingerprint}"
-        )
-    _check_grid(record, history.d, history.times)
+def _check_match(records: list, history: ObservableHistory) -> None:
+    """Every record must match ``history``: fingerprint, spin size and sample grid.
+
+    The sample times of the whole batch are compared in one ``allclose``
+    over their stack. If any check fails, the records are checked one at a
+    time, so the first offending record raises the message it raises alone.
+    """
+    fingerprint, F, n = history.waveform_fingerprint, (history.d - 1) / 2.0, history.n_samples
+    scalars_match = all(
+        r.waveform_fingerprint == fingerprint and r.F == F and r.n_samples == n for r in records
+    )
+    if scalars_match and (not records or np.allclose(
+            np.stack([r.times for r in records]), history.times, rtol=1e-12, atol=0.0)):
+        return
+    for record in records:
+        if record.waveform_fingerprint != fingerprint:
+            raise FingerprintMismatchError(
+                f"record fingerprint {record.waveform_fingerprint} does not match "
+                f"history fingerprint {fingerprint}"
+            )
+        _check_grid(record, history.d, history.times)
 
 
 def _check_grid(record: MeasurementRecord, d: int, times: np.ndarray) -> None:
@@ -203,8 +217,7 @@ def estimate_batch(records, history: ObservableHistory) -> list[EstimateResult]:
     record order; an empty batch gives an empty list.
     """
     records = list(records)
-    for record in records:
-        _check_match(record, history)
+    _check_match(records, history)
     if not records:
         return []
     if history.n_samples < 1:
@@ -270,7 +283,7 @@ def estimate_prefix_curve(
     first k samples (:func:`_prefix_fits`). The third column tracks how much
     purity the true state has lost to decoherence by that time.
     """
-    _check_match(record, history)
+    _check_match([record], history)
     rho0_true = check_density_matrix(rho0_true, history.d)
     if stride < 1:
         raise ValueError("stride must be at least 1")

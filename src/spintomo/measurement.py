@@ -10,7 +10,7 @@ platforms regardless of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "MeasurementRecord",
     "RecordFormatError",
     "synthesize_record",
+    "synthesize_records",
     "noiseless_values",
     "write_record",
     "read_record",
@@ -94,6 +95,45 @@ def noiseless_values(rho0: np.ndarray, history: ObservableHistory) -> np.ndarray
     return history.design_matrix @ state_to_coords(rho0)
 
 
+def synthesize_records(
+    rho0: np.ndarray,
+    history: ObservableHistory,
+    sigma: float,
+    seeds,
+    n_averaged: int = 1,
+) -> list[MeasurementRecord]:
+    """Simulate one measurement record of ``rho0`` per seed, in seed order.
+
+    The state is checked and its clean signal computed once for the batch;
+    every seed is checked before the first draw. Each record is bitwise
+    equal to :func:`synthesize_record` with its seed, which is the batch of
+    one.
+    """
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    check_density_matrix(rho0, history.d)
+    seeds = [rand.check_seed(seed) for seed in seeds]
+    n_averaged = int(n_averaged)
+    if n_averaged < 1:
+        raise ValueError("n_averaged must be an integer >= 1")
+    clean = noiseless_values(rho0, history)
+    times = history.times.copy()
+    sigma = float(sigma)
+    sigma_eff = sigma / math.sqrt(n_averaged)
+    return [
+        MeasurementRecord(
+            F=(history.d - 1) / 2.0,
+            times=times,
+            values=clean if sigma == 0 else clean + sigma_eff * rand.normals(seed, len(clean)),
+            sigma=sigma,
+            seed=seed,
+            n_averaged=n_averaged,
+            waveform_fingerprint=history.waveform_fingerprint,
+        )
+        for seed in seeds
+    ]
+
+
 def synthesize_record(
     rho0: np.ndarray,
     history: ObservableHistory,
@@ -108,23 +148,7 @@ def synthesize_record(
     deviation sigma / sqrt(n_averaged). ``sigma`` = 0 returns the exact
     expectation values with no generator draws.
     """
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    check_density_matrix(rho0, history.d)
-    rand.check_seed(seed)
-    clean = noiseless_values(rho0, history)
-    record = MeasurementRecord(
-        F=(history.d - 1) / 2.0,
-        times=history.times.copy(),
-        values=clean,
-        sigma=float(sigma),
-        seed=int(seed),
-        n_averaged=int(n_averaged),
-        waveform_fingerprint=history.waveform_fingerprint,
-    )
-    if sigma == 0:
-        return record
-    return replace(record, values=clean + record.sigma_eff * rand.normals(seed, len(clean)))
+    return synthesize_records(rho0, history, sigma, [seed], n_averaged)[0]
 
 
 def write_record(record: MeasurementRecord, path) -> None:

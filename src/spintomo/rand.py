@@ -4,6 +4,9 @@ Streams are generated with the 4x64 Philox counter generator keyed by
 ``seed``. Noise draw i is the first standard normal of a Philox generator
 started at ``counter = i << 64`` (counter block i), so every sample depends
 only on (seed, i) and matches a sequential run bit for bit, in any order.
+:func:`normals` moves one bit generator from block to block through its
+``state`` setter, with the state held as Python lists: the setter reads
+every entry, and list entries are cheaper to read than numpy-array ones.
 """
 
 from __future__ import annotations
@@ -37,19 +40,23 @@ def normals(seed: int, n: int) -> np.ndarray:
     ``seed`` and started at ``counter = i << 64``. One bit generator serves
     all draws: before draw i its counter is set to block i with an empty
     output buffer, the state such a freshly built generator starts from.
+    The state's counter, key and buffer are held as Python lists, because
+    the ``state`` setter reads them entry by entry, and a list entry is
+    cheaper to read than an array entry.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     bits = np.random.Philox(key=check_seed(seed))
-    gen = np.random.Generator(bits)
+    draw = np.random.Generator(bits).standard_normal
     state = bits.state
-    counter = state["state"]["counter"]
+    counter = state["state"]["counter"].tolist()
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = state["buffer"].tolist()
     out = np.empty(n)
     for i in range(n):
         counter[1] = i
-        state["buffer_pos"] = 4
         bits.state = state
-        out[i] = gen.standard_normal()
+        out[i] = draw()
     return out
 
 

@@ -5,8 +5,17 @@ import math
 
 import numpy as np
 
-from spintomo import hermitian_basis, heisenberg_history, measured_observable, state_to_coords
+from spintomo import (
+    estimate_batch,
+    fidelity,
+    heisenberg_history,
+    hermitian_basis,
+    measured_observable,
+    state_to_coords,
+    synthesize_record,
+)
 from spintomo.estimator import _solve
+from spintomo.serialize import format_float
 
 
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -124,6 +133,57 @@ def nuisance_grid_reference(record, waveform, sys, name, low, high, n_points):
         if best is None or residual < best[1]:
             best = (float(scale), residual)
     return best
+
+
+def fidelity_reference(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
+    """Uhlmann fidelity of one pair, the two square roots taken by ``eigh`` (reference).
+
+    The one-pair form of ``metrics.fidelity``: eigenvalues below 64 eps times
+    the largest are zeroed before each square root, and the root trace is
+    squared as a Python float.
+    """
+    def clipped_sqrt(w):
+        return np.sqrt(np.where(w > 64.0 * np.finfo(float).eps * max(float(w[-1]), 0.0), w, 0.0))
+
+    w, V = np.linalg.eigh(np.asarray(rho_a, dtype=complex))
+    root = (V * clipped_sqrt(w)) @ V.conj().T
+    inner = root @ np.asarray(rho_b, dtype=complex) @ root
+    trace = float(np.sum(clipped_sqrt(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))))
+    return min(max(trace**2, 0.0), 1.0)
+
+
+def sweep_reference(config, n_trials: int) -> tuple[str, str]:
+    """CSV text and stdout of ``spintomo sweep`` on a loaded config (reference).
+
+    A plain loop over the rows, trial-major: row k is trial k // S of state
+    k % S, for S states, with seed ``config.seed + k``. Each row gets its own
+    ``synthesize_record`` and ``fidelity``. The rows share one
+    ``estimate_batch`` solve, as in ``sweep``: a record solved alone can
+    differ from its batch row in the last bits.
+    """
+    sys = config.spin_system()
+    history = heisenberg_history(sys, config.waveform, measured_observable(sys),
+                                 n_samples=config.n_samples)
+    rows = [(trial, label, config.seed + trial * len(config.states) + state_index, rho)
+            for trial in range(n_trials)
+            for state_index, (label, rho) in enumerate(config.states)]
+    records = [synthesize_record(rho, history, config.sigma, seed, config.n_averaged)
+               for _trial, _label, seed, rho in rows]
+    results = estimate_batch(records, history)
+    csv, fids = "trial,state,seed,fidelity\n", []
+    for (trial, label, seed, rho), result in zip(rows, results):
+        fids.append(fidelity(rho, result.rho_ml))
+        csv += f"{trial},{label},{seed},{format_float(fids[-1])}\n"
+    if not fids:
+        return csv, "trials: 0\n"
+    q1, q3 = np.percentile(fids, [25, 75])
+    stdout = "".join(f"{name}: {value}\n" for name, value in (
+        ("trials", len(fids)),
+        ("mean_fidelity", format_float(float(np.mean(fids)))),
+        ("median_fidelity", format_float(float(np.median(fids)))),
+        ("iqr_fidelity", format_float(float(q3 - q1))),
+    ))
+    return csv, stdout
 
 
 def dumps_reference(document) -> str:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spintomo
+from helpers import sweep_reference
 from spintomo import ConfigError, RecordFormatError, cli, estimate_with_nuisance, load_config
 from spintomo.cli import build_parser, main
 from spintomo.measurement import read_record
@@ -335,6 +336,45 @@ class TestCliSweep:
         mean = float(out.split("mean_fidelity:")[1].strip().splitlines()[0])
         assert mean >= 1 - 1e-6
         assert len(out_csv.read_text().splitlines()) == 1 + 4
+
+    @staticmethod
+    def _paper_states_config(tmp_path, F=3, **noise):
+        doc = base_config(F=F)
+        del doc["state"]
+        doc["states"] = [{"kind": "basis_state", "m": -F}, {"kind": "cat"}, {"kind": "mixed"}]
+        doc["noise"].update(noise)
+        return write_config(tmp_path, doc)
+
+    @pytest.mark.parametrize("F, noise, n_trials", [
+        (3, {}, 6),
+        (1, {}, 6),
+        (3, {"sigma": 0.0}, 3),
+        (1, {"sigma": 0.0}, 3),
+        (3, {"n_averaged": 4}, 4),
+        # the last row's seed is 2^64 - 1 exactly
+        (3, {"seed": 2**64 - 15}, 5),
+    ], ids=["F3", "F1", "F3_sigma0", "F1_sigma0", "n_averaged_4", "seed_near_max"])
+    def test_sweep_matches_record_by_record_reference(self, tmp_path, capsys, F, noise, n_trials):
+        cfg = self._paper_states_config(tmp_path, F, **noise)
+        out_csv = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert main(["sweep", cfg, str(n_trials), str(out_csv)]) == 0
+        csv, stdout = sweep_reference(load_config(cfg), n_trials)
+        assert out_csv.read_text() == csv
+        assert capsys.readouterr().out == stdout
+
+    def test_sweep_seed_overflow_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # 5 trials of 3 states from seed 2^64 - 10 need seeds up to 2^64 + 4; this
+        # exited 3 ("seed must fit in 64 bits") after building the history
+        cfg = self._paper_states_config(tmp_path, seed=2**64 - 10)
+        monkeypatch.setattr(cli, "_history_for", lambda config: pytest.fail("history built"))
+        out_csv = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert main(["sweep", cfg, "5", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(2**64 + 4) in captured.err
+        assert not out_csv.exists()
 
     def test_concurrent_sweep_deterministic(self, tmp_path):
         doc = base_config()

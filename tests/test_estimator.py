@@ -323,6 +323,24 @@ class TestEstimateBatch:
         with pytest.raises(FingerprintMismatchError, match="fingerprint"):
             estimate_batch(records[:2] + [other], default_history)
 
+    def test_perturbed_time_grid_in_a_batch_names_that_record(self, default_history, records):
+        # the grid check runs once over the stacked times; a failure falls back
+        # to the record-by-record check and its message
+        shifted = replace(records[3], times=records[3].times * (1 + 1e-9))
+        batch = records[:3] + [shifted] + records[4:]
+        with pytest.raises(FingerprintMismatchError) as batched:
+            estimate_batch(batch, default_history)
+        with pytest.raises(FingerprintMismatchError) as alone:
+            estimate(shifted, default_history)
+        assert str(batched.value) == str(alone.value)
+        assert "sample times differ" in str(alone.value)
+        # the first offending record wins, as when each is checked in turn
+        other = replace(records[4], waveform_fingerprint="0" * 16)
+        with pytest.raises(FingerprintMismatchError, match="sample times differ"):
+            estimate_batch(records[:3] + [shifted, other], default_history)
+        with pytest.raises(FingerprintMismatchError, match="fingerprint"):
+            estimate_batch(records[:3] + [other, shifted], default_history)
+
     def test_empty_batch_is_empty(self, default_history):
         assert estimate_batch([], default_history) == []
         assert estimate_batch(iter(()), default_history) == []

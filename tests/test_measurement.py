@@ -13,6 +13,7 @@ from spintomo import (
     propagate_state,
     read_record,
     synthesize_record,
+    synthesize_records,
     write_record,
 )
 from spintomo import rand
@@ -77,6 +78,34 @@ def test_one_generator_draws_match_fresh_generators(seed):
     assert rand.normals(seed, 0).shape == (0,)
     with pytest.raises(ValueError):
         rand.normals(seed, -1)
+
+
+@pytest.mark.parametrize("sigma, n_averaged", [(0.7, 1), (0.9, 4), (0.0, 1)])
+def test_synthesize_records_entries_are_batches_of_one(sys3, default_history, sigma, n_averaged):
+    rho = make_state(sys3, "cat")
+    seeds = [0, 7, 2**64 - 1, 12345]
+    batch = synthesize_records(rho, default_history, sigma, seeds, n_averaged)
+    assert len(batch) == len(seeds)
+    for seed, got in zip(seeds, batch):
+        alone = synthesize_record(rho, default_history, sigma, seed, n_averaged)
+        assert np.array_equal(got.values, alone.values)
+        assert np.array_equal(got.times, alone.times)
+        for name in ("F", "sigma", "seed", "n_averaged", "waveform_fingerprint"):
+            assert getattr(got, name) == getattr(alone, name)
+            assert type(getattr(got, name)) is type(getattr(alone, name))
+        assert not got.values.flags.writeable and not got.times.flags.writeable
+    assert synthesize_records(rho, default_history, sigma, [], n_averaged) == []
+
+
+@pytest.mark.parametrize("seeds", [[1, 2, -1], [1, 2**64, 3], [4, 2.0], [True]])
+def test_synthesize_records_checks_every_seed_before_any_draw(
+    sys3, default_history, monkeypatch, seeds
+):
+    draws = []
+    monkeypatch.setattr(rand, "normals", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="seed"):
+        synthesize_records(make_state(sys3, "cat"), default_history, 0.9, seeds)
+    assert draws == []
 
 
 def test_averaging_variance_oracle(sys3):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import haar_unitary, random_density, random_pure
+from helpers import fidelity_reference, haar_unitary, random_density, random_pure
 from spintomo import fidelity, max_eigenvalue, purity, trace_distance
+from spintomo.metrics import _fidelities
 from spintomo import test_state as make_state
 
 
@@ -89,3 +90,25 @@ def test_small_negative_eigenvalues_are_clipped():
     eps = 5e-11  # inside the tolerance band, must not raise
     rho = np.diag([1.0 + eps, -eps]).astype(complex)
     assert fidelity(rho, np.eye(2) / 2) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_batched_fidelities_match_fidelity_bitwise():
+    # sqrt(rho_a) is taken once per stack; each entry must still be the
+    # batch-of-one value, and the one-pair reference, to the bit. The squared
+    # trace goes through libm's pow, which differs from x * x in the last bit
+    # for about 1 in 1200 doubles; the 3600 values here include such cases.
+    rng = np.random.default_rng(8)
+    for trial in range(400):
+        d = 2 + trial % 16
+        a = random_pure(rng, d) if trial % 4 == 0 else random_density(rng, d, rank=1 + trial % d)
+        stack = np.stack([a] + [random_density(rng, d, rank=1 + k % d) for k in range(1, 9)])
+        expected = [fidelity_reference(a, b) for b in stack]
+        assert _fidelities(a, stack) == [fidelity(a, b) for b in stack] == expected
+    assert _fidelities(a, np.zeros((0, d, d))) == []
+
+
+def test_batched_fidelities_reject_a_non_positive_member(sys3):
+    rho = make_state(sys3, "cat")
+    stack = np.stack([rho, np.diag([1.5, -0.5, 0, 0, 0, 0, 0]).astype(complex)])
+    with pytest.raises(ValueError, match="not positive"):
+        _fidelities(np.eye(7) / 7, stack)
