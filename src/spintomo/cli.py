@@ -7,12 +7,12 @@ a waveform, and ``check`` for informational completeness.
 
 Exit codes: 0 success, 2 config/document parse error (missing, unknown or
 malformed fields, non-finite numbers, a bad ``--nuisance`` entry, a numeric
-option out of its range) or a file that cannot be read or written, 3
-invariant violation, 4 record does not match the config (waveform
-fingerprint, spin size or sample grid), 5 waveform not informationally
-complete. Output directories are checked before any work, so a missing one
-leaves no file written. All randomness comes from seeds in the config, so
-every command is deterministic and re-runs are byte-identical.
+option out of its range, ``sweep`` seeds past 2^64 - 1) or a file that cannot
+be read or written, 3 invariant violation, 4 record does not match the config
+(waveform fingerprint, spin size or sample grid), 5 waveform not
+informationally complete. Output directories are checked before any work,
+so a missing one leaves no file written. All randomness comes from seeds in
+the config, so every command is deterministic and re-runs are byte-identical.
 """
 
 from __future__ import annotations
