@@ -22,11 +22,11 @@ per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all
 samples in one batched product. Open evolution keeps a real d^2 x d^2
 transfer map on the coordinates of the Hermitian operator basis, with one
 exact exponential of the Lindblad generator per segment: :func:`expm`, the
-degree-13 Pade approximant with scaling and squaring, in numpy, one call
-per segment for the batch. The generator is linear in the drive: four
-parts (the commutators with Fx, Fy and Fx^2, and the dissipator) are cached
-per (d, gamma_dec), and each segment's generator is their
-combination omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D.
+degree-16 Taylor series in Paterson-Stockmeyer form with scaling and squaring
+and no linear solve, one call per segment for the batch. The generator is
+linear in the drive: four parts (the commutators with Fx, Fy and Fx^2, and the
+dissipator) are cached per (d, gamma_dec) as one array, and one product gives
+omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for each waveform.
 """
 
 from __future__ import annotations
@@ -131,68 +131,67 @@ class ControlWaveform:
         return digest[:16]
 
 
-# Pade-13 numerator coefficients and the 1-norm up to which the approximant
-# is accurate to double precision without scaling (Higham, SIAM J. Matrix
-# Anal. Appl. 26, 1179, 2005, table 2.3).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
+# Taylor coefficients 1/k!, row j holding k = 4j..4j+3, and the 1-norm up to which the degree-16
+# series is accurate to double precision (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488, 2011)
+_TAYLOR16 = np.array([[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)])
+_THETA16 = 0.78
 
 
 def expm(A: np.ndarray) -> np.ndarray:
     """Matrix exponential of a real square matrix, or of each matrix of a (..., n, n) stack.
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham 2005):
-    A is divided by 2^s so its 1-norm is at most theta_13, r_13 is formed
-    from A^2, A^4 and A^6 with one linear solve, and the result is squared
-    s times. Each matrix of a stack has its own s, so its result is bitwise
-    the one it gets alone.
+    Scaling and squaring with the degree-16 Taylor series and no linear solve: A / 2^s has
+    1-norm at most theta_16, the series is summed in Paterson-Stockmeyer form (SIAM J. Comput.
+    2, 60, 1973) from A^2, A^3, A^4, one product of ``_TAYLOR16`` with the stacked I, A, A^2,
+    A^3 for the blocks B_j and three Horner products B_j + A^4 (...), then squared s times.
+    Each matrix of a stack has its own s, so its result is bitwise the one it gets alone.
     """
     A = np.asarray(A, dtype=float)
-    norms = np.linalg.norm(A, 1, axis=(-2, -1))
-    s = np.reshape([math.ceil(math.log2(n / _THETA13)) if n > _THETA13 else 0
-                    for n in norms.flat], norms.shape)
-    A = A / (2.0**s)[..., None, None]
-    b = _PADE13
-    ident = np.eye(A.shape[-1])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    R = np.linalg.solve(V - U, V + U)
+    n, norms = A.shape[-1], np.abs(A).sum(axis=-2).max(axis=-1)
+    # norm = m 2^e with m in [1/2, 1), as is theta_16: the least s >= 0 with norm / 2^s <=
+    # theta_16 is e, or e + 1 when m > theta_16 (math.frexp gives e = 0 for inf and nan)
+    s = np.array([max(e + (m > _THETA16), 0) for m, e in map(math.frexp, norms.flat)],
+                 dtype=int).reshape(norms.shape)
+    work = np.empty((*A.shape[:-2], 10, n, n))  # A^4, spare, I, A, A^2, A^3, B_0..B_3
+    A4, tmp, A1, A2, A3 = (work[..., k, :, :] for k in (0, 1, 3, 4, 5))
+    work[..., 2, :, :] = np.eye(n)
+    np.multiply(A, np.ldexp(1.0, -s)[..., None, None], out=A1)
+    np.matmul(A1, A1, out=A2)
+    np.matmul(A2, A1, out=A3)
+    np.matmul(A2, A2, out=A4)
+    flat = (*A.shape[:-2], 4, n * n)
+    np.matmul(_TAYLOR16, work[..., 2:6, :, :].reshape(flat), out=work[..., 6:, :, :].reshape(flat))
+    R = work[..., 9, :, :]
+    R += np.divide(A4, math.factorial(16), out=tmp)
+    for j in (2, 1, 0):
+        R, tmp = np.add(np.matmul(A4, R, out=tmp), work[..., 6 + j, :, :], out=tmp), R
     for j in range(s.max(initial=0)):
-        R = R @ R if (s > j).all() else np.where((s > j)[..., None, None], R @ R, R)
-    return R
+        R, tmp = np.matmul(R, R, out=tmp), R
+        if j >= s.min():  # those with s <= j were squared s times already
+            np.copyto(R, tmp, where=(s <= j)[..., None, None])
+    return R.copy()  # not a view, so the workspace is freed
 
 
 @lru_cache(maxsize=4)  # bounded: the parts of one F = 32 key take 570 MB
-def _generator_parts(d: int, gamma_dec: float) -> tuple[np.ndarray, ...]:
-    """Read-only real d^2 x d^2 generators on basis coordinates, one per drive term.
+def _generator_parts(d: int, gamma_dec: float) -> np.ndarray:
+    """Read-only (4, d^2, d^2) array of real generators on basis coordinates, one per drive term.
 
-    -i[H, .] for H = Fx, Fy and Fx^2, then -i[0, .] plus the isotropic dissipator
+    -i[H, .] for H = Fx, Fy and Fx^2, then the isotropic dissipator
     gamma_dec sum_A (A . A^dag - {A^dag A, .} / 2) over A = Fx, Fy, Fz. Column b holds
     the coordinates of the image of basis element B_b; trace preservation makes the
-    top row zero.
+    top row zero. Each part is written into the array as it is built, never held twice.
     """
     sys = build_spin_system((d - 1) / 2)
     B = hermitian_basis(sys)
     jumps = (sys.Fx, sys.Fy, sys.Fz)
-    parts = []
-    for H in (sys.Fx, sys.Fy, sys.Fx @ sys.Fx, np.zeros((d, d), dtype=complex)):
-        LB = -1j * (H @ B - B @ H)
-        if len(parts) == 3:  # the zero-H commutator carries the dissipator
-            K = sum(A.conj().T @ A for A in jumps)
-            diss = sum(A @ B @ A.conj().T for A in jumps)
-            LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
-        parts.append(np.ascontiguousarray(state_to_coords(LB).T))
-        parts[-1].setflags(write=False)
-    return tuple(parts)
+    parts = np.empty((4, d * d, d * d))
+    for k, H in enumerate((sys.Fx, sys.Fy, sys.Fx @ sys.Fx)):
+        parts[k] = state_to_coords(-1j * (H @ B - B @ H)).T
+    K = sum(A.conj().T @ A for A in jumps)
+    diss = sum(A @ B @ A.conj().T for A in jumps)
+    parts[3] = state_to_coords(gamma_dec * (diss - 0.5 * (K @ B + B @ K))).T
+    parts.setflags(write=False)
+    return parts
 
 
 def _hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) -> np.ndarray:
@@ -204,12 +203,12 @@ def _hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) ->
     return H
 
 
-def _segment_generators(parts, waveforms, step_index: int) -> np.ndarray:
-    """Stacked Lindblad generators of segment ``step_index``, one per waveform."""
-    c_x, c_y, c_xx, diss = parts
+def _segment_generators(parts: np.ndarray, waveforms, step_index: int) -> np.ndarray:
+    """Segment ``step_index``'s generators: rows (omega cos phi, omega sin phi, chi, 1) @ parts."""
     angle = waveforms[0].phi[step_index]
-    omega, chi = np.array([(w.omega_larmor, w.chi) for w in waveforms]).T[:, :, None, None]
-    return omega * np.cos(angle) * c_x + omega * np.sin(angle) * c_y + chi * c_xx + diss
+    coeffs = [(w.omega_larmor * np.cos(angle), w.omega_larmor * np.sin(angle), w.chi, 1.0)
+              for w in waveforms]
+    return (np.array(coeffs) @ parts.reshape(4, -1)).reshape(len(waveforms), *parts.shape[1:])
 
 
 def sample_times(waveform: ControlWaveform, n_samples: int) -> np.ndarray:
@@ -242,7 +241,7 @@ def _interval_propagators(sys: SpinSystem, waveforms, n_samples: int, per_step: 
     for i in range(n_samples - 1):
         if i % per_step == 0:
             k = i // per_step
-            if parts:
+            if parts is not None:
                 step = expm(_segment_generators(parts, waveforms, k) * dt)
             else:
                 step = np.stack([_unitary(_hamiltonian(sys, w, k), dt) for w in waveforms])
@@ -268,9 +267,12 @@ def _evolve(
         coords = np.empty((len(waveforms), n_samples, sys.d * sys.d))
         coords[:, 0] = state_to_coords(op)
         transfer = np.eye(sys.d * sys.d)
-        for i, step in enumerate(steps, start=1):
-            transfer = step @ transfer
-            coords[:, i] = coords[0, 0] @ transfer if heisenberg else transfer @ coords[0, 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            for i, step in enumerate(steps, start=1):
+                transfer = step @ transfer
+                coords[:, i] = coords[0, 0] @ transfer if heisenberg else transfer @ coords[0, 0]
+        if not np.isfinite(coords).all():
+            raise ValueError("open-system propagation overflowed: the drive is too large")
         return coords
     U = np.empty((len(waveforms), n_samples, sys.d, sys.d), dtype=complex)
     U[:, 0] = np.eye(sys.d)

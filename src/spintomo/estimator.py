@@ -29,7 +29,7 @@ from .dynamics import (
     sample_times,
 )
 from .measurement import MeasurementRecord
-from .metrics import fidelity, max_eigenvalue
+from .metrics import _fidelities, max_eigenvalue
 from .spin_algebra import (
     SpinSystem,
     check_density_matrix,
@@ -280,8 +280,8 @@ def estimate_prefix_curve(
     Returns (time, fidelity, max eigenvalue of the evolved true state) for
     prefix lengths k = 0, stride, 2*stride, ..., N. The k = 0 point is the
     unbiased prior I/d at time 0; each later point is the estimate on the
-    first k samples (:func:`_prefix_fits`). The third column tracks how much
-    purity the true state has lost to decoherence by that time.
+    first k samples (:func:`_prefix_fits`), all scored with one sqrt(rho0_true).
+    The third column tracks the purity the true state has lost to decoherence.
     """
     _check_match([record], history)
     rho0_true = check_density_matrix(rho0_true, history.d)
@@ -292,11 +292,9 @@ def estimate_prefix_curve(
     ks = list(range(stride, n, stride)) + [n]
     estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
     prior = np.eye(history.d, dtype=complex) / history.d
-    points = [(0.0, fidelity(rho0_true, prior), max_eigenvalue(evolved[0]))]
-    for k, est in zip(ks, estimates):
-        top_eig = max_eigenvalue(evolved[k - 1])
-        points.append((float(record.times[k - 1]), fidelity(rho0_true, est), top_eig))
-    return points
+    fids = _fidelities(rho0_true, np.concatenate([prior[None], estimates]))
+    rows = [(0.0, 0)] + [(float(record.times[k - 1]), k - 1) for k in ks]
+    return [(t, fid, max_eigenvalue(evolved[i])) for (t, i), fid in zip(rows, fids)]
 
 
 def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:

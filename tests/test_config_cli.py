@@ -547,6 +547,16 @@ class TestInputBinding:
         record.write_text(head + '"values":[1e999,' + tail.split(",", 1)[1])
         assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "check"])
+    def test_overflowing_open_system_drive_exit_3(self, tmp_path, capsys, command):
+        doc = base_config()
+        doc["waveform"].update(gamma_dec=200.0, omega_larmor=1e300)
+        cfg, record = write_config(tmp_path, doc), tmp_path / "record.json"
+        assert main([command, cfg] + ([str(record)] if command == "simulate" else [])) == 3
+        assert "open-system propagation overflowed" in capsys.readouterr().err
+        assert not record.exists()
+
     def test_infinite_config_value_exit_2(self, tmp_path, capsys):
         doc = base_config()
         doc["noise"]["sigma"] = float("inf")

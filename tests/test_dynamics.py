@@ -305,6 +305,14 @@ class TestHeisenbergHistory:
             row = state_to_coords(coords_to_state(default_history.design_matrix[i]))
             assert np.max(np.abs(row - default_history.design_matrix[i])) < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega", [1e300, 1.7e308])
+    def test_overflowing_open_system_drive_raises(self, sys3, omega):
+        # 1e300 overflows in the squarings, 1.7e308 already in the generator
+        wf = make_waveform(gamma_dec=200.0, omega_larmor=omega)
+        with pytest.raises(ValueError, match="open-system propagation overflowed"):
+            heisenberg_history(sys3, wf, measured_observable(sys3))
+
     def test_times_grid(self, sys3, default_waveform, default_history):
         t = default_history.times
         assert t[0] == 0.0
@@ -340,7 +348,9 @@ class TestPropagationKernel:
     """Both representations against a product of expm(lindblad_reference)."""
 
     @pytest.mark.parametrize(
-        "F, n_samples, gamma", [(0.5, 60, 0.0), (3, 150, 0.0), (5, 30, 0.0), (1.5, 60, 200.0)]
+        "F, n_samples, gamma",
+        [(0.5, 60, 0.0), (3, 150, 0.0), (5, 30, 0.0), (1.5, 60, 200.0), (3, 150, 200.0),
+         (5, 30, 200.0)],
     )
     def test_matches_superoperator_reference(self, F, n_samples, gamma):
         s = build_spin_system(F)
@@ -381,17 +391,24 @@ class TestPropagationKernel:
 
 
 class TestSegmentExponential:
-    """The numpy kernel pieces: Pade-13 exponential and assembled generators."""
+    """The numpy kernel pieces: the Taylor-16 exponential and the assembled generators."""
 
-    @pytest.mark.parametrize("F", [0.5, 3, 5])
+    @pytest.mark.parametrize("F", [0.5, 3, 5, 8])
     def test_expm_matches_scipy(self, F):
         s = build_spin_system(F)
         H = 3.0 * s.Fx - 1.3 * s.Fy + 0.7 * (s.Fx @ s.Fx)
         gen = lindblad_reference(s, H, 2.0, isotropic(s))
-        for norm in np.logspace(-8, 3, 23):
+        # 1-norms just below and just above theta_16 2^k, where the number of squarings steps
+        edges = np.outer(dynamics._THETA16 * 2.0 ** np.arange(7), [1 - 1e-9, 1 + 1e-9]).ravel()
+        for norm in np.concatenate([np.logspace(-8, 3, 23), edges]):
             A = gen * (norm / np.linalg.norm(gen, 1))
             want = expm(A)
             assert np.max(np.abs(dynamics.expm(A) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_expm_of_zero_is_identity(self):
+        for shape in [(1, 1), (7, 7), (49, 49), (3, 2, 49, 49)]:
+            assert np.array_equal(dynamics.expm(np.zeros(shape)), np.broadcast_to(
+                np.eye(shape[-1]), shape))
 
     @pytest.mark.parametrize("chi", [2 * np.pi * 6e3, 0.0])
     def test_assembled_generator_matches_step_hamiltonian(self, sys3, chi):
@@ -412,7 +429,9 @@ class TestSegmentExponential:
         assert (info.misses, info.hits) == (1, 1)
         heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
         assert dynamics._generator_parts.cache_info() == info  # closed evolution needs no parts
-        for part in dynamics._generator_parts(sys3.d, 200.0):
+        parts = dynamics._generator_parts(sys3.d, 200.0)
+        assert parts.shape == (4, 49, 49) and not parts.flags.writeable
+        for part in parts:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0, 0] = 1.0

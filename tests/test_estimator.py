@@ -34,7 +34,7 @@ from spintomo import (
     synthesize_record,
     write_estimate,
 )
-from spintomo import estimator
+from spintomo import estimator, metrics
 from spintomo import test_state as make_state
 from spintomo.estimator import _prefix_fits, _solve
 from spintomo.serialize import DocumentError
@@ -405,6 +405,23 @@ class TestPrefixCurve:
                                     history.waveform_fingerprint)
             short = replace(record, times=record.times[:k], values=record.values[:k])
             assert abs(fid - fidelity(rho, estimate(short, cut).rho_ml)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma_dec", [0.0, 200.0])
+    def test_one_sqrt_per_curve_and_per_point_fidelities(self, sys3, gamma_dec, monkeypatch):
+        waveform = make_waveform(gamma_dec=gamma_dec)
+        history = heisenberg_history(sys3, waveform, measured_observable(sys3), n_samples=150)
+        rho = make_state(sys3, "cat")
+        record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=5)
+        sqrt_psd, calls = metrics._sqrt_psd, []
+        monkeypatch.setattr(metrics, "_sqrt_psd", lambda m: calls.append(m) or sqrt_psd(m))
+        points = estimate_prefix_curve(record, history, rho, sys3, waveform, stride=5)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        # every point is bitwise the fidelity of its own estimate, scored alone
+        fits = _prefix_fits(record.values, history.design_matrix, list(range(5, 151, 5)))
+        prior = np.eye(sys3.d) / sys3.d
+        want = [fidelity(rho, est) for est in [prior, *project_to_physical(np.stack(fits))]]
+        assert [fid for _, fid, _ in points] == want
 
     def test_full_rank_prefixes_skip_the_svd(self, sys3, default_history, monkeypatch):
         rho = make_state(sys3, "cat")
