@@ -127,8 +127,11 @@ def cmd_estimate(args) -> int:
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")
             for bound in params[name]:
-                if abs(value - bound) <= _BOUND_TOL:
+                if result.nuisance_converged and abs(value - bound) <= _BOUND_TOL:
                     print(f"warning: {name} fit stopped at its bound {bound!r}", file=_sys.stderr)
+        if result.nuisance_converged is False:
+            print(f"warning: nuisance fit stopped by --budget {args.budget} before it "
+                  "converged; raise --budget", file=_sys.stderr)
     else:
         history = _history_for(config)
         result = estimate(record, history)

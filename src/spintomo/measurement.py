@@ -105,9 +105,9 @@ def synthesize_records(
     """Simulate one measurement record of ``rho0`` per seed, in seed order.
 
     The state is checked and its clean signal computed once for the batch;
-    every seed is checked before the first draw. Each record is bitwise
-    equal to :func:`synthesize_record` with its seed, which is the batch of
-    one.
+    every seed is checked before the first draw, and the noise of all
+    records is one :func:`rand.normals` call. Each record is bitwise equal
+    to :func:`synthesize_record` with its seed, which is the batch of one.
     """
     if not 0 <= sigma < math.inf:
         raise ValueError("sigma must be finite and nonnegative")
@@ -120,17 +120,21 @@ def synthesize_records(
     times = history.times.copy()
     sigma = float(sigma)
     sigma_eff = sigma / math.sqrt(n_averaged)
+    if sigma == 0:
+        values = [clean] * len(seeds)
+    else:
+        values = clean + sigma_eff * rand.normals(seeds, len(clean))
     return [
         MeasurementRecord(
             F=(history.d - 1) / 2.0,
             times=times,
-            values=clean if sigma == 0 else clean + sigma_eff * rand.normals(seed, len(clean)),
+            values=row,
             sigma=sigma,
             seed=seed,
             n_averaged=n_averaged,
             waveform_fingerprint=history.waveform_fingerprint,
         )
-        for seed in seeds
+        for seed, row in zip(seeds, values)
     ]
 
 

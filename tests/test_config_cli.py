@@ -316,6 +316,22 @@ class TestCliPipeline:
         assert abs(written["nuisance"]["omega_scale"] - 1.05) <= 1e-9
         assert written["nuisance_converged"] is True
 
+    @pytest.mark.parametrize("budget", [1, 3, 9])
+    def test_nuisance_fit_stopped_by_budget_warns(self, tmp_path, capsys, budget):
+        # one history at the lower bound is where the budget stopped the fit,
+        # not a profile minimum on the bound, so only the budget is named
+        nominal, record = self._drifted_record(tmp_path, 7, 1.02)
+        est = tmp_path / "e.json"
+        capsys.readouterr()
+        argv = ["estimate", record, nominal, str(est), "--nuisance", "omega_scale:0.95:1.05",
+                "--budget", str(budget)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: nuisance fit stopped by --budget {budget} before it "
+                                "converged; raise --budget\n")
+        assert captured.out.startswith("nuisance omega_scale: ")
+        assert json.loads(est.read_text())["nuisance_converged"] is False
+
 
 class TestCliSweep:
     def test_empty_sweep(self, tmp_path, capsys):

@@ -68,16 +68,85 @@ def test_noise_is_indexed_by_sample(sys3, default_waveform):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-def test_one_generator_draws_match_fresh_generators(seed):
-    # 2500 draws take some ziggurat rejections, which read past the first
-    # 64-bit output of a counter block
-    fresh = np.array([np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
-                      .standard_normal() for i in range(2500)])
-    assert np.array_equal(rand.normals(seed, 2500), fresh)
-    assert rand.normals(seed, 0).shape == (0,)
+BATCH_SEEDS = [0, 7, 2**64 - 1]
+N_DRAWS = 2500
+
+
+@pytest.fixture(scope="module")
+def fresh_draws():
+    """Draws 0..N_DRAWS-1 of each batch seed, each from a freshly built generator.
+
+    Per draw: its value, its ziggurat layer (the low byte of the block's first
+    64-bit output) and whether it read only that output (the fast path).
+    """
+    draws = {}
+    for seed in BATCH_SEEDS:
+        values, layers, fast = [], [], []
+        for i in range(N_DRAWS):
+            bits = np.random.Philox(key=seed, counter=i << 64)
+            layers.append(int(np.random.Philox(key=seed, counter=i << 64).random_raw()) & 0xFF)
+            values.append(np.random.Generator(bits).standard_normal())
+            state = bits.state
+            fast.append(state["buffer_pos"] == 1 and state["state"]["counter"][0] == 1)
+        draws[seed] = np.array(values), np.array(layers), np.array(fast)
+    return draws
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS)
+def test_one_generator_draws_match_fresh_generators(seed, fresh_draws):
+    # row s of one batch call is stream BATCH_SEEDS[s], bit for bit; its
+    # ziggurat rejections read past the first 64-bit output of a counter block
+    batch = rand.normals(BATCH_SEEDS, N_DRAWS)
+    assert batch.shape == (len(BATCH_SEEDS), N_DRAWS)
+    row = batch[BATCH_SEEDS.index(seed)]
+    assert np.array_equal(row.view(np.uint64), fresh_draws[seed][0].view(np.uint64))
+
+
+def test_batch_draws_take_every_ziggurat_path(fresh_draws):
+    # the sample of the test above reaches every layer, and both kinds of
+    # rejection: the tail of layer 0 and a wedge of a layer above it
+    layers = np.concatenate([fresh_draws[seed][1] for seed in BATCH_SEEDS])
+    fast = np.concatenate([fresh_draws[seed][2] for seed in BATCH_SEEDS])
+    assert set(layers.tolist()) == set(range(256))
+    assert np.any(~fast & (layers == 0))
+    assert np.any(~fast & (layers > 0))
+
+
+def test_normals_rows_are_batches_of_one():
+    seeds = [0, 7, 2**64 - 1, 12345, 7]
+    batch = rand.normals(seeds, 300)
+    for row, seed in zip(batch, seeds):
+        assert np.array_equal(row.view(np.uint64), rand.normals([seed], 300)[0].view(np.uint64))
+
+
+def test_normals_shapes():
+    assert rand.normals([], 5).shape == (0, 5)
+    assert rand.normals([3, 4], 0).shape == (2, 0)
+    assert rand.normals(np.array([3, 4], dtype=np.uint64), 2).shape == (2, 2)
+
+
+@pytest.mark.parametrize("seeds, n", [([1, 2], -1), ([1, -1], 5), ([1, 2**64], 5),
+                                      ([4, 2.0], 5), ([True], 5)])
+def test_normals_checks_before_any_draw(monkeypatch, seeds, n):
+    words = []
+    monkeypatch.setattr(rand, "_philox_first_words", lambda *args: words.append(args))
     with pytest.raises(ValueError):
-        rand.normals(seed, -1)
+        rand.normals(seeds, n)
+    assert words == []
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.0])
+def test_synthesize_records_draws_once_per_batch(sys3, default_history, monkeypatch, sigma):
+    calls, real = [], rand.normals
+
+    def normals(seeds, n):
+        calls.append((list(seeds), n))
+        return real(seeds, n)
+
+    monkeypatch.setattr(rand, "normals", normals)
+    seeds = [5, 6, 7, 8]
+    synthesize_records(make_state(sys3, "cat"), default_history, sigma, seeds)
+    assert calls == ([(seeds, 150)] if sigma else [])
 
 
 @pytest.mark.parametrize("sigma, n_averaged", [(0.7, 1), (0.9, 4), (0.0, 1)])
