@@ -27,7 +27,7 @@ import numpy as np
 
 from . import serialize
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .control_design import completeness_report, optimize_waveform
+from .control_design import OBJECTIVES, completeness_report, optimize_waveform
 from .dynamics import heisenberg_history, sample_times
 from .estimator import (
     NUISANCE_NAMES,
@@ -308,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(1), default=50,
                    help="scored candidates, the template included")
     p.add_argument("--seed", type=_at_least(0, int, 2**64), default=0)
-    p.add_argument("--objective", default="min_singular_value",
-                   choices=["min_singular_value", "condition_number", "covariance_trace"])
+    p.add_argument("--objective", default="min_singular_value", choices=OBJECTIVES)
     p.add_argument("--sensitivity-weight", type=_at_least(0.0, float), default=0.0,
                    help="penalize conditioning loss under +-1%% Larmor drift")
 

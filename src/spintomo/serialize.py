@@ -149,7 +149,7 @@ def choice(value, field: str, choices) -> str:
     return value
 
 
-MAX_SPIN = 32  # largest F a document may name: the d^4 Wigner multipole table is 0.29 GB at d = 65
+MAX_SPIN = 32  # largest F a document may name: dynamics._generator_parts takes 570 MB for one F = 32 key
 
 
 def spin_dimension(value) -> int:

@@ -1,11 +1,19 @@
 """Spherical Wigner quasi-probability function of a spin-F state.
 
-The state is expanded over the orthonormal multipole (irreducible tensor)
-operators T_kq, and the expansion coefficients are recombined with
-spherical harmonics on a (theta, phi) grid. Conjugate-q terms are paired
-analytically, so the returned field is exactly real. The overall constant
-is fixed to make the function integrate to 1 over the sphere:
+W is defined by the orthonormal multipole (irreducible tensor) operators
+T_kq and the spherical harmonics, with the overall constant fixed to make
+the function integrate to 1 over the sphere:
 W = sqrt(d / 4 pi) * sum_kq Tr[T_kq^dag rho] Y_kq.
+
+It is evaluated in the equivalent rotated-kernel form (Agarwal, PRA 24,
+2889, 1981; Varilly & Gracia-Bondia, Ann. Phys. 190, 107, 1989):
+W(theta, phi) = Tr[rho R K R^dag] with R = e^{-i phi Fz} e^{-i theta Fy},
+where K is the diagonal kernel at the north pole. One eigendecomposition of
+Fy gives e^{-i theta Fy} at every theta, which turns K into A(theta), and
+the phi dependence is a Fourier sum over the 2d - 1 diagonals of
+rho^T * A(theta). The sum is real for Hermitian rho, and only its real part
+is kept. The evaluation never builds the d^4 table of
+:func:`multipole_operators`.
 """
 
 from __future__ import annotations
@@ -82,49 +90,42 @@ class WignerGrid:
         return len(self.phis)
 
 
-def _legendre_table(kmax: int, x: np.ndarray) -> np.ndarray:
-    """Associated Legendre P_k^q(x) for 0 <= q <= k <= kmax, Condon-Shortley.
+@lru_cache(maxsize=None)
+def _pole_kernel(d: int) -> np.ndarray:
+    """Diagonal of the kernel at the north pole, K_m = sum_k (2k+1)/(4 pi) <F m; k 0|F m>.
 
-    Standard stable recurrences: diagonal seed, one step up in k, then the
-    three-term recurrence in k at fixed q.
+    Entries run over m = +F ... -F; the array is shared and read-only.
     """
-    x = np.asarray(x, dtype=float)
-    P = np.zeros((kmax + 1, kmax + 1) + x.shape)
-    P[0, 0] = 1.0
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    for q in range(1, kmax + 1):
-        P[q, q] = -(2 * q - 1) * s * P[q - 1, q - 1]
-    for q in range(kmax):
-        P[q + 1, q] = (2 * q + 1) * x * P[q, q]
-    for q in range(kmax + 1):
-        for k in range(q + 2, kmax + 1):
-            P[k, q] = ((2 * k - 1) * x * P[k - 1, q] - (k - 1 + q) * P[k - 2, q]) / (k - q)
-    return P
+    F = (d - 1) / 2.0
+    K = np.array([
+        sum((2 * k + 1) / (4.0 * math.pi) * clebsch_gordan(F, m, k, 0, F, m) for k in range(d))
+        for m in F - np.arange(d)
+    ])
+    K.setflags(write=False)
+    return K
 
 
-def _harmonic_norm(k: int, q: int) -> float:
-    return math.sqrt(
-        (2 * k + 1) / (4.0 * math.pi) * math.factorial(k - q) / math.factorial(k + q)
-    )
+def _diagonal_sums(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray) -> np.ndarray:
+    """c_q(theta) for q = 1 - d ... d - 1, shape (n_theta, 2d - 1): W = Re sum_q c_q e^{-i q phi}.
+
+    With A(theta) = e^{-i theta Fy} K e^{i theta Fy},
+    Tr[rho e^{-i phi Fz} A e^{i phi Fz}] = sum_ab rho_ba A_ab e^{-i (m_a - m_b) phi}, and
+    m_a - m_b = b - a: c_q(theta) is the sum of the q-th diagonal of rho^T * A(theta).
+    Its (n_theta, d, d) work arrays are freed before the caller allocates the grid.
+    """
+    d = sys.d
+    lam, V = np.linalg.eigh(sys.Fy)
+    # Ry(theta) = e^{-i theta Fy} for every theta; it is real (the Wigner small-d matrix)
+    Ry = ((V * np.exp(-1j * np.multiply.outer(thetas, lam))[:, None, :]) @ V.conj().T).real
+    X = rho.T * ((Ry * _pole_kernel(d)) @ Ry.transpose(0, 2, 1))
+    return np.stack([np.trace(X, offset=q, axis1=1, axis2=2) for q in range(1 - d, d)], axis=1)
 
 
 def _evaluate(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    tensors = multipole_operators(sys)
-    kmax = sys.d - 1
-    P = _legendre_table(kmax, np.cos(thetas))
-    scale = math.sqrt(sys.d / (4.0 * math.pi))
-    values = np.zeros((len(thetas), len(phis)))
-    for k in range(kmax + 1):
-        # coefficients Tr[T_kq^dag rho], q >= 0; the q = 0 one is real for Hermitian rho
-        c0 = complex(np.vdot(tensors[k][0], rho)).real
-        values += (scale * _harmonic_norm(k, 0) * c0) * P[k, 0][:, None]
-        for q in range(1, k + 1):
-            c = complex(np.vdot(tensors[k][q], rho))
-            radial = (2.0 * scale * _harmonic_norm(k, q)) * P[k, q]
-            values += radial[:, None] * (
-                c.real * np.cos(q * phis)[None, :] - c.imag * np.sin(q * phis)[None, :]
-            )
-    return values
+    c = _diagonal_sums(rho, sys, thetas)
+    angles = np.multiply.outer(np.arange(1 - sys.d, sys.d), phis)
+    # Re(c_q e^{-i q phi}) = Re(c_q) cos(q phi) + Im(c_q) sin(q phi): one real product
+    return np.hstack((c.real, c.imag)) @ np.vstack((np.cos(angles), np.sin(angles)))
 
 
 def wigner_function(

@@ -11,6 +11,7 @@ from spintomo import (
     heisenberg_history,
     hermitian_basis,
     measured_observable,
+    multipole_operators,
     state_to_coords,
     synthesize_record,
 )
@@ -86,6 +87,59 @@ def lindblad_reference(sys, H, gamma_dec=0.0, jump_ops=()) -> np.ndarray:
         diss = sum(A @ B @ A.conj().T for A in jumps)
         LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
     return np.ascontiguousarray(state_to_coords(LB).T)
+
+
+def legendre_table(kmax: int, x: np.ndarray) -> np.ndarray:
+    """Associated Legendre P_k^q(x) for 0 <= q <= k <= kmax, Condon-Shortley.
+
+    Standard stable recurrences: diagonal seed, one step up in k, then the
+    three-term recurrence in k at fixed q.
+    """
+    x = np.asarray(x, dtype=float)
+    P = np.zeros((kmax + 1, kmax + 1) + x.shape)
+    P[0, 0] = 1.0
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    for q in range(1, kmax + 1):
+        P[q, q] = -(2 * q - 1) * s * P[q - 1, q - 1]
+    for q in range(kmax):
+        P[q + 1, q] = (2 * q + 1) * x * P[q, q]
+    for q in range(kmax + 1):
+        for k in range(q + 2, kmax + 1):
+            P[k, q] = ((2 * k - 1) * x * P[k - 1, q] - (k - 1 + q) * P[k - 2, q]) / (k - q)
+    return P
+
+
+def harmonic_norm(k: int, q: int) -> float:
+    """Normalization of Y_kq = harmonic_norm(k, q) P_k^q(cos theta) e^{i q phi}, q >= 0."""
+    return math.sqrt(
+        (2 * k + 1) / (4.0 * math.pi) * math.factorial(k - q) / math.factorial(k + q)
+    )
+
+
+def wigner_reference(rho, sys, thetas, phis) -> np.ndarray:
+    """W = sqrt(d / 4 pi) sum_kq Tr[T_kq^dag rho] Y_kq on a theta x phi grid (reference).
+
+    The multipole expansion that defines ``wigner``'s unit-integral
+    convention: coefficients from the ``multipole_operators`` table, harmonics
+    from the Legendre recurrence, and the conjugate-q terms paired so the
+    field is real.
+    """
+    tensors = multipole_operators(sys)
+    kmax = sys.d - 1
+    P = legendre_table(kmax, np.cos(thetas))
+    scale = math.sqrt(sys.d / (4.0 * math.pi))
+    values = np.zeros((len(thetas), len(phis)))
+    for k in range(kmax + 1):
+        # coefficients Tr[T_kq^dag rho], q >= 0; the q = 0 one is real for Hermitian rho
+        c0 = complex(np.vdot(tensors[k][0], rho)).real
+        values += (scale * harmonic_norm(k, 0) * c0) * P[k, 0][:, None]
+        for q in range(1, k + 1):
+            c = complex(np.vdot(tensors[k][q], rho))
+            radial = (2.0 * scale * harmonic_norm(k, q)) * P[k, q]
+            values += radial[:, None] * (
+                c.real * np.cos(q * phis)[None, :] - c.imag * np.sin(q * phis)[None, :]
+            )
+    return values
 
 
 def water_filling_reference(rho: np.ndarray) -> np.ndarray:

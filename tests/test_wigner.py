@@ -15,7 +15,7 @@ except ImportError:  # scipy < 1.15
     def reference_harmonic(k, q, theta, phi):
         return _sph(q, k, phi, theta)
 
-from helpers import random_density
+from helpers import harmonic_norm, legendre_table, random_density, wigner_reference
 from spintomo import (
     WignerGrid,
     build_spin_system,
@@ -25,8 +25,8 @@ from spintomo import (
     write_wigner_csv,
 )
 from spintomo import test_state as make_state
+from spintomo import wigner
 from spintomo.serialize import format_float as fmt
-from spintomo.wigner import _harmonic_norm, _legendre_table
 
 
 class TestMultipoles:
@@ -58,16 +58,35 @@ class TestMultipoles:
 def test_spherical_harmonics_match_scipy():
     thetas = np.linspace(0.05, np.pi - 0.05, 9)
     phis = np.array([0.0, 0.7, 2.9, 5.5])
-    P = _legendre_table(6, np.cos(thetas))
+    P = legendre_table(6, np.cos(thetas))
     for k in range(7):
         for q in range(k + 1):
             mine = (
-                _harmonic_norm(k, q)
+                harmonic_norm(k, q)
                 * P[k, q][:, None]
                 * np.exp(1j * q * phis)[None, :]
             )
             ref = reference_harmonic(k, q, thetas[:, None], phis[None, :])
             assert np.max(np.abs(mine - ref)) < 1e-12, (k, q)
+
+
+@pytest.mark.parametrize("F", [0.5, 1, 1.5, 3, 5, 8])
+def test_kernel_form_matches_multipole_expansion(F):
+    sys_ = build_spin_system(F)
+    rho = random_density(np.random.default_rng(int(2 * F)), sys_.d)
+    grid = wigner_function(rho, sys_, n_theta=37, n_phi=48)
+    assert grid.thetas[0] == 0.0 and grid.thetas[-1] == np.pi
+    assert np.max(np.abs(grid.values - wigner_reference(rho, sys_, grid.thetas, grid.phis))) < 1e-14
+
+
+def test_evaluation_never_builds_the_multipole_table(sys3, monkeypatch):
+    def refuse(d):
+        raise AssertionError("the d^4 multipole table was built")
+
+    monkeypatch.setattr(wigner, "_multipole_operators", refuse)
+    rho = make_state(sys3, "cat")
+    assert wigner_function(rho, sys3, 16, 16).values.shape == (16, 16)
+    assert wigner_integral(rho, sys3) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWignerFunction:
