@@ -226,13 +226,13 @@ def cmd_design(args) -> int:
     config = parse_config(doc)
     sys_ = config.spin_system()
     result = optimize_waveform(
-        sys_, config.waveform, budget=args.budget, seed=args.seed, n_samples=config.n_samples,
+        sys_, config.waveform, config.n_samples, budget=args.budget, seed=args.seed,
         objective=args.objective, sensitivity_weight=args.sensitivity_weight,
     )
     doc["waveform"]["phi"] = [float(p) for p in result.waveform.phi]
     serialize.dump_path(doc, args.out_config)
     print(f"objective: {_f(result.objective)}")
-    print(f"evaluations: {result.evaluations}")
+    print(f"evaluations: {args.budget}")
     print(f"fingerprint: {result.waveform.fingerprint()}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand, serialize
-from .dynamics import JUMP_PRESETS, ControlWaveform
+from .dynamics import ControlWaveform
 from .spin_algebra import (
     TEST_STATE_PARAMS,
     SpinSystem,
@@ -99,10 +99,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     phi = _parse_phi(wf["phi"], n_steps)
     rates = {key: serialize.number(wf[key], f"waveform.{key}")
              for key in ("dt", "omega_larmor", "chi", "gamma_dec") if key in wf}
-    preset = serialize.choice(wf.get("jump_preset", "isotropic"), "waveform.jump_preset",
-                              JUMP_PRESETS)
-    waveform = _checked("waveform", lambda: ControlWaveform(n_steps=n_steps, phi=phi,
-                                                            jump_ops=preset, **rates))
+    # the one decoherence channel; closed evolution is gamma_dec = 0
+    serialize.choice(wf.get("jump_preset", "isotropic"), "waveform.jump_preset", ("isotropic",))
+    waveform = _checked("waveform", lambda: ControlWaveform(n_steps=n_steps, phi=phi, **rates))
 
     sampling = serialize.check_fields(doc["sampling"], "sampling", ("n_samples",))
     n_samples = serialize.integer(sampling["n_samples"], "sampling.n_samples", 1)

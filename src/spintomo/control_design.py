@@ -57,7 +57,6 @@ def completeness_report(history: ObservableHistory) -> CompletenessReport:
 class WaveformDesignResult:
     waveform: ControlWaveform
     objective: float
-    evaluations: int
 
 
 OBJECTIVES = ("min_singular_value", "condition_number", "covariance_trace")
@@ -66,10 +65,10 @@ OBJECTIVES = ("min_singular_value", "condition_number", "covariance_trace")
 def design_objective(
     sys: SpinSystem,
     waveform: ControlWaveform,
-    n_samples: int | None = None,
+    n_samples: int,
     objective: str = "min_singular_value",
 ) -> float:
-    """Estimator-conditioning score of a waveform (larger is better).
+    """Estimator-conditioning score of a waveform sampled ``n_samples`` times (larger is better).
 
     ``min_singular_value`` (default) is the smallest singular value of the
     traceless design matrix, an E-optimality surrogate bounding the
@@ -81,8 +80,6 @@ def design_objective(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
-    if n_samples is None:
-        n_samples = 5 * waveform.n_steps
     history = heisenberg_history(sys, waveform, measured_observable(sys), n_samples=n_samples)
     report = completeness_report(history)
     if objective == "min_singular_value":
@@ -101,24 +98,24 @@ N_RESTARTS = 24  # uniform restarts before the local search of optimize_waveform
 def optimize_waveform(
     sys: SpinSystem,
     template: ControlWaveform,
+    n_samples: int,
     budget: int = 50,
     seed: int = 0,
-    n_samples: int | None = None,
     objective: str = "min_singular_value",
     sensitivity_weight: float = 0.0,
 ) -> WaveformDesignResult:
     """Search field-angle schedules for the best estimator conditioning.
 
     Keeps everything of ``template`` fixed except the phi list and scores
-    ``budget`` candidates: the template, ``N_RESTARTS`` uniform angle draws
-    from the counter-based stream ``seed``, then the steps of a (1+1)
-    evolution strategy: the best schedule so far plus a Gaussian step from
-    the same stream, whose length (0.3 at first) grows by 1.5 after a
-    success and by 1.5^(-1/4) after a failure, the one-fifth success rule.
-    A candidate replaces the best only if it scores strictly higher.
-    Candidate j depends only on the seed and the scores before it, never
-    on the budget, so the result is deterministic, never worse than the
-    template, and never worse for a larger budget.
+    ``budget`` candidates, each on a grid of ``n_samples`` samples: the
+    template, ``N_RESTARTS`` uniform angle draws from the counter-based stream
+    ``seed``, then the steps of a (1+1) evolution strategy: the best schedule
+    so far plus a Gaussian step from the same stream, whose length (0.3 at
+    first) grows by 1.5 after a success and by 1.5^(-1/4) after a failure, the
+    one-fifth success rule. A candidate replaces the best only if it scores
+    strictly higher. Candidate j depends only on the seed and the scores before
+    it, never on the budget, so the result is deterministic, never worse than
+    the template, and never worse for a larger budget.
 
     With ``sensitivity_weight`` > 0 the score is penalized by that weight
     times the objective degradation under a +-1% Larmor-rate calibration
@@ -132,13 +129,11 @@ def optimize_waveform(
 
     def score(phis: np.ndarray) -> float:
         candidate = replace(template, phi=tuple(np.mod(phis, 2.0 * np.pi)))
-        value = design_objective(sys, candidate, n_samples=n_samples, objective=objective)
+        value = design_objective(sys, candidate, n_samples, objective)
         if sensitivity_weight > 0.0 and np.isfinite(value):
             perturbed = min(
-                design_objective(
-                    sys, candidate.with_scales(omega_scale=scale),
-                    n_samples=n_samples, objective=objective,
-                )
+                design_objective(sys, candidate.with_scales(omega_scale=scale), n_samples,
+                                 objective)
                 for scale in (0.99, 1.01)
             )
             value -= sensitivity_weight * max(0.0, value - perturbed)
@@ -164,4 +159,4 @@ def optimize_waveform(
     waveform = template
     if improved:
         waveform = replace(template, phi=tuple(np.mod(best_phi, 2.0 * np.pi)))
-    return WaveformDesignResult(waveform=waveform, objective=best_obj, evaluations=budget)
+    return WaveformDesignResult(waveform=waveform, objective=best_obj)

@@ -2,22 +2,19 @@
 
 A :class:`ControlWaveform` describes the drive: a magnetic field of fixed
 magnitude rotating in the x-y plane (angle ``phi`` per segment, Larmor rate
-``omega_larmor``) plus the constant nonlinear term ``chi * Fx^2`` and an
-optional Lindblad channel at rate ``gamma_dec``. States evolve in the
-Schrodinger picture with :func:`propagate_state`; the probed observable
-evolves in the Heisenberg picture with :func:`heisenberg_history`, which
-keeps each evolved O_i only as its basis coordinates: one row of the
-design matrix used for estimation.
-
-The decoherence channel is a preset name from ``JUMP_PRESETS``:
-"isotropic" (jump operators Fx, Fy and Fz) or "none".
+``omega_larmor``) plus the constant nonlinear term ``chi * Fx^2`` and the
+isotropic Lindblad channel (jump operators Fx, Fy and Fz) at rate
+``gamma_dec``. States evolve in the Schrodinger picture with
+:func:`propagate_state`; the probed observable evolves in the Heisenberg
+picture with :func:`heisenberg_history`, which keeps each evolved O_i only
+as its basis coordinates: one row of the design matrix used for estimation.
 
 Both run one kernel, which accumulates the propagator from t_0 to every
 sample time and applies it in the requested picture, for a batch of
 waveforms that differ only in ``omega_larmor`` and ``chi``
 (:func:`heisenberg_histories`; one history is the batch of one). Closed
-evolution (``ControlWaveform.closed``: ``gamma_dec`` = 0 or the "none"
-preset) keeps the d x d unitaries U_i, from one Hermitian eigendecomposition
+evolution (``ControlWaveform.closed``: ``gamma_dec`` = 0, no decoherence)
+keeps the d x d unitaries U_i, from one Hermitian eigendecomposition
 per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all
 samples in one batched product. Open evolution keeps a real d^2 x d^2
 transfer map on the coordinates of the Hermitian operator basis, with one
@@ -59,9 +56,6 @@ __all__ = [
     "heisenberg_histories",
 ]
 
-JUMP_PRESETS = ("isotropic", "none")
-
-
 @dataclass(frozen=True, eq=False)
 class ControlWaveform:
     """Piecewise-constant control schedule.
@@ -69,8 +63,7 @@ class ControlWaveform:
     ``phi`` holds one field angle (radians, x-y plane) per segment of
     length ``dt``; ``omega_larmor`` is the Larmor rate of the transverse
     field, ``chi`` the strength of the Fx^2 term, and ``gamma_dec`` the
-    rate of the decoherence channel named by ``jump_ops``, one of
-    ``JUMP_PRESETS``.
+    rate of the isotropic decoherence channel.
     """
 
     n_steps: int
@@ -79,7 +72,6 @@ class ControlWaveform:
     omega_larmor: float
     chi: float
     gamma_dec: float = 0.0
-    jump_ops: str = "isotropic"
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -95,13 +87,11 @@ class ControlWaveform:
         for name in ("omega_larmor", "chi", "gamma_dec"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
-        if not isinstance(self.jump_ops, str) or self.jump_ops not in JUMP_PRESETS:
-            raise ValueError(f"jump_ops must be one of {', '.join(JUMP_PRESETS)}")
 
     @property
     def closed(self) -> bool:
-        """Whether the evolution is unitary: no decoherence rate, or the "none" preset."""
-        return self.gamma_dec == 0 or self.jump_ops == "none"
+        """Whether the evolution is unitary: no decoherence rate."""
+        return self.gamma_dec == 0
 
     @property
     def duration(self) -> float:
@@ -125,7 +115,7 @@ class ControlWaveform:
             f"omega_larmor={serialize.format_float(self.omega_larmor)}",
             f"chi={serialize.format_float(self.chi)}",
             f"gamma_dec={serialize.format_float(self.gamma_dec)}",
-            f"jumps={self.jump_ops}",
+            "jumps=isotropic",  # the one channel, kept so every fingerprint stays the same
         ]
         digest = hashlib.sha256("|".join(parts).encode("ascii")).hexdigest()
         return digest[:16]
@@ -257,7 +247,7 @@ def _evolve(
     picture (O_i). Row 0 is the coordinate vector of ``op`` itself. The B
     waveforms may differ only in ``omega_larmor`` and ``chi``.
     """
-    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec, w.jump_ops) for w in waveforms}) != 1:
+    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec) for w in waveforms}) != 1:
         raise ValueError("need one or more waveforms that differ only in omega_larmor and chi")
     per_step = _samples_per_step(waveforms[0], n_samples)
     steps = _interval_propagators(sys, waveforms, n_samples, per_step)

@@ -281,9 +281,15 @@ def estimate_prefix_curve(
     prefix lengths k = 0, stride, 2*stride, ..., N. The k = 0 point is the
     unbiased prior I/d at time 0; each later point is the estimate on the
     first k samples (:func:`_prefix_fits`), all scored with one sqrt(rho0_true).
-    The third column tracks the purity the true state has lost to decoherence.
+    The third column tracks the purity the true state has lost to decoherence,
+    so ``waveform`` must be the one ``history`` was built from.
     """
     _check_match([record], history)
+    if waveform.fingerprint() != history.waveform_fingerprint:
+        raise FingerprintMismatchError(
+            f"waveform fingerprint {waveform.fingerprint()} does not match "
+            f"history fingerprint {history.waveform_fingerprint}"
+        )
     rho0_true = check_density_matrix(rho0_true, history.d)
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -392,15 +398,15 @@ def estimate_with_nuisance(
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
 
-    ``params`` maps names from {omega_scale, chi_scale} to bounds
-    0 <= lower < upper. For Gaussian noise, minimizing the least-squares residual over
-    the scales is equivalent to maximizing the likelihood. Each trial point
-    gets a freshly propagated observable history and the inner linear fit;
-    the scales are searched one at a time, first on a 9-point grid over the
-    bounds (the profile need not be unimodal), built as one batch of
-    histories, then by Brent's golden-section/parabolic refinement of the
-    best grid point between its neighbours (``_coordinate_search``). Every
-    trial point lies inside the bounds.
+    ``params`` maps one or both of the names {omega_scale, chi_scale} to bounds
+    0 <= lower < upper. For Gaussian noise, minimizing the least-squares
+    residual over the scales is equivalent to maximizing the likelihood. Each
+    trial point gets a freshly propagated observable history and the inner
+    linear fit; the scales are searched one at a time, first on a 9-point grid
+    over the bounds (the profile need not be unimodal), built as one batch of
+    histories, then by Brent's golden-section/parabolic refinement of the best
+    grid point between its neighbours (``_coordinate_search``). Every trial
+    point lies inside the bounds.
 
     The waveform fingerprint is deliberately not checked against the
     record here: a drifted drive is the reason this entry point exists.
@@ -408,11 +414,17 @@ def estimate_with_nuisance(
     included, and none is built past it; the best point's design matrix is
     kept and fitted once at the end. If the budget runs out first, the best
     point built (the first of equal ones) is returned with
-    ``nuisance_converged`` False. Empty ``params`` fit the nominal waveform
-    the same way, with ``nuisance_converged`` None.
+    ``nuisance_converged`` False.
     """
+    if record.n_samples % waveform.n_steps:
+        raise FingerprintMismatchError(
+            f"record has {record.n_samples} samples, not a multiple of the waveform's "
+            f"{waveform.n_steps} segments"
+        )
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
+    if not names:
+        raise ValueError("name at least one nuisance scale; a fit without one is estimate()")
     for name in names:
         if name not in NUISANCE_NAMES:
             raise ValueError(f"unknown nuisance parameter {name!r}; valid: {NUISANCE_NAMES}")
@@ -444,15 +456,11 @@ def estimate_with_nuisance(
             raise _BudgetSpent
         return [residuals[key] for key in keys]
 
-    converged = None
-    if names:
-        try:
-            _coordinate_search(objective, lows, highs)
-            converged = True
-        except _BudgetSpent:
-            converged = False
-    else:
-        objective(np.empty((1, 0)))
+    try:
+        _coordinate_search(objective, lows, highs)
+        converged = True
+    except _BudgetSpent:
+        converged = False
     return _estimates([record], best["design"], nuisance=best["scales"],
                       nuisance_converged=converged)[0]
 

@@ -10,8 +10,10 @@ import pytest
 
 import spintomo
 from helpers import sweep_reference
-from spintomo import ConfigError, RecordFormatError, cli, estimate_with_nuisance, load_config
+from spintomo import (ConfigError, RecordFormatError, cli, heisenberg_histories, load_config,
+                      measured_observable, parse_config)
 from spintomo.cli import build_parser, main
+from spintomo.estimator import _solve
 from spintomo.measurement import read_record
 from spintomo.serialize import DocumentError, spin_dimension
 
@@ -293,12 +295,11 @@ class TestCliPipeline:
         assert main(argv) == 0
         fitted = json.loads(est.read_text())["residual_norm"]
         config, rec = load_config(nominal), read_record(record)
-        profile = min(
-            estimate_with_nuisance(
-                rec, config.waveform.with_scales(omega_scale=scale), config.spin_system(), {}
-            ).residual_norm
-            for scale in np.linspace(0.95, 1.05, 21)
-        )
+        sys_ = config.spin_system()
+        scaled = [config.waveform.with_scales(omega_scale=scale)
+                  for scale in np.linspace(0.95, 1.05, 21)]
+        histories = heisenberg_histories(sys_, scaled, measured_observable(sys_), rec.n_samples)
+        profile = min(_solve(rec.values[None], h.design_matrix)[1][0] for h in histories)
         assert fitted <= profile * (1 + 1e-9)
 
     def test_nuisance_fit_stopped_at_bound_warns(self, tmp_path, capsys):
@@ -431,13 +432,14 @@ class TestCliWignerDesignCheck:
         out = capsys.readouterr().out
         assert "rank: 5" in out
 
-    def test_design_then_check(self, tmp_path):
+    def test_design_then_check(self, tmp_path, capsys):
         doc = base_config()
         doc["waveform"]["phi"] = "random:3"
         doc["waveform"]["chi"] = 6283.185307179586  # weak twisting to start
         cfg = write_config(tmp_path, doc)
         out_cfg = str(tmp_path / "designed.json")
         assert main(["design", cfg, out_cfg, "--budget", "50", "--seed", "0"]) == 0
+        assert "evaluations: 50\n" in capsys.readouterr().out
         designed = json.loads((tmp_path / "designed.json").read_text())
         assert isinstance(designed["waveform"]["phi"], list)
         assert main(["check", out_cfg]) == 0
@@ -483,6 +485,17 @@ def test_shipped_configs_parse():
     for name in ("cat.json", "paper_states_sweep.json"):
         config = load_config(SHIPPED / name)
         assert config.F == 3.0
+
+
+@pytest.mark.parametrize("gamma_dec, fingerprint", [(0.0, "41794e5186e110bc"),
+                                                    (200.0, "3da8c4773b54cf02")])
+def test_cat_fingerprints_pinned(gamma_dec, fingerprint):
+    # records name their waveform by this hash, so it must not move between releases
+    doc = json.loads((SHIPPED / "cat.json").read_text())
+    doc["waveform"]["gamma_dec"] = gamma_dec
+    assert parse_config(doc).waveform.fingerprint() == fingerprint
+    del doc["waveform"]["jump_preset"]  # the default, and the only channel
+    assert parse_config(doc).waveform.fingerprint() == fingerprint
 
 
 def _scipy_modules_after(code):
@@ -688,6 +701,19 @@ class TestInputBinding:
         doc["times"] = doc["times"][::-1]
         record.write_text(json.dumps(doc))
         assert main(["estimate", str(record), cfg, str(tmp_path / "e.json")]) == 4
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "design"])
+    def test_jump_preset_none_exit_2(self, tmp_path, capsys, command):
+        # gamma_dec = 0 is the one spelling of closed evolution, so no preset can override a rate
+        doc = base_config()
+        doc["waveform"].update(gamma_dec=200.0, jump_preset="none")
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out.json"
+        assert main([command, cfg] + ([] if command == "check" else [str(out)])) == 2
+        assert "waveform.jump_preset" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError) as info:
+            load_config(cfg)
+        assert info.value.field == "waveform.jump_preset"
 
     def test_substeps_is_an_unknown_field_exit_2(self, tmp_path, capsys):
         doc = base_config()

@@ -38,10 +38,6 @@ class TestControlWaveform:
             ControlWaveform(n_steps=2, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0)
         with pytest.raises(ValueError):
             ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=-1.0, chi=0.0)
-        with pytest.raises(ValueError):
-            ControlWaveform(
-                n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0, jump_ops="bogus"
-            )
 
     @pytest.mark.parametrize("field, value", [
         ("dt", np.inf), ("dt", np.nan), ("phi", (np.nan,)), ("phi", (np.inf,)),
@@ -56,20 +52,18 @@ class TestControlWaveform:
             ControlWaveform(**kwargs)
 
     def test_closed(self):
-        def closed(gamma_dec, jump_ops):
+        def closed(gamma_dec):
             return ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0,
-                                   gamma_dec=gamma_dec, jump_ops=jump_ops).closed
+                                   gamma_dec=gamma_dec).closed
 
-        assert closed(0.0, "isotropic") and closed(0.0, "none") and closed(200.0, "none")
-        assert not closed(200.0, "isotropic")
+        assert closed(0.0)
+        assert not closed(200.0) and not closed(1e-300)
 
-    def test_jump_ops_is_a_preset_name(self, sys3):
-        # a bare array gets this message too, not numpy's ambiguous-truth-value error
-        for jump_ops in ((sys3.Fz,), sys3.Fz, (sys3.Fx, sys3.Fy), "dephasing"):
-            with pytest.raises(ValueError, match="jump_ops must be one of isotropic, none"):
-                ControlWaveform(
-                    n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0, jump_ops=jump_ops
-                )
+    def test_no_second_switch_for_closed_evolution(self):
+        # gamma_dec = 0 is the one way to ask for unitary evolution
+        with pytest.raises(TypeError, match="jump_ops"):
+            ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0,
+                            gamma_dec=200.0, jump_ops="none")
 
     def test_fingerprint_tracks_content(self, default_waveform):
         same = make_waveform()
@@ -330,10 +324,10 @@ class TestHeisenbergHistory:
 def _reference_transfer_maps(sys, wf, n_samples):
     """Cumulative d^2 x d^2 transfer maps from expm of the Lindblad generator."""
     per_step = n_samples // wf.n_steps
-    jumps = isotropic(sys) if wf.jump_ops == "isotropic" else ()
     steps = [
         expm(
-            lindblad_reference(sys, dynamics._hamiltonian(sys, wf, s), wf.gamma_dec, jumps)
+            lindblad_reference(sys, dynamics._hamiltonian(sys, wf, s), wf.gamma_dec,
+                               isotropic(sys))
             * (wf.dt / per_step)
         )
         for s in range(wf.n_steps)
@@ -373,21 +367,6 @@ class TestPropagationKernel:
         scale = max(np.max(np.abs(w)) for w in want_states)
         for got, want in zip(got_states, want_states):
             assert np.max(np.abs(got - want)) <= 1e-11 * scale
-
-    def test_no_jump_operators_is_closed_evolution(self, sys3):
-        O = measured_observable(sys3)
-        closed = make_waveform()
-        no_jumps = make_waveform(gamma_dec=200.0, jump_ops="none")
-        a = heisenberg_history(sys3, closed, O, n_samples=150)
-        b = heisenberg_history(sys3, no_jumps, O, n_samples=150)
-        assert np.array_equal(a.design_matrix, b.design_matrix)
-        assert np.array_equal(coords_to_state(a.design_matrix), coords_to_state(b.design_matrix))
-        rho0 = make_state(sys3, "cat")
-        for x, y in zip(
-            propagate_state(rho0, sys3, closed, n_samples=150),
-            propagate_state(rho0, sys3, no_jumps, n_samples=150),
-        ):
-            assert np.array_equal(x, y)
 
 
 class TestSegmentExponential:
@@ -467,7 +446,7 @@ class TestHistoryBatch:
             assert h.waveform_fingerprint == alone.waveform_fingerprint
 
     @pytest.mark.parametrize("field, value", [("dt", 4e-5), ("gamma_dec", 100.0),
-                                              ("jump_ops", "none"), ("phi", (0.0,) * 30)])
+                                              ("gamma_dec", 0.0), ("phi", (0.0,) * 30)])
     def test_rejects_waveforms_differing_beyond_the_scales(self, sys3, field, value):
         base = make_waveform(gamma_dec=200.0)
         other = replace(base, **{field: value})

@@ -379,6 +379,18 @@ class TestPrefixCurve:
         # closed evolution keeps the spectrum, so the true state's own value is exact
         assert [top for _, _, top in points] == [max_eigenvalue(rho)] * len(points)
 
+    def test_waveform_must_be_the_historys(self, sys3, default_waveform):
+        # the third column evolves the true state under the waveform, so a closed waveform
+        # with an open history would report the spectrum of the unevolved state
+        open_wf = make_waveform(gamma_dec=200.0)
+        history = heisenberg_history(sys3, open_wf, measured_observable(sys3), n_samples=150)
+        rho = make_state(sys3, "cat")
+        record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=2)
+        with pytest.raises(FingerprintMismatchError, match=default_waveform.fingerprint()):
+            estimate_prefix_curve(record, history, rho, sys3, default_waveform)
+        points = estimate_prefix_curve(record, history, rho, sys3, open_wf)
+        assert points[-1][2] < 0.2
+
     def test_stride_validation(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "mixed")
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
@@ -465,28 +477,22 @@ class TestPrefixCurve:
 
 
 class TestNuisance:
-    def test_empty_params_equals_estimate(self, sys3, default_waveform, default_history):
-        rho = make_state(sys3, "cat")
-        record = synthesize_record(rho, default_history, sigma=0.4, seed=6)
-        plain = estimate(record, default_history)
-        viaN = estimate_with_nuisance(record, default_waveform, sys3, {})
-        assert np.max(np.abs(plain.rho_ml - viaN.rho_ml)) < 1e-12
-        assert viaN.nuisance == {}
-
-    def test_empty_params_skip_the_fingerprint_check(self, sys3, default_waveform,
-                                                     default_history):
+    def test_empty_params_rejected_before_any_history(self, sys3, default_waveform,
+                                                      default_history, monkeypatch):
+        # with no scale to fit, this would be estimate() without its fingerprint check
+        built = []
+        histories = estimator.heisenberg_histories
+        monkeypatch.setattr(estimator, "heisenberg_histories",
+                            lambda *args: built.append(args) or histories(*args))
         record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.4, seed=6)
         foreign = replace(record, waveform_fingerprint="0123456789abcdef")
-        result = estimate_with_nuisance(foreign, default_waveform, sys3, {})
-        plain = estimate(record, default_history)
-        assert np.array_equal(result.rho_ls, plain.rho_ls)
-        assert np.array_equal(result.rho_ml, plain.rho_ml)
-        # both paths build their result in one place, so every fit field is bitwise equal
-        assert np.array_equal(result.covariance, plain.covariance)
-        assert result.residual_norm == plain.residual_norm
-        assert result.rank == plain.rank
-        assert np.array_equal(result.singular_values, plain.singular_values)
-        assert result.nuisance == {} and result.nuisance_converged is None
+        for rec in (record, foreign):
+            with pytest.raises(ValueError, match="at least one nuisance scale"):
+                estimate_with_nuisance(rec, default_waveform, sys3, {})
+        assert built == []
+        estimate_with_nuisance(record, default_waveform, sys3, {"omega_scale": (0.95, 1.05)},
+                               budget=1)
+        assert len(built) == 1
 
     def test_recovers_unit_scale(self, sys3, default_waveform, default_history):
         rho = make_state(sys3, "basis_state", m=-3)
@@ -588,6 +594,16 @@ class TestNuisance:
             estimate_with_nuisance(
                 record, default_waveform, sys3, {"omega_scale": (1.1, 0.9)}
             )
+
+    def test_sample_count_off_the_segments_is_a_mismatch(self, sys3, default_waveform,
+                                                        default_history):
+        # 100 samples cannot be spread evenly over the waveform's 30 segments
+        record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.0, seed=0)
+        short = replace(record, times=record.times[:100], values=record.values[:100])
+        with pytest.raises(FingerprintMismatchError, match="record has 100 samples"):
+            estimate_with_nuisance(short, default_waveform, sys3, {"omega_scale": (0.95, 1.05)})
+        with pytest.raises(FingerprintMismatchError, match="record has 100 samples"):
+            estimate(short, default_history)
 
     @pytest.mark.parametrize("bounds", [{"omega_scale": (-0.5, 1.05)},
                                         {"chi_scale": (-2.0, -1.0)}])
