@@ -45,8 +45,6 @@ def completeness_report(history: ObservableHistory) -> CompletenessReport:
     Complete means rank d^2 - 1: together with the fixed trace coordinate
     the record then determines every state parameter.
     """
-    if history.n_samples < 1:
-        raise ValueError("history is empty")
     s = np.linalg.svd(history.design_matrix[:, 1:], compute_uv=False)
     rank = numerical_rank(s)
     d = history.d

@@ -276,7 +276,7 @@ def propagate_state(
     rho0: np.ndarray,
     sys: SpinSystem,
     waveform: ControlWaveform,
-    n_samples: int = 150,
+    n_samples: int,
 ) -> list[np.ndarray]:
     """Schrodinger-picture states at every sample time (element 0 is rho0)."""
     rho0 = check_density_matrix(rho0, sys.d)
@@ -300,6 +300,8 @@ class ObservableHistory:
     def __post_init__(self):
         if self.design_matrix.ndim != 2 or self.design_matrix.shape[0] != len(self.times):
             raise ValueError("times and design matrix lengths disagree")
+        if len(self.times) == 0:
+            raise ValueError("history is empty")
         if self.d * self.d != self.design_matrix.shape[1]:
             raise ValueError("design matrix width must be d^2")
         for arr in (self.times, self.design_matrix):
@@ -318,7 +320,7 @@ def heisenberg_history(
     sys: SpinSystem,
     waveform: ControlWaveform,
     observable: np.ndarray,
-    n_samples: int = 150,
+    n_samples: int,
 ) -> ObservableHistory:
     """Adjoint-propagate an observable over the sample grid.
 
@@ -330,7 +332,7 @@ def heisenberg_history(
 
 
 def heisenberg_histories(
-    sys: SpinSystem, waveforms, observable: np.ndarray, n_samples: int = 150
+    sys: SpinSystem, waveforms, observable: np.ndarray, n_samples: int
 ) -> list[ObservableHistory]:
     """:func:`heisenberg_history` under each of a batch of waveforms, in one pass of the kernel.
 

@@ -220,8 +220,6 @@ def estimate_batch(records, history: ObservableHistory) -> list[EstimateResult]:
     _check_match(records, history)
     if not records:
         return []
-    if history.n_samples < 1:
-        raise ValueError("record is empty")
     return _estimates(records, history.design_matrix)
 
 

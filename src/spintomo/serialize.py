@@ -65,10 +65,12 @@ def read_document(path, kind: str) -> dict:
     Python's json accepts the non-standard NaN and Infinity literals; here
     they raise, as does malformed JSON. An overflowing number such as 1e999
     parses to inf and is rejected by :func:`numeric_array` with its field.
+    The token ``-0`` reads as the float -0.0, which is written so, not as the int 0.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_non_finite)
+            doc = json.load(fh, parse_constant=_reject_non_finite,
+                            parse_int=lambda token: -0.0 if token == "-0" else int(token))
         except ValueError as exc:
             raise DocumentError(f"{kind} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -115,8 +117,7 @@ def numeric_array(value, field: str, ndim: int, minimum: float | None = None) ->
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
-        shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
-        raise DocumentError(f"malformed field {field}: expected {shape}", field)
+        raise _shape_error(field, ndim)
     arr = arr.astype(float)
     bad = ~np.isfinite(arr)
     if bad.any():
@@ -127,15 +128,24 @@ def numeric_array(value, field: str, ndim: int, minimum: float | None = None) ->
     return arr
 
 
+def _shape_error(field: str, ndim: int) -> DocumentError:
+    """The error for field ``field`` not holding numbers nested ``ndim`` lists deep."""
+    shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
+    return DocumentError(f"malformed field {field}: expected {shape}", field)
+
+
 def number(value, field: str, minimum: float | None = None) -> float:
     """Document field ``field`` as one float, checked as by :func:`numeric_array`."""
+    if type(value) is float and math.isfinite(value) and (minimum is None or value >= minimum):
+        return value  # skips the array round trip, as a record is built for every sweep trial
     return float(numeric_array(value, field, 0, minimum))
 
 
 def integer(value, field: str, minimum: int | None = None) -> int:
-    """Document field ``field`` as an int of at least ``minimum``; floats and booleans raise."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Field ``field`` as an int (numpy's too) of at least ``minimum``; floats and bools raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DocumentError(f"malformed field {field}: expected an integer", field)
+    value = int(value)
     if minimum is not None and value < minimum:
         raise DocumentError(f"malformed field {field}: must be at least {minimum}", field)
     return value

@@ -305,7 +305,7 @@ class TestHeisenbergHistory:
         # 1e300 overflows in the squarings, 1.7e308 already in the generator
         wf = make_waveform(gamma_dec=200.0, omega_larmor=omega)
         with pytest.raises(ValueError, match="open-system propagation overflowed"):
-            heisenberg_history(sys3, wf, measured_observable(sys3))
+            heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
 
     def test_times_grid(self, sys3, default_waveform, default_history):
         t = default_history.times
@@ -403,10 +403,11 @@ class TestSegmentExponential:
     def test_generator_parts_built_once_and_read_only(self, sys3):
         dynamics._generator_parts.cache_clear()
         for _ in range(2):
-            heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3))
+            heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3),
+                               n_samples=150)
         info = dynamics._generator_parts.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        heisenberg_history(sys3, make_waveform(), measured_observable(sys3))
+        heisenberg_history(sys3, make_waveform(), measured_observable(sys3), n_samples=150)
         assert dynamics._generator_parts.cache_info() == info  # closed evolution needs no parts
         parts = dynamics._generator_parts(sys3.d, 200.0)
         assert parts.shape == (4, 49, 49) and not parts.flags.writeable
@@ -437,10 +438,10 @@ class TestHistoryBatch:
         base = make_waveform(gamma_dec=gamma)
         scales = np.linspace(0.95, 1.05, 9)
         waveforms = [base.with_scales(omega_scale=x, chi_scale=2.0 - x) for x in scales]
-        batch = heisenberg_histories(s, waveforms, O)
+        batch = heisenberg_histories(s, waveforms, O, n_samples=150)
         assert len(batch) == 9
         for wf, h in zip(waveforms, batch):
-            alone = heisenberg_history(s, wf, O)
+            alone = heisenberg_history(s, wf, O, n_samples=150)
             assert np.array_equal(h.design_matrix, alone.design_matrix)
             assert np.array_equal(h.times, alone.times)
             assert h.waveform_fingerprint == alone.waveform_fingerprint
@@ -451,9 +452,9 @@ class TestHistoryBatch:
         base = make_waveform(gamma_dec=200.0)
         other = replace(base, **{field: value})
         with pytest.raises(ValueError, match="differ only in omega_larmor and chi"):
-            heisenberg_histories(sys3, [base, other], measured_observable(sys3))
+            heisenberg_histories(sys3, [base, other], measured_observable(sys3), n_samples=150)
 
     def test_rejects_empty_batch(self, sys3):
         with pytest.raises(ValueError, match="one or more waveforms"):
-            heisenberg_histories(sys3, [], measured_observable(sys3))
+            heisenberg_histories(sys3, [], measured_observable(sys3), n_samples=150)
 

@@ -105,19 +105,12 @@ class TestLeastSquares:
             estimate(short, default_history)
 
     def test_empty_record_rejected(self, sys3, default_history):
-        from spintomo import MeasurementRecord
-
-        record = MeasurementRecord(
-            F=3, times=np.zeros(0), values=np.zeros(0), sigma=0.0, seed=0,
-            n_averaged=1, waveform_fingerprint=default_history.waveform_fingerprint,
-        )
-        empty_history = ObservableHistory(
-            times=np.zeros(0),
-            design_matrix=np.zeros((0, 49)),
-            waveform_fingerprint=default_history.waveform_fingerprint,
-        )
         with pytest.raises(ValueError, match="empty"):
-            estimate(record, empty_history)
+            ObservableHistory(
+                times=np.zeros(0),
+                design_matrix=np.zeros((0, 49)),
+                waveform_fingerprint=default_history.waveform_fingerprint,
+            )
 
 
 class TestProjectToPhysical:

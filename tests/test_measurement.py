@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_waveform
 from spintomo import (
@@ -18,6 +20,9 @@ from spintomo import (
 )
 from spintomo import rand
 from spintomo import test_state as make_state
+
+RECORD = dict(F=3, times=np.arange(2.0), values=np.zeros(2), sigma=0.1, seed=1, n_averaged=1,
+              waveform_fingerprint="x")
 
 
 def test_sigma_zero_is_exact(sys3, default_history):
@@ -177,6 +182,18 @@ def test_synthesize_records_checks_every_seed_before_any_draw(
     assert draws == []
 
 
+@pytest.mark.parametrize("n_averaged", [2.5, True])
+def test_synthesize_records_checks_n_averaged_before_any_draw(
+    sys3, default_history, monkeypatch, n_averaged
+):
+    # 2.5 was truncated to 2 and True taken as 1, with sigma_eff to match
+    draws = []
+    monkeypatch.setattr(rand, "normals", lambda *args: draws.append(args))
+    with pytest.raises(RecordFormatError, match="n_averaged: expected an integer"):
+        synthesize_record(make_state(sys3, "cat"), default_history, 0.9, 5, n_averaged)
+    assert draws == []
+
+
 def test_averaging_variance_oracle(sys3):
     # statistical oracle: sample variance of the added noise ~ sigma^2 / n
     wf = make_waveform(n_steps=1, phi=(0.4,), dt=1.5e-3)
@@ -241,6 +258,79 @@ def test_record_rejects_non_finite_samples(field, bad):
     with pytest.raises(ValueError, match="times and values must be finite"):
         MeasurementRecord(F=3, sigma=0.1, seed=1, n_averaged=1, waveform_fingerprint="x",
                           **arrays)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("F", 2.7, "malformed field F: 2.7 is not a positive integer or half-integer"),
+    ("F", -1, "malformed field F: -1 is not a positive integer or half-integer"),
+    ("F", 40, "malformed field F: 40 exceeds the largest spin 32"),
+    ("waveform_fingerprint", "", "waveform_fingerprint must be a nonempty string"),
+    ("times", np.zeros((2, 1)), "malformed field times: expected numbers nested 1 lists deep"),
+    ("values", np.zeros((1, 2)), "malformed field values: expected numbers nested 1 lists deep"),
+    ("n_averaged", 2.5, "malformed field n_averaged: expected an integer"),
+    ("n_averaged", True, "malformed field n_averaged: expected an integer"),
+    ("sigma", True, "malformed field sigma: expected a number"),
+])
+def test_record_rules_are_the_readers(field, value, message):
+    # each value was accepted in Python although a record file holding it is refused
+    with pytest.raises(RecordFormatError) as info:
+        MeasurementRecord(**{**RECORD, field: value})
+    assert str(info.value) == message
+    assert info.value.field == field
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_fields(draw):
+    """Record constructor arguments: valid ones, then maybe one field from a wider range."""
+    n = draw(st.integers(0, 5))
+    fields = dict(
+        F=draw(st.integers(1, 64)) / 2,
+        times=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        values=draw(st.lists(FINITE, min_size=n, max_size=n)),
+        sigma=draw(st.floats(0.0, allow_infinity=False)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        n_averaged=draw(st.integers(1, 1000)),
+        waveform_fingerprint=draw(st.text(min_size=1, max_size=6)),
+    )
+    wider = {
+        "F": st.one_of(st.integers(-1, 40), st.floats(-1.0, 40.0)),
+        "values": st.lists(FINITE, max_size=6),
+        "sigma": st.one_of(FINITE, st.integers(-1, 10), st.booleans()),
+        "seed": st.integers(-1, 2**64),
+        "n_averaged": st.one_of(st.integers(-1, 3), st.floats(0.0, 5.0), st.booleans()),
+        "waveform_fingerprint": st.text(max_size=2),
+    }
+    name = draw(st.sampled_from([None, *wider]))
+    if name is not None:
+        fields[name] = draw(wider[name])
+    return fields
+
+
+@pytest.fixture(scope="module")
+def record_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("records") / "record.json"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(fields=record_fields())
+@example(fields={**RECORD, "times": [-0.0, 1.0], "sigma": -0.0})  # written as -0
+def test_every_record_built_reads_back(record_path, fields):
+    try:
+        record = MeasurementRecord(**fields)
+    except ValueError:
+        return  # a record that cannot be built has no file to read back
+    write_record(record, record_path)
+    text = record_path.read_bytes()
+    again = read_record(record_path)
+    for name in ("times", "values"):
+        assert np.array_equal(getattr(again, name), getattr(record, name))
+    for name in ("F", "sigma", "seed", "n_averaged", "waveform_fingerprint"):
+        assert getattr(again, name) == getattr(record, name)
+    write_record(again, record_path)
+    assert record_path.read_bytes() == text
 
 
 class TestRecordFile:
