@@ -49,7 +49,7 @@ from .measurement import (
 )
 from .metrics import _fidelities, fidelity
 from .serialize import format_float as _f
-from .spin_algebra import build_spin_system, measured_observable
+from .spin_algebra import measured_observable
 from .wigner import wigner_function, write_wigner_csv
 
 EXIT_OK = 0
@@ -63,10 +63,8 @@ _BOUND_TOL = 1e-9
 
 
 def _history_for(config: ExperimentConfig):
-    sys_ = config.spin_system()
-    return heisenberg_history(
-        sys_, config.waveform, measured_observable(sys_), n_samples=config.n_samples
-    )
+    observable = measured_observable(config.spin_system())
+    return heisenberg_history(config.waveform, observable, n_samples=config.n_samples)
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -116,14 +114,12 @@ def cmd_estimate(args) -> int:
     _check_output_dirs(args.out_estimate, args.prefix_curve)
     record = read_record(args.record)
     config = load_config(args.config)
-    sys_ = config.spin_system()
-    if args.nuisance:
+    if args.nuisance is not None:
         params = _parse_nuisance(args.nuisance)
-        # the fit samples on the record's grid, which must be the config's
-        _check_grid(record, sys_.d, sample_times(config.waveform, config.n_samples))
-        result = estimate_with_nuisance(
-            record, config.waveform, sys_, params, budget=args.budget
-        )
+        # the fit takes the record's spin and sample grid, which must be the config's
+        _check_grid(record, config.spin_system().d,
+                    sample_times(config.waveform, config.n_samples))
+        result = estimate_with_nuisance(record, config.waveform, params, budget=args.budget)
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")
             for bound in params[name]:
@@ -141,13 +137,11 @@ def cmd_estimate(args) -> int:
     if args.prefix_curve is not None:
         if truth is None:
             skipped = "config does not name a single true state"
-        elif args.nuisance:
+        elif args.nuisance is not None:
             # the record's fingerprint cannot match a rescaled waveform
             skipped = "not available together with --nuisance"
         else:
-            points = estimate_prefix_curve(
-                record, history, truth, sys_, config.waveform, stride=args.stride
-            )
+            points = estimate_prefix_curve(record, history, truth, stride=args.stride)
     write_estimate(result, args.out_estimate, record.waveform_fingerprint)
     if truth is not None:
         print(f"fidelity: {_f(fidelity(truth, result.rho_ml))}")
@@ -206,15 +200,8 @@ def cmd_sweep(args) -> int:
 def cmd_wigner(args) -> int:
     _check_output_dirs(args.out_csv)
     doc = serialize.read_document(args.input, "input")
-    if "rho_ml" in doc:
-        result, meta = parse_estimate(doc)
-        rho = result.rho_ml
-        sys_ = build_spin_system(meta["F"])
-    else:
-        config = parse_config(doc)
-        sys_ = config.spin_system()
-        rho = config.single_state
-    grid = wigner_function(rho, sys_, n_theta=args.n_theta, n_phi=args.n_phi)
+    rho = parse_estimate(doc)[0].rho_ml if "rho_ml" in doc else parse_config(doc).single_state
+    grid = wigner_function(rho, n_theta=args.n_theta, n_phi=args.n_phi)
     write_wigner_csv(grid, args.out_csv)
     print(f"grid: {grid.n_theta}x{grid.n_phi}")
     return EXIT_OK

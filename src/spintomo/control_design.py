@@ -78,7 +78,7 @@ def design_objective(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
-    history = heisenberg_history(sys, waveform, measured_observable(sys), n_samples=n_samples)
+    history = heisenberg_history(waveform, measured_observable(sys), n_samples=n_samples)
     report = completeness_report(history)
     if objective == "min_singular_value":
         return float(report.singular_values[-1]) if report.complete else 0.0

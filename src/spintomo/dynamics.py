@@ -8,6 +8,9 @@ isotropic Lindblad channel (jump operators Fx, Fy and Fz) at rate
 :func:`propagate_state`; the probed observable evolves in the Heisenberg
 picture with :func:`heisenberg_history`, which keeps each evolved O_i only
 as its basis coordinates: one row of the design matrix used for estimation.
+Neither takes a spin system: a d x d state or observable is of spin
+F = (d - 1) / 2. An :class:`ObservableHistory` holds the waveform it was
+built from and its design matrix, and derives everything else from them.
 
 Both run one kernel, which accumulates the propagator from t_0 to every
 sample time and applies it in the requested picture, for a batch of
@@ -38,6 +41,7 @@ import numpy as np
 from . import serialize
 from .spin_algebra import (
     SpinSystem,
+    _spin_of,
     _unitary,
     build_spin_system,
     check_density_matrix,
@@ -273,66 +277,61 @@ def _evolve(
 
 
 def propagate_state(
-    rho0: np.ndarray,
-    sys: SpinSystem,
-    waveform: ControlWaveform,
-    n_samples: int,
+    rho0: np.ndarray, waveform: ControlWaveform, n_samples: int
 ) -> list[np.ndarray]:
-    """Schrodinger-picture states at every sample time (element 0 is rho0)."""
-    rho0 = check_density_matrix(rho0, sys.d)
-    states = coords_to_state(_evolve(sys, [waveform], n_samples, rho0, heisenberg=False)[0])
+    """Schrodinger-picture states of a spin (d - 1) / 2 at every sample time (element 0 is rho0)."""
+    rho0 = check_density_matrix(rho0)
+    states = coords_to_state(
+        _evolve(_spin_of(rho0), [waveform], n_samples, rho0, heisenberg=False)[0]
+    )
     states[0] = rho0
     return list(states)
 
 
 @dataclass(frozen=True, eq=False)
 class ObservableHistory:
-    """Heisenberg-evolved observables {O_i}, held as their design matrix.
+    """Heisenberg-evolved observables {O_i} under ``waveform``, held as their design matrix.
 
     Row i of ``design_matrix`` is the coordinate vector of O_i, so
-    Tr[O_i rho] = design_matrix[i] @ coords(rho) for any state rho.
+    Tr[O_i rho] = design_matrix[i] @ coords(rho) for any state rho. The
+    sample count N, the spin dimension d, the sample ``times``
+    (:func:`sample_times`, so N must be a multiple of the segments) and
+    ``waveform_fingerprint`` are derived from the two fields once, here.
     """
 
-    times: np.ndarray
+    waveform: ControlWaveform
     design_matrix: np.ndarray  # (N, d*d) real
-    waveform_fingerprint: str
 
     def __post_init__(self):
-        if self.design_matrix.ndim != 2 or self.design_matrix.shape[0] != len(self.times):
-            raise ValueError("times and design matrix lengths disagree")
-        if len(self.times) == 0:
+        if self.design_matrix.ndim != 2:
+            raise ValueError("design matrix must be 2-D, one row per sample")
+        if len(self.design_matrix) == 0:
             raise ValueError("history is empty")
-        if self.d * self.d != self.design_matrix.shape[1]:
+        n_samples, width = self.design_matrix.shape
+        d = math.isqrt(width)
+        if d * d != width:
             raise ValueError("design matrix width must be d^2")
-        for arr in (self.times, self.design_matrix):
+        times = sample_times(self.waveform, n_samples)
+        for arr in (times, self.design_matrix):
             arr.setflags(write=False)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
-
-    @property
-    def d(self) -> int:
-        return math.isqrt(self.design_matrix.shape[1])
+        vars(self).update(times=times, n_samples=n_samples, d=d,
+                          waveform_fingerprint=self.waveform.fingerprint())
 
 
 def heisenberg_history(
-    sys: SpinSystem,
-    waveform: ControlWaveform,
-    observable: np.ndarray,
-    n_samples: int,
+    waveform: ControlWaveform, observable: np.ndarray, n_samples: int
 ) -> ObservableHistory:
-    """Adjoint-propagate an observable over the sample grid.
+    """Adjoint-propagate a d x d observable of a spin (d - 1) / 2 over the sample grid.
 
     The returned O_i satisfy Tr[O_i rho0] = Tr[O rho(t_i)] for every
     initial state, with rho(t) the Schrodinger-picture evolution under the
     same waveform.
     """
-    return heisenberg_histories(sys, [waveform], observable, n_samples)[0]
+    return heisenberg_histories([waveform], observable, n_samples)[0]
 
 
 def heisenberg_histories(
-    sys: SpinSystem, waveforms, observable: np.ndarray, n_samples: int
+    waveforms, observable: np.ndarray, n_samples: int
 ) -> list[ObservableHistory]:
     """:func:`heisenberg_history` under each of a batch of waveforms, in one pass of the kernel.
 
@@ -342,8 +341,7 @@ def heisenberg_histories(
     """
     observable = np.asarray(observable, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
-    if observable.shape != (sys.d, sys.d) or not is_hermitian(observable, tol=1e-10 * scale):
+    if not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    designs = _evolve(sys, waveforms, n_samples, observable, heisenberg=True)
-    times = sample_times(waveforms[0], n_samples)
-    return [ObservableHistory(times, D, w.fingerprint()) for w, D in zip(waveforms, designs)]
+    designs = _evolve(_spin_of(observable), waveforms, n_samples, observable, heisenberg=True)
+    return [ObservableHistory(w, D) for w, D in zip(waveforms, designs)]

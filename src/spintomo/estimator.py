@@ -31,7 +31,7 @@ from .dynamics import (
 from .measurement import MeasurementRecord
 from .metrics import _fidelities, max_eigenvalue
 from .spin_algebra import (
-    SpinSystem,
+    build_spin_system,
     check_density_matrix,
     coords_to_state,
     is_hermitian,
@@ -269,8 +269,6 @@ def estimate_prefix_curve(
     record: MeasurementRecord,
     history: ObservableHistory,
     rho0_true: np.ndarray,
-    sys: SpinSystem,
-    waveform: ControlWaveform,
     stride: int = 5,
 ) -> list[tuple[float, float, float]]:
     """Reconstruction quality as the record accumulates.
@@ -279,20 +277,16 @@ def estimate_prefix_curve(
     prefix lengths k = 0, stride, 2*stride, ..., N. The k = 0 point is the
     unbiased prior I/d at time 0; each later point is the estimate on the
     first k samples (:func:`_prefix_fits`), all scored with one sqrt(rho0_true).
-    The third column tracks the purity the true state has lost to decoherence,
-    so ``waveform`` must be the one ``history`` was built from.
+    The third column tracks the purity the true state loses to decoherence
+    under ``history.waveform``.
     """
     _check_match([record], history)
-    if waveform.fingerprint() != history.waveform_fingerprint:
-        raise FingerprintMismatchError(
-            f"waveform fingerprint {waveform.fingerprint()} does not match "
-            f"history fingerprint {history.waveform_fingerprint}"
-        )
     rho0_true = check_density_matrix(rho0_true, history.d)
     if stride < 1:
         raise ValueError("stride must be at least 1")
     n = record.n_samples
-    evolved = [rho0_true] * n if waveform.closed else propagate_state(rho0_true, sys, waveform, n)
+    waveform = history.waveform
+    evolved = [rho0_true] * n if waveform.closed else propagate_state(rho0_true, waveform, n)
     ks = list(range(stride, n, stride)) + [n]
     estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
     prior = np.eye(history.d, dtype=complex) / history.d
@@ -390,7 +384,6 @@ class _BudgetSpent(Exception):
 def estimate_with_nuisance(
     record: MeasurementRecord,
     waveform: ControlWaveform,
-    sys: SpinSystem,
     params: dict[str, tuple[float, float]],
     budget: int = 200,
 ) -> EstimateResult:
@@ -406,11 +399,12 @@ def estimate_with_nuisance(
     grid point between its neighbours (``_coordinate_search``). Every trial
     point lies inside the bounds.
 
-    The waveform fingerprint is deliberately not checked against the
-    record here: a drifted drive is the reason this entry point exists.
-    The search is deterministic. ``budget`` counts histories, grid points
-    included, and none is built past it; the best point's design matrix is
-    kept and fitted once at the end. If the budget runs out first, the best
+    The spin and the sample count are the record's. The waveform
+    fingerprint is deliberately not checked against the record here: a
+    drifted drive is the reason this entry point exists. The search is
+    deterministic. ``budget`` counts histories, grid points included, and
+    none is built past it; the best point's design matrix is kept and
+    fitted once at the end. If the budget runs out first, the best
     point built (the first of equal ones) is returned with
     ``nuisance_converged`` False.
     """
@@ -419,6 +413,7 @@ def estimate_with_nuisance(
             f"record has {record.n_samples} samples, not a multiple of the waveform's "
             f"{waveform.n_steps} segments"
         )
+    sys = build_spin_system(record.F)
     _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
     if not names:
@@ -444,7 +439,7 @@ def estimate_with_nuisance(
         new = list(dict.fromkeys(key for key in keys if key not in residuals))
         spent, new = len(residuals) + len(new) > budget, new[:budget - len(residuals)]
         scaled = [waveform.with_scales(**dict(zip(names, key))) for key in new]
-        histories = heisenberg_histories(sys, scaled, observable, record.n_samples) if new else []
+        histories = heisenberg_histories(scaled, observable, record.n_samples) if new else []
         for key, history in zip(new, histories):
             residuals[key] = _solve(record.values[None], history.design_matrix)[1][0]
             if not best or residuals[key] < best["residual"]:

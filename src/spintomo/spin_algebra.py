@@ -98,6 +98,13 @@ def build_spin_system(F) -> SpinSystem:
     return SpinSystem(F=Fval, d=d, Fx=fx, Fy=fy, Fz=fz)
 
 
+def _spin_of(mat: np.ndarray) -> SpinSystem:
+    """The spin F = (d - 1) / 2 whose operators are d x d like ``mat``; d must be at least 2."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) < 2:
+        raise ValueError(f"expected a d x d matrix with d >= 2, got shape {mat.shape}")
+    return build_spin_system((len(mat) - 1) / 2)
+
+
 def measured_observable(sys: SpinSystem) -> np.ndarray:
     """The probed spin observable Fx*Fy + Fy*Fx (Hermitian, traceless)."""
     return sys.Fx @ sys.Fy + sys.Fy @ sys.Fx

@@ -1,5 +1,8 @@
 """Spherical Wigner quasi-probability function of a spin-F state.
 
+The spin is the state's: a d x d density matrix is a state of spin
+F = (d - 1) / 2, so the evaluators take the state alone.
+
 W is defined by the orthonormal multipole (irreducible tensor) operators
 T_kq and the spherical harmonics, with the overall constant fixed to make
 the function integrate to 1 over the sphere:
@@ -25,7 +28,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import serialize
-from .spin_algebra import SpinSystem, build_spin_system, check_density_matrix, clebsch_gordan
+from .spin_algebra import (
+    SpinSystem,
+    _spin_of,
+    build_spin_system,
+    check_density_matrix,
+    clebsch_gordan,
+)
 
 __all__ = [
     "WignerGrid",
@@ -105,7 +114,7 @@ def _pole_kernel(d: int) -> np.ndarray:
     return K
 
 
-def _diagonal_sums(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray) -> np.ndarray:
+def _diagonal_sums(rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """c_q(theta) for q = 1 - d ... d - 1, shape (n_theta, 2d - 1): W = Re sum_q c_q e^{-i q phi}.
 
     With A(theta) = e^{-i theta Fy} K e^{i theta Fy},
@@ -113,6 +122,7 @@ def _diagonal_sums(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray) -> np.n
     m_a - m_b = b - a: c_q(theta) is the sum of the q-th diagonal of rho^T * A(theta).
     Its (n_theta, d, d) work arrays are freed before the caller allocates the grid.
     """
+    sys = _spin_of(rho)
     d = sys.d
     lam, V = np.linalg.eigh(sys.Fy)
     # Ry(theta) = e^{-i theta Fy} for every theta; it is real (the Wigner small-d matrix)
@@ -121,19 +131,14 @@ def _diagonal_sums(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray) -> np.n
     return np.stack([np.trace(X, offset=q, axis1=1, axis2=2) for q in range(1 - d, d)], axis=1)
 
 
-def _evaluate(rho: np.ndarray, sys: SpinSystem, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    c = _diagonal_sums(rho, sys, thetas)
-    angles = np.multiply.outer(np.arange(1 - sys.d, sys.d), phis)
+def _evaluate(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    c = _diagonal_sums(rho, thetas)
+    angles = np.multiply.outer(np.arange(1 - len(rho), len(rho)), phis)
     # Re(c_q e^{-i q phi}) = Re(c_q) cos(q phi) + Im(c_q) sin(q phi): one real product
     return np.hstack((c.real, c.imag)) @ np.vstack((np.cos(angles), np.sin(angles)))
 
 
-def wigner_function(
-    rho: np.ndarray,
-    sys: SpinSystem,
-    n_theta: int = 181,
-    n_phi: int = 360,
-) -> WignerGrid:
+def wigner_function(rho: np.ndarray, n_theta: int = 181, n_phi: int = 360) -> WignerGrid:
     """Sample the Wigner function on a uniform grid for visualization.
 
     theta runs inclusively from 0 to pi (so both poles are on the grid) and
@@ -141,20 +146,15 @@ def wigner_function(
     :func:`wigner_integral` for normalization checks; the uniform grid is
     only second-order accurate as a quadrature rule.
     """
-    rho = check_density_matrix(rho, sys.d)
+    rho = check_density_matrix(rho)
     if n_theta < 8 or n_phi < 8:
         raise ValueError("grid sizes must be at least 8")
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    return WignerGrid(thetas=thetas, phis=phis, values=_evaluate(rho, sys, thetas, phis))
+    return WignerGrid(thetas=thetas, phis=phis, values=_evaluate(rho, thetas, phis))
 
 
-def wigner_integral(
-    rho: np.ndarray,
-    sys: SpinSystem,
-    n_theta: int = 64,
-    n_phi: int = 128,
-) -> float:
+def wigner_integral(rho: np.ndarray, n_theta: int = 64, n_phi: int = 128) -> float:
     """Integral of W over the sphere: Gauss-Legendre in cos(theta),
     trapezoid (= rectangle, by periodicity) in phi.
 
@@ -162,11 +162,11 @@ def wigner_integral(
     evaluate the integral to machine precision; the result is 1 for any
     physical state in this package's normalization convention.
     """
-    rho = check_density_matrix(rho, sys.d)
+    rho = check_density_matrix(rho)
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(nodes)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    values = _evaluate(rho, sys, thetas, phis)
+    values = _evaluate(rho, thetas, phis)
     return float((2.0 * math.pi / n_phi) * weights @ values.sum(axis=1))
 
 

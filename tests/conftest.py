@@ -47,9 +47,8 @@ def default_waveform():
 
 @pytest.fixture(scope="session")
 def default_history(sys3, default_waveform):
-    return heisenberg_history(
-        sys3, default_waveform, measured_observable(sys3), n_samples=DEFAULT_N_SAMPLES
-    )
+    observable = measured_observable(sys3)
+    return heisenberg_history(default_waveform, observable, n_samples=DEFAULT_N_SAMPLES)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from spintomo import (
+    build_spin_system,
     estimate_batch,
     fidelity,
     heisenberg_history,
@@ -173,7 +174,7 @@ def water_filling_reference(rho: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def nuisance_grid_reference(record, waveform, sys, name, low, high, n_points):
+def nuisance_grid_reference(record, waveform, name, low, high, n_points):
     """First minimum among the first ``n_points`` of a scale's 9-point grid (reference).
 
     A plain loop: one ``heisenberg_history`` per grid point, in grid order,
@@ -182,7 +183,8 @@ def nuisance_grid_reference(record, waveform, sys, name, low, high, n_points):
     best = None
     for scale in np.linspace(low, high, 9)[:n_points]:
         scaled = waveform.with_scales(**{name: float(scale)})
-        history = heisenberg_history(sys, scaled, measured_observable(sys), record.n_samples)
+        observable = measured_observable(build_spin_system(record.F))
+        history = heisenberg_history(scaled, observable, record.n_samples)
         residual = _solve(record.values[None], history.design_matrix)[1][0]
         if best is None or residual < best[1]:
             best = (float(scale), residual)
@@ -215,9 +217,8 @@ def sweep_reference(config, n_trials: int) -> tuple[str, str]:
     ``estimate_batch`` solve, as in ``sweep``: a record solved alone can
     differ from its batch row in the last bits.
     """
-    sys = config.spin_system()
-    history = heisenberg_history(sys, config.waveform, measured_observable(sys),
-                                 n_samples=config.n_samples)
+    observable = measured_observable(config.spin_system())
+    history = heisenberg_history(config.waveform, observable, n_samples=config.n_samples)
     rows = [(trial, label, config.seed + trial * len(config.states) + state_index, rho)
             for trial in range(n_trials)
             for state_index, (label, rho) in enumerate(config.states)]

@@ -61,13 +61,13 @@ def test_ac01_heisenberg_schrodinger_duality(sys3):
         worst = 0.0
         for i in range(10):
             waveform = make_waveform(phi_seed=i, gamma_dec=0.0 if i % 2 == 0 else 100.0)
-            history = heisenberg_history(sys3, waveform, O, n_samples=150)
+            history = heisenberg_history(waveform, O, n_samples=150)
             for rho0 in states:
                 heis = history.design_matrix @ state_to_coords(rho0)
                 schro = np.array(
                     [
                         np.trace(O @ s).real
-                        for s in propagate_state(rho0, sys3, waveform, n_samples=150)
+                        for s in propagate_state(rho0, waveform, n_samples=150)
                     ]
                 )
                 worst = max(worst, float(np.max(np.abs(heis - schro))))
@@ -111,18 +111,14 @@ def test_ac03_paper_band_noisy_reconstruction(sys3, default_history, paper_state
 def test_ac04_completeness_dichotomy(sys3):
     with Stopwatch("AC-4 completeness dichotomy", 10):
         O = measured_observable(sys3)
-        full = completeness_report(
-            heisenberg_history(sys3, make_waveform(), O, n_samples=150)
-        )
+        full = completeness_report(heisenberg_history(make_waveform(), O, n_samples=150))
         assert full.rank == 48 and full.complete
         rotations = completeness_report(
-            heisenberg_history(sys3, make_waveform(chi=0.0), O, n_samples=150)
+            heisenberg_history(make_waveform(chi=0.0), O, n_samples=150)
         )
         assert rotations.rank <= 5 and not rotations.complete
         static = completeness_report(
-            heisenberg_history(
-                sys3, make_waveform(chi=0.0, omega_larmor=0.0), O, n_samples=150
-            )
+            heisenberg_history(make_waveform(chi=0.0, omega_larmor=0.0), O, n_samples=150)
         )
         assert static.rank == 1
 
@@ -185,20 +181,20 @@ def test_ac07_wigner_suite(sys3):
             make_state(sys3, "cat"),
             random_density(rng, 7),
         ):
-            assert abs(wigner_integral(rho, sys3) - 1.0) < 1e-6
+            assert abs(wigner_integral(rho) - 1.0) < 1e-6
 
-        flat = wigner_function(make_state(sys3, "mixed"), sys3, 64, 64)
+        flat = wigner_function(make_state(sys3, "mixed"), 64, 64)
         assert np.max(np.abs(flat.values - 1 / (4 * np.pi))) < 1e-12
 
         n_phi, shift = 360, 40
         alpha = 2 * np.pi * shift / n_phi
         rho = make_state(sys3, "twisted", mu=0.6)
         U = np.diag(np.exp(-1j * alpha * sys3.m_values))
-        rotated = wigner_function(U @ rho @ U.conj().T, sys3, 91, n_phi)
-        base = wigner_function(rho, sys3, 91, n_phi)
+        rotated = wigner_function(U @ rho @ U.conj().T, 91, n_phi)
+        base = wigner_function(rho, 91, n_phi)
         assert np.max(np.abs(rotated.values - np.roll(base.values, shift, axis=1))) < 1e-8
 
-        cat = wigner_function(make_state(sys3, "cat"), sys3, 181, 360)
+        cat = wigner_function(make_state(sys3, "cat"), 181, 360)
         equator = cat.values[90]
         changes = int(np.sum(np.signbit(equator) != np.signbit(np.roll(equator, 1))))
         assert changes == 2 * 6  # 2F azimuthal fringe periods, two crossings each
@@ -211,7 +207,7 @@ def test_ac08_squeezing_dynamics(sys3):
         )
         rho0 = make_state(sys3, "basis_state", m=3)
         n = 150
-        states = propagate_state(rho0, sys3, waveform, n_samples=n)
+        states = propagate_state(rho0, waveform, n_samples=n)
 
         moments = {}
         for name, op in (
@@ -221,7 +217,7 @@ def test_ac08_squeezing_dynamics(sys3):
             ("yy", sys3.Fy @ sys3.Fy),
             ("xy", sys3.Fx @ sys3.Fy + sys3.Fy @ sys3.Fx),
         ):
-            history = heisenberg_history(sys3, waveform, op, n_samples=n)
+            history = heisenberg_history(waveform, op, n_samples=n)
             moments[name] = noiseless_values(rho0, history)
 
         def min_variance(ex, ey, exx, eyy, exy):
@@ -252,13 +248,11 @@ def test_ac08_squeezing_dynamics(sys3):
         assert np.max(np.abs(schro - heis)) < 1e-10
 
 
-def test_ac09_fidelity_curve_phenomenology(sys3, default_waveform, default_history):
+def test_ac09_fidelity_curve_phenomenology(sys3, default_history):
     with Stopwatch("AC-9 evolving-estimate phenomenology", 300):
         rho0 = make_state(sys3, "basis_state", m=-3)
         record = synthesize_record(rho0, default_history, CALIBRATED_SIGMA, seed=0)
-        points = estimate_prefix_curve(
-            record, default_history, rho0, sys3, default_waveform, stride=5
-        )
+        points = estimate_prefix_curve(record, default_history, rho0, stride=5)
         t0, fid0, _ = points[0]
         assert t0 == 0.0
         assert abs(fid0 - 1 / 7) < 1e-12
@@ -269,12 +263,10 @@ def test_ac09_fidelity_curve_phenomenology(sys3, default_waveform, default_histo
 
         noisy_waveform = make_waveform(gamma_dec=100.0)
         noisy_history = heisenberg_history(
-            sys3, noisy_waveform, measured_observable(sys3), n_samples=150
+            noisy_waveform, measured_observable(sys3), n_samples=150
         )
         record = synthesize_record(rho0, noisy_history, CALIBRATED_SIGMA, seed=0)
-        points = estimate_prefix_curve(
-            record, noisy_history, rho0, sys3, noisy_waveform, stride=5
-        )
+        points = estimate_prefix_curve(record, noisy_history, rho0, stride=5)
         tops = [p[2] for p in points]
         assert all(b <= a + 1e-9 for a, b in zip(tops, tops[1:]))
         assert tops[-1] < 1.0
@@ -284,13 +276,11 @@ def test_ac10_nuisance_recovery(sys3, default_waveform):
     with Stopwatch("AC-10 nuisance recovery", 300):
         true_waveform = default_waveform.with_scales(omega_scale=1.01)
         history = heisenberg_history(
-            sys3, true_waveform, measured_observable(sys3), n_samples=150
+            true_waveform, measured_observable(sys3), n_samples=150
         )
         rho0 = make_state(sys3, "basis_state", m=-3)
         record = synthesize_record(rho0, history, sigma=0.0, seed=0)
-        result = estimate_with_nuisance(
-            record, default_waveform, sys3, {"omega_scale": (0.95, 1.05)}
-        )
+        result = estimate_with_nuisance(record, default_waveform, {"omega_scale": (0.95, 1.05)})
         assert abs(result.nuisance["omega_scale"] - 1.01) < 1e-3
         assert fidelity(rho0, result.rho_ml) >= 0.999
 

@@ -218,6 +218,18 @@ class TestCliPipeline:
         assert message in capsys.readouterr().err
         assert not est.exists()
 
+    def test_empty_nuisance_spec_exit_2(self, tmp_path, capsys):
+        # an empty --nuisance names no scale: a bad entry, not a plain estimate
+        cfg = write_config(tmp_path, base_config())
+        record, est, curve = (str(tmp_path / name) for name in ("record.json", "e.json", "c.csv"))
+        assert main(["simulate", cfg, record]) == 0
+        capsys.readouterr()
+        argv = ["estimate", record, cfg, est, "--nuisance", "", "--prefix-curve", curve]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: bad --nuisance entry ''; expected "
+                                           "name:low:high\n")
+        assert not (tmp_path / "e.json").exists() and not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("curve, stride, code", [
         ("no_dir/c.csv", "5", 2),
     ], ids=["curve_dir_missing"])
@@ -295,10 +307,10 @@ class TestCliPipeline:
         assert main(argv) == 0
         fitted = json.loads(est.read_text())["residual_norm"]
         config, rec = load_config(nominal), read_record(record)
-        sys_ = config.spin_system()
         scaled = [config.waveform.with_scales(omega_scale=scale)
                   for scale in np.linspace(0.95, 1.05, 21)]
-        histories = heisenberg_histories(sys_, scaled, measured_observable(sys_), rec.n_samples)
+        observable = measured_observable(config.spin_system())
+        histories = heisenberg_histories(scaled, observable, rec.n_samples)
         profile = min(_solve(rec.values[None], h.design_matrix)[1][0] for h in histories)
         assert fitted <= profile * (1 + 1e-9)
 

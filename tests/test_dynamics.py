@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from conftest import make_waveform
 from helpers import lindblad_reference, random_density
 from spintomo import (
     ControlWaveform,
+    ObservableHistory,
     build_spin_system,
     coords_to_state,
     hermitian_basis,
@@ -126,7 +127,7 @@ class TestLindblad:
     def test_hamiltonian_part_matches_unitary_conjugation(self, sys3):
         wf = make_waveform()
         rho = make_state(sys3, "cat")
-        states = propagate_state(rho, sys3, wf, n_samples=30)
+        states = propagate_state(rho, wf, n_samples=30)
         U = np.eye(7, dtype=complex)
         dt_sample = wf.duration / 30
         direct = [rho]
@@ -145,13 +146,13 @@ class TestLindblad:
     def test_isotropic_fixed_point(self, sys3):
         wf = make_waveform(gamma_dec=200.0)
         mixed = make_state(sys3, "mixed")
-        states = propagate_state(mixed, sys3, wf, n_samples=30)
+        states = propagate_state(mixed, wf, n_samples=30)
         assert np.max(np.abs(states[-1] - mixed)) < 1e-10
 
-    def test_trace_preserved_150_steps(self, sys3):
+    def test_trace_preserved_150_steps(self):
         rng = np.random.default_rng(8)
         rho = random_density(rng, 7)
-        states = propagate_state(rho, sys3, make_waveform(gamma_dec=80.0), n_samples=150)
+        states = propagate_state(rho, make_waveform(gamma_dec=80.0), n_samples=150)
         for s in states:
             assert abs(np.trace(s) - 1.0) < 1e-9
 
@@ -180,7 +181,7 @@ class TestPropagateState:
             n_steps=10, dt=1e-5, phi=(angle,) * 10, omega_larmor=2 * np.pi * 3000, chi=0.0
         )
         rho0 = make_state(sys3, "basis_state", m=3)
-        states = propagate_state(rho0, sys3, wf, n_samples=50)
+        states = propagate_state(rho0, wf, n_samples=50)
         axis = np.array([np.cos(angle), np.sin(angle), 0.0])
         times = sample_times(wf, 50)
         lengths = []
@@ -198,17 +199,17 @@ class TestPropagateState:
             assert vec[2] == pytest.approx(3 * np.cos(wf.omega_larmor * t), abs=1e-8)
         assert np.max(np.abs(np.array(lengths) - 3.0)) < 1e-9
 
-    def test_outputs_physical(self, sys3):
+    def test_outputs_physical(self):
         rng = np.random.default_rng(9)
         rho = random_density(rng, 7, rank=3)
-        for s in propagate_state(rho, sys3, make_waveform(gamma_dec=100.0), n_samples=30):
+        for s in propagate_state(rho, make_waveform(gamma_dec=100.0), n_samples=30):
             assert np.max(np.abs(s - s.conj().T)) < 1e-12
             assert abs(np.trace(s) - 1) < 1e-9
             assert np.linalg.eigvalsh(s)[0] > -1e-9
 
     def test_purity_monotone_under_isotropic_noise(self, sys3):
         rho0 = make_state(sys3, "cat")
-        states = propagate_state(rho0, sys3, make_waveform(gamma_dec=150.0), n_samples=150)
+        states = propagate_state(rho0, make_waveform(gamma_dec=150.0), n_samples=150)
         purities = [purity(s) for s in states]
         assert all(b <= a + 1e-10 for a, b in zip(purities, purities[1:]))
 
@@ -235,7 +236,7 @@ class TestPropagateState:
         )
         rho0 = make_state(sys3, "basis_state", m=3)
         best = np.inf
-        for rho in propagate_state(rho0, sys3, wf, n_samples=150):
+        for rho in propagate_state(rho0, wf, n_samples=150):
             ex = np.trace(rho @ sys3.Fx).real
             ey = np.trace(rho @ sys3.Fy).real
             vxx = np.trace(rho @ sys3.Fx @ sys3.Fx).real - ex**2
@@ -249,16 +250,14 @@ class TestPropagateState:
 
     def test_sample_alignment_enforced(self, sys3, default_waveform):
         with pytest.raises(ValueError, match="multiple"):
-            propagate_state(
-                make_state(sys3, "mixed"), sys3, default_waveform, n_samples=100
-            )
+            propagate_state(make_state(sys3, "mixed"), default_waveform, n_samples=100)
 
 
 class TestHeisenbergHistory:
     def test_identity_waveform_static_observable(self, sys3):
         wf = ControlWaveform(n_steps=1, dt=1e-4, phi=(0.0,), omega_larmor=0.0, chi=0.0)
         O = measured_observable(sys3)
-        h = heisenberg_history(sys3, wf, O, n_samples=20)
+        h = heisenberg_history(wf, O, n_samples=20)
         for Oi in coords_to_state(h.design_matrix):
             assert np.max(np.abs(Oi - O)) < 1e-12
 
@@ -266,12 +265,12 @@ class TestHeisenbergHistory:
     def test_duality_against_schrodinger(self, sys3, gamma):
         wf = make_waveform(gamma_dec=gamma)
         O = measured_observable(sys3)
-        h = heisenberg_history(sys3, wf, O, n_samples=150)
+        h = heisenberg_history(wf, O, n_samples=150)
         rng = np.random.default_rng(11)
         for _ in range(10):
             rho0 = random_density(rng, 7, rank=int(rng.integers(1, 8)))
             heis = h.design_matrix @ state_to_coords(rho0)
-            states = propagate_state(rho0, sys3, wf, n_samples=150)
+            states = propagate_state(rho0, wf, n_samples=150)
             schro = np.array([np.trace(O @ s).real for s in states])
             assert np.max(np.abs(heis - schro)) < 1e-8
 
@@ -279,7 +278,7 @@ class TestHeisenbergHistory:
         # rotations keep the observable inside one tensor rank, where the
         # isotropic dissipator is a pure decay: strictly monotone norms
         wf = make_waveform(gamma_dec=150.0, chi=0.0)
-        h = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
+        h = heisenberg_history(wf, measured_observable(sys3), n_samples=150)
         norms = np.linalg.norm(h.design_matrix, axis=1)
         assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 0.7 * norms[0]
@@ -289,7 +288,7 @@ class TestHeisenbergHistory:
         # monotone sample to sample, but each map is a contraction, so
         # nothing exceeds the initial norm
         wf = make_waveform(gamma_dec=150.0)
-        h = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
+        h = heisenberg_history(wf, measured_observable(sys3), n_samples=150)
         norms = np.linalg.norm(h.design_matrix, axis=1)
         assert np.max(norms) <= norms[0] + 1e-10
         assert norms[-1] < 0.7 * norms[0]
@@ -305,7 +304,7 @@ class TestHeisenbergHistory:
         # 1e300 overflows in the squarings, 1.7e308 already in the generator
         wf = make_waveform(gamma_dec=200.0, omega_larmor=omega)
         with pytest.raises(ValueError, match="open-system propagation overflowed"):
-            heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
+            heisenberg_history(wf, measured_observable(sys3), n_samples=150)
 
     def test_times_grid(self, sys3, default_waveform, default_history):
         t = default_history.times
@@ -314,11 +313,35 @@ class TestHeisenbergHistory:
         dt_sample = default_waveform.duration / 150
         assert np.max(np.abs(t - np.arange(150) * dt_sample)) < 1e-15
 
-    def test_rejects_non_hermitian_observable(self, sys3, default_waveform):
+    def test_rejects_non_hermitian_observable(self, default_waveform):
         bad = np.zeros((7, 7))
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
-            heisenberg_history(sys3, default_waveform, bad, n_samples=150)
+            heisenberg_history(default_waveform, bad, n_samples=150)
+
+
+class TestObservableHistory:
+    def test_two_fields_and_the_rest_derived(self, default_waveform, default_history):
+        assert [f.name for f in fields(ObservableHistory)] == ["waveform", "design_matrix"]
+        assert default_history.waveform is default_waveform
+        times = sample_times(default_waveform, 150)
+        assert default_history.times.tobytes() == times.tobytes()
+        assert not default_history.times.flags.writeable
+        assert (default_history.n_samples, default_history.d) == (150, 7)
+        assert default_history.waveform_fingerprint == default_waveform.fingerprint()
+
+    def test_sample_count_must_fill_the_segments(self, default_waveform, default_history):
+        with pytest.raises(ValueError, match="multiple of n_steps=30"):
+            ObservableHistory(default_waveform, default_history.design_matrix[:100])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 6)], ids=["1x1", "non_square"])
+    def test_spin_size_is_the_matrix_size(self, default_waveform, shape):
+        # np.eye(1) is a valid density matrix and a Hermitian observable, but of no spin
+        mat = np.eye(*shape, dtype=complex)
+        with pytest.raises(ValueError, match="d >= 2|square"):
+            propagate_state(mat, default_waveform, n_samples=30)
+        with pytest.raises(ValueError, match="d >= 2|d x d"):
+            heisenberg_history(default_waveform, mat, n_samples=30)
 
 
 def _reference_transfer_maps(sys, wf, n_samples):
@@ -356,14 +379,14 @@ class TestPropagationKernel:
         maps = _reference_transfer_maps(s, wf, n_samples)
 
         want_rows = np.array([M.T @ state_to_coords(O) for M in maps])
-        h = heisenberg_history(s, wf, O, n_samples=n_samples)
+        h = heisenberg_history(wf, O, n_samples=n_samples)
         scale = np.max(np.abs(want_rows))
         assert np.max(np.abs(h.design_matrix - want_rows)) <= 1e-11 * scale
         assert np.max(np.abs(coords_to_state(h.design_matrix) - coords_to_state(want_rows))) \
             <= 1e-11 * scale
 
         want_states = [coords_to_state(M @ state_to_coords(rho0)) for M in maps]
-        got_states = propagate_state(rho0, s, wf, n_samples=n_samples)
+        got_states = propagate_state(rho0, wf, n_samples=n_samples)
         scale = max(np.max(np.abs(w)) for w in want_states)
         for got, want in zip(got_states, want_states):
             assert np.max(np.abs(got - want)) <= 1e-11 * scale
@@ -403,11 +426,10 @@ class TestSegmentExponential:
     def test_generator_parts_built_once_and_read_only(self, sys3):
         dynamics._generator_parts.cache_clear()
         for _ in range(2):
-            heisenberg_history(sys3, make_waveform(gamma_dec=200.0), measured_observable(sys3),
-                               n_samples=150)
+            heisenberg_history(make_waveform(gamma_dec=200.0), measured_observable(sys3), 150)
         info = dynamics._generator_parts.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        heisenberg_history(sys3, make_waveform(), measured_observable(sys3), n_samples=150)
+        heisenberg_history(make_waveform(), measured_observable(sys3), n_samples=150)
         assert dynamics._generator_parts.cache_info() == info  # closed evolution needs no parts
         parts = dynamics._generator_parts(sys3.d, 200.0)
         assert parts.shape == (4, 49, 49) and not parts.flags.writeable
@@ -438,10 +460,10 @@ class TestHistoryBatch:
         base = make_waveform(gamma_dec=gamma)
         scales = np.linspace(0.95, 1.05, 9)
         waveforms = [base.with_scales(omega_scale=x, chi_scale=2.0 - x) for x in scales]
-        batch = heisenberg_histories(s, waveforms, O, n_samples=150)
+        batch = heisenberg_histories(waveforms, O, n_samples=150)
         assert len(batch) == 9
         for wf, h in zip(waveforms, batch):
-            alone = heisenberg_history(s, wf, O, n_samples=150)
+            alone = heisenberg_history(wf, O, n_samples=150)
             assert np.array_equal(h.design_matrix, alone.design_matrix)
             assert np.array_equal(h.times, alone.times)
             assert h.waveform_fingerprint == alone.waveform_fingerprint
@@ -452,9 +474,9 @@ class TestHistoryBatch:
         base = make_waveform(gamma_dec=200.0)
         other = replace(base, **{field: value})
         with pytest.raises(ValueError, match="differ only in omega_larmor and chi"):
-            heisenberg_histories(sys3, [base, other], measured_observable(sys3), n_samples=150)
+            heisenberg_histories([base, other], measured_observable(sys3), n_samples=150)
 
     def test_rejects_empty_batch(self, sys3):
         with pytest.raises(ValueError, match="one or more waveforms"):
-            heisenberg_histories(sys3, [], measured_observable(sys3), n_samples=150)
+            heisenberg_histories([], measured_observable(sys3), n_samples=150)
 

@@ -29,6 +29,7 @@ from spintomo import (
     max_eigenvalue,
     measured_observable,
     project_to_physical,
+    propagate_state,
     read_estimate,
     state_to_coords,
     synthesize_record,
@@ -36,7 +37,7 @@ from spintomo import (
 )
 from spintomo import estimator, metrics
 from spintomo import test_state as make_state
-from spintomo.estimator import _prefix_fits, _solve
+from spintomo.estimator import _estimates, _prefix_fits, _solve
 from spintomo.serialize import DocumentError
 
 
@@ -54,7 +55,7 @@ class TestLeastSquares:
     def test_rank_deficient_minimum_norm(self, sys3):
         # static observable: only one traceless direction is measurable
         wf = make_waveform(omega_larmor=0.0, chi=0.0)
-        history = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=150)
+        history = heisenberg_history(wf, measured_observable(sys3), n_samples=150)
         rho = make_state(sys3, "twisted", mu=0.7)
         record = synthesize_record(rho, history, sigma=0.0, seed=0)
         fit = estimate(record, history)
@@ -66,19 +67,10 @@ class TestLeastSquares:
         # everything orthogonal to the measured direction stays zero
         assert np.linalg.norm(x - (x @ direction) * direction) < 1e-10
 
-    def test_single_sample_rank_one(self, sys3, default_history):
-        rho = make_state(sys3, "cat")
-        full = synthesize_record(rho, default_history, sigma=0.5, seed=3)
-        record = type(full)(
-            F=full.F, times=full.times[:1], values=full.values[:1], sigma=full.sigma,
-            seed=full.seed, n_averaged=full.n_averaged,
-            waveform_fingerprint=full.waveform_fingerprint,
-        )
-        history = ObservableHistory(
-            times=default_history.times[:1].copy(),
-            design_matrix=default_history.design_matrix[:1].copy(),
-            waveform_fingerprint=default_history.waveform_fingerprint,
-        )
+    def test_single_sample_rank_one(self, sys3):
+        wf = make_waveform(n_steps=1, phi=(0.4,), dt=1.5e-3)
+        history = heisenberg_history(wf, measured_observable(sys3), n_samples=1)
+        record = synthesize_record(make_state(sys3, "cat"), history, sigma=0.5, seed=3)
         fit = estimate(record, history)
         assert fit.rank == 1
         # covariance lives on the 1-d retained subspace only
@@ -88,8 +80,7 @@ class TestLeastSquares:
         rho = make_state(sys3, "mixed")
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
         other = heisenberg_history(
-            sys3, make_waveform(chi=2 * np.pi * 5999.0), measured_observable(sys3),
-            n_samples=150,
+            make_waveform(chi=2 * np.pi * 5999.0), measured_observable(sys3), n_samples=150
         )
         with pytest.raises(FingerprintMismatchError):
             estimate(record, other)
@@ -104,13 +95,9 @@ class TestLeastSquares:
             short = replace(record, times=record.times[:30], values=record.values[:30])
             estimate(short, default_history)
 
-    def test_empty_record_rejected(self, sys3, default_history):
+    def test_empty_record_rejected(self, default_waveform):
         with pytest.raises(ValueError, match="empty"):
-            ObservableHistory(
-                times=np.zeros(0),
-                design_matrix=np.zeros((0, 49)),
-                waveform_fingerprint=default_history.waveform_fingerprint,
-            )
+            ObservableHistory(default_waveform, np.zeros((0, 49)))
 
 
 class TestProjectToPhysical:
@@ -236,17 +223,10 @@ class TestEstimate:
         base = estimate(record, default_history)
         rng = np.random.default_rng(32)
         perm = rng.permutation(150)
-        shuffled_history = ObservableHistory(
-            times=default_history.times[perm].copy(),
-            design_matrix=default_history.design_matrix[perm].copy(),
-            waveform_fingerprint=default_history.waveform_fingerprint,
-        )
-        shuffled_record = type(record)(
-            F=record.F, times=record.times[perm], values=record.values[perm],
-            sigma=record.sigma, seed=record.seed, n_averaged=record.n_averaged,
-            waveform_fingerprint=record.waveform_fingerprint,
-        )
-        result = estimate(shuffled_record, shuffled_history)
+        # a history's times are its waveform's grid, so the shuffled pair goes to the solve
+        # that estimate() runs once the record matches its history
+        shuffled_record = replace(record, times=record.times[perm], values=record.values[perm])
+        result = _estimates([shuffled_record], default_history.design_matrix[perm])[0]
         assert np.max(np.abs(result.rho_ls - base.rho_ls)) < 1e-9
         assert np.max(np.abs(result.rho_ml - base.rho_ml)) < 1e-9
 
@@ -349,12 +329,10 @@ class TestEstimateBatch:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPrefixCurve:
-    def test_start_final_and_count(self, sys3, default_waveform, default_history):
+    def test_start_final_and_count(self, sys3, default_history):
         rho = make_state(sys3, "basis_state", m=-3)
         record = synthesize_record(rho, default_history, sigma=CALIBRATED_SIGMA, seed=2)
-        points = estimate_prefix_curve(
-            record, default_history, rho, sys3, default_waveform, stride=5
-        )
+        points = estimate_prefix_curve(record, default_history, rho, stride=5)
         assert len(points) == math.ceil(150 / 5) + 1
         t0, fid0, top0 = points[0]
         assert t0 == 0.0
@@ -363,34 +341,31 @@ class TestPrefixCurve:
         full = estimate(record, default_history)
         assert points[-1][1] == pytest.approx(fidelity(rho, full.rho_ml), abs=1e-12)
 
-    def test_unitary_run_keeps_top_eigenvalue(self, sys3, default_waveform, default_history):
+    def test_unitary_run_keeps_top_eigenvalue(self, sys3, default_history):
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, default_history, sigma=0.3, seed=4)
-        points = estimate_prefix_curve(
-            record, default_history, rho, sys3, default_waveform, stride=10
-        )
+        points = estimate_prefix_curve(record, default_history, rho, stride=10)
         # closed evolution keeps the spectrum, so the true state's own value is exact
         assert [top for _, _, top in points] == [max_eigenvalue(rho)] * len(points)
 
-    def test_waveform_must_be_the_historys(self, sys3, default_waveform):
-        # the third column evolves the true state under the waveform, so a closed waveform
-        # with an open history would report the spectrum of the unevolved state
+    def test_waveform_must_be_the_historys(self, sys3):
+        # the third column evolves the true state under the history's own waveform: at
+        # gamma = 200 it loses purity, where the unevolved state would keep its top eigenvalue 1
         open_wf = make_waveform(gamma_dec=200.0)
-        history = heisenberg_history(sys3, open_wf, measured_observable(sys3), n_samples=150)
+        history = heisenberg_history(open_wf, measured_observable(sys3), n_samples=150)
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=2)
-        with pytest.raises(FingerprintMismatchError, match=default_waveform.fingerprint()):
-            estimate_prefix_curve(record, history, rho, sys3, default_waveform)
-        points = estimate_prefix_curve(record, history, rho, sys3, open_wf)
+        points = estimate_prefix_curve(record, history, rho)
         assert points[-1][2] < 0.2
+        evolved = propagate_state(rho, open_wf, n_samples=150)
+        rows = [0] + list(range(4, 150, 5))
+        assert [top for _, _, top in points] == [max_eigenvalue(evolved[i]) for i in rows]
 
-    def test_stride_validation(self, sys3, default_waveform, default_history):
+    def test_stride_validation(self, sys3, default_history):
         rho = make_state(sys3, "mixed")
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
         with pytest.raises(ValueError, match="stride"):
-            estimate_prefix_curve(
-                record, default_history, rho, sys3, default_waveform, stride=0
-            )
+            estimate_prefix_curve(record, default_history, rho, stride=0)
 
     @pytest.mark.parametrize("F, gamma_dec, stride", [(3, 0.0, 1), (3, 100.0, 3), (8, 0.0, 5)],
                              ids=["F3_unitary", "F3_gamma100", "F8_underdetermined"])
@@ -399,27 +374,26 @@ class TestPrefixCurve:
         # F = 8 has 288, more than the 150 samples, so every prefix is underdetermined
         sys_ = build_spin_system(F)
         waveform = make_waveform(gamma_dec=gamma_dec)
-        history = heisenberg_history(sys_, waveform, measured_observable(sys_), n_samples=150)
+        history = heisenberg_history(waveform, measured_observable(sys_), n_samples=150)
         rho = make_state(sys_, "cat")
         record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=5)
-        points = estimate_prefix_curve(record, history, rho, sys_, waveform, stride=stride)
+        points = estimate_prefix_curve(record, history, rho, stride=stride)
         ks = list(range(stride, 150, stride)) + [150]
         for k, (_, fid, _) in zip(ks, points[1:], strict=True):
-            # the record and history cut to their first k samples
-            cut = ObservableHistory(history.times[:k], history.design_matrix[:k],
-                                    history.waveform_fingerprint)
+            # the record and design cut to their first k samples, fitted by estimate()'s solve
             short = replace(record, times=record.times[:k], values=record.values[:k])
-            assert abs(fid - fidelity(rho, estimate(short, cut).rho_ml)) <= 1e-12
+            cut = _estimates([short], history.design_matrix[:k])[0]
+            assert abs(fid - fidelity(rho, cut.rho_ml)) <= 1e-12
 
     @pytest.mark.parametrize("gamma_dec", [0.0, 200.0])
     def test_one_sqrt_per_curve_and_per_point_fidelities(self, sys3, gamma_dec, monkeypatch):
         waveform = make_waveform(gamma_dec=gamma_dec)
-        history = heisenberg_history(sys3, waveform, measured_observable(sys3), n_samples=150)
+        history = heisenberg_history(waveform, measured_observable(sys3), n_samples=150)
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=5)
         sqrt_psd, calls = metrics._sqrt_psd, []
         monkeypatch.setattr(metrics, "_sqrt_psd", lambda m: calls.append(m) or sqrt_psd(m))
-        points = estimate_prefix_curve(record, history, rho, sys3, waveform, stride=5)
+        points = estimate_prefix_curve(record, history, rho, stride=5)
         monkeypatch.undo()
         assert len(calls) == 1
         # every point is bitwise the fidelity of its own estimate, scored alone
@@ -451,8 +425,7 @@ class TestPrefixCurve:
             first = design[0, 1:]
             off = np.roll(first, 1) - (np.roll(first, 1) @ first) / (first @ first) * first
             design[1, 1:] = 1e5 * first + 1e-4 * off / np.linalg.norm(off)
-        history = ObservableHistory(default_history.times, design,
-                                    default_history.waveform_fingerprint)
+        history = ObservableHistory(default_waveform, design)
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, history, sigma=CALIBRATED_SIGMA, seed=3)
         ks = [1, 2, 5, 12, 13, 60, 150]
@@ -461,7 +434,7 @@ class TestPrefixCurve:
         # one sample is full rank; from two on, no prefix is certified
         assert np.max(np.abs(fits[0] - expected[0])) <= 1e-12
         assert all(np.array_equal(a, b) for a, b in zip(fits[1:], expected[1:]))
-        points = estimate_prefix_curve(record, history, rho, sys3, default_waveform, stride=5)
+        points = estimate_prefix_curve(record, history, rho, stride=5)
         ks = list(range(5, 151, 5))
         projected = project_to_physical(
             np.stack([_solve(record.values[None, :k], design[:k])[0][0] for k in ks])
@@ -481,9 +454,9 @@ class TestNuisance:
         foreign = replace(record, waveform_fingerprint="0123456789abcdef")
         for rec in (record, foreign):
             with pytest.raises(ValueError, match="at least one nuisance scale"):
-                estimate_with_nuisance(rec, default_waveform, sys3, {})
+                estimate_with_nuisance(rec, default_waveform, {})
         assert built == []
-        estimate_with_nuisance(record, default_waveform, sys3, {"omega_scale": (0.95, 1.05)},
+        estimate_with_nuisance(record, default_waveform, {"omega_scale": (0.95, 1.05)},
                                budget=1)
         assert len(built) == 1
 
@@ -491,7 +464,7 @@ class TestNuisance:
         rho = make_state(sys3, "basis_state", m=-3)
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
         result = estimate_with_nuisance(
-            record, default_waveform, sys3, {"omega_scale": (0.99, 1.01)}, budget=120
+            record, default_waveform, {"omega_scale": (0.99, 1.01)}, budget=120
         )
         assert abs(result.nuisance["omega_scale"] - 1.0) < 2e-3
         assert fidelity(rho, result.rho_ml) > 0.999
@@ -500,7 +473,7 @@ class TestNuisance:
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
         result = estimate_with_nuisance(
-            record, default_waveform, sys3, {"omega_scale": (0.9, 1.1)}, budget=4
+            record, default_waveform, {"omega_scale": (0.9, 1.1)}, budget=4
         )
         assert result.nuisance_converged is False
         assert "omega_scale" in result.nuisance
@@ -508,25 +481,25 @@ class TestNuisance:
     @pytest.fixture(scope="class")
     def two_scale_record(self, sys3, default_waveform):
         drifted = default_waveform.with_scales(omega_scale=1.01, chi_scale=0.99)
-        history = heisenberg_history(sys3, drifted, measured_observable(sys3), n_samples=150)
+        history = heisenberg_history(drifted, measured_observable(sys3), n_samples=150)
         return synthesize_record(make_state(sys3, "basis_state", m=-3), history, sigma=0.0, seed=0)
 
-    def test_two_scales_recovered(self, sys3, default_waveform, two_scale_record):
+    def test_two_scales_recovered(self, default_waveform, two_scale_record):
         bounds = {"omega_scale": (0.95, 1.05), "chi_scale": (0.95, 1.05)}
-        result = estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds)
+        result = estimate_with_nuisance(two_scale_record, default_waveform, bounds)
         assert result.nuisance_converged is True
         assert list(result.nuisance) == ["omega_scale", "chi_scale"]
         assert abs(result.nuisance["omega_scale"] - 1.01) < 1e-5
         assert abs(result.nuisance["chi_scale"] - 0.99) < 1e-5
 
-    def test_two_scale_fit_is_deterministic(self, sys3, default_waveform, two_scale_record):
+    def test_two_scale_fit_is_deterministic(self, default_waveform, two_scale_record):
         bounds = {"chi_scale": (0.95, 1.05), "omega_scale": (0.95, 1.05)}
-        a, b = (estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds, budget=40)
+        a, b = (estimate_with_nuisance(two_scale_record, default_waveform, bounds, budget=40)
                 for _ in range(2))
         assert a.nuisance == b.nuisance and a.nuisance_converged == b.nuisance_converged
         assert np.array_equal(a.rho_ml, b.rho_ml) and np.array_equal(a.covariance, b.covariance)
 
-    def test_budget_counts_histories_inside_the_bounds(self, sys3, default_waveform,
+    def test_budget_counts_histories_inside_the_bounds(self, default_waveform,
                                                       two_scale_record, monkeypatch):
         scales = []
         with_scales = ControlWaveform.with_scales
@@ -539,7 +512,7 @@ class TestNuisance:
         bounds = {"omega_scale": (0.95, 1.05), "chi_scale": (0.97, 1.0)}
         for budget in (3, 9, 25):
             scales.clear()
-            result = estimate_with_nuisance(two_scale_record, default_waveform, sys3, bounds,
+            result = estimate_with_nuisance(two_scale_record, default_waveform, bounds,
                                             budget=budget)
             assert len(scales) == len(set(scales)) == budget
             assert result.nuisance_converged is False
@@ -551,12 +524,12 @@ class TestNuisance:
     def test_budget_inside_the_grid_keeps_its_first_minimum(self, sys3, gamma, budget):
         nominal = make_waveform(gamma_dec=gamma)
         drifted = nominal.with_scales(omega_scale=1.02)
-        history = heisenberg_history(sys3, drifted, measured_observable(sys3), n_samples=150)
+        history = heisenberg_history(drifted, measured_observable(sys3), n_samples=150)
         record = synthesize_record(make_state(sys3, "cat"), history, sigma=CALIBRATED_SIGMA, seed=3)
-        result = estimate_with_nuisance(record, nominal, sys3, {"omega_scale": (0.95, 1.05)},
+        result = estimate_with_nuisance(record, nominal, {"omega_scale": (0.95, 1.05)},
                                         budget=budget)
-        scale, residual = nuisance_grid_reference(record, nominal, sys3, "omega_scale", 0.95,
-                                                  1.05, budget)
+        scale, residual = nuisance_grid_reference(record, nominal, "omega_scale", 0.95, 1.05,
+                                                  budget)
         assert result.nuisance == {"omega_scale": scale}
         assert result.residual_norm == residual
         assert result.nuisance_converged is False
@@ -567,13 +540,13 @@ class TestNuisance:
         built = []
         histories = estimator.heisenberg_histories
 
-        def nominal_only(sys, waveforms, observable, n_samples):
+        def nominal_only(waveforms, observable, n_samples):
             built.append(len(waveforms))
-            return histories(sys, [default_waveform] * len(waveforms), observable, n_samples)
+            return histories([default_waveform] * len(waveforms), observable, n_samples)
 
         monkeypatch.setattr(estimator, "heisenberg_histories", nominal_only)
         record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.5, seed=1)
-        result = estimate_with_nuisance(record, default_waveform, sys3,
+        result = estimate_with_nuisance(record, default_waveform,
                                         {"omega_scale": (0.95, 1.05)}, budget=5)
         assert built == [5]
         assert result.nuisance == {"omega_scale": 0.95} and result.nuisance_converged is False
@@ -582,11 +555,9 @@ class TestNuisance:
         rho = make_state(sys3, "cat")
         record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
         with pytest.raises(ValueError, match="unknown nuisance"):
-            estimate_with_nuisance(record, default_waveform, sys3, {"tilt": (0, 1)})
+            estimate_with_nuisance(record, default_waveform, {"tilt": (0, 1)})
         with pytest.raises(ValueError, match="bounds"):
-            estimate_with_nuisance(
-                record, default_waveform, sys3, {"omega_scale": (1.1, 0.9)}
-            )
+            estimate_with_nuisance(record, default_waveform, {"omega_scale": (1.1, 0.9)})
 
     def test_sample_count_off_the_segments_is_a_mismatch(self, sys3, default_waveform,
                                                         default_history):
@@ -594,7 +565,7 @@ class TestNuisance:
         record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.0, seed=0)
         short = replace(record, times=record.times[:100], values=record.values[:100])
         with pytest.raises(FingerprintMismatchError, match="record has 100 samples"):
-            estimate_with_nuisance(short, default_waveform, sys3, {"omega_scale": (0.95, 1.05)})
+            estimate_with_nuisance(short, default_waveform, {"omega_scale": (0.95, 1.05)})
         with pytest.raises(FingerprintMismatchError, match="record has 100 samples"):
             estimate(short, default_history)
 
@@ -609,7 +580,7 @@ class TestNuisance:
         monkeypatch.setattr(estimator, "heisenberg_histories", no_history)
         record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.0, seed=0)
         with pytest.raises(ValueError, match="nuisance bounds must be nonnegative"):
-            estimate_with_nuisance(record, default_waveform, sys3, bounds)
+            estimate_with_nuisance(record, default_waveform, bounds)
 
 
 def test_estimate_file_round_trip(sys3, default_history, tmp_path):

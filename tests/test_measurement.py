@@ -43,7 +43,7 @@ def test_noiseless_record_matches_schrodinger(sys3, default_waveform, default_hi
     rho = make_state(sys3, "basis_state", m=-3)
     record = synthesize_record(rho, default_history, sigma=0.0, seed=0)
     O = measured_observable(sys3)
-    states = propagate_state(rho, sys3, default_waveform, n_samples=150)
+    states = propagate_state(rho, default_waveform, n_samples=150)
     expected = np.array([np.trace(O @ s).real for s in states])
     assert np.max(np.abs(record.values - expected)) < 1e-8
 
@@ -60,8 +60,8 @@ def test_bit_identical_determinism(sys3, default_history):
 def test_noise_is_indexed_by_sample(sys3, default_waveform):
     # shortening the record must not change the noise of earlier samples
     O = measured_observable(sys3)
-    long = heisenberg_history(sys3, default_waveform, O, n_samples=150)
-    short = heisenberg_history(sys3, default_waveform, O, n_samples=30)
+    long = heisenberg_history(default_waveform, O, n_samples=150)
+    short = heisenberg_history(default_waveform, O, n_samples=30)
     rho = make_state(sys3, "cat")
     a = synthesize_record(rho, long, sigma=1.0, seed=7)
     b = synthesize_record(rho, short, sigma=1.0, seed=7)
@@ -197,7 +197,7 @@ def test_synthesize_records_checks_n_averaged_before_any_draw(
 def test_averaging_variance_oracle(sys3):
     # statistical oracle: sample variance of the added noise ~ sigma^2 / n
     wf = make_waveform(n_steps=1, phi=(0.4,), dt=1.5e-3)
-    history = heisenberg_history(sys3, wf, measured_observable(sys3), n_samples=10_000)
+    history = heisenberg_history(wf, measured_observable(sys3), n_samples=10_000)
     rho = make_state(sys3, "basis_state", m=0)
     sigma, n_avg = 2.0, 128
     record = synthesize_record(rho, history, sigma=sigma, seed=42, n_averaged=n_avg)

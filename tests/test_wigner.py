@@ -74,7 +74,7 @@ def test_spherical_harmonics_match_scipy():
 def test_kernel_form_matches_multipole_expansion(F):
     sys_ = build_spin_system(F)
     rho = random_density(np.random.default_rng(int(2 * F)), sys_.d)
-    grid = wigner_function(rho, sys_, n_theta=37, n_phi=48)
+    grid = wigner_function(rho, n_theta=37, n_phi=48)
     assert grid.thetas[0] == 0.0 and grid.thetas[-1] == np.pi
     assert np.max(np.abs(grid.values - wigner_reference(rho, sys_, grid.thetas, grid.phis))) < 1e-14
 
@@ -85,13 +85,13 @@ def test_evaluation_never_builds_the_multipole_table(sys3, monkeypatch):
 
     monkeypatch.setattr(wigner, "_multipole_operators", refuse)
     rho = make_state(sys3, "cat")
-    assert wigner_function(rho, sys3, 16, 16).values.shape == (16, 16)
-    assert wigner_integral(rho, sys3) == pytest.approx(1.0, abs=1e-12)
+    assert wigner_function(rho, 16, 16).values.shape == (16, 16)
+    assert wigner_integral(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWignerFunction:
     def test_mixed_state_is_flat(self, sys3):
-        grid = wigner_function(make_state(sys3, "mixed"), sys3, 32, 32)
+        grid = wigner_function(make_state(sys3, "mixed"), 32, 32)
         assert np.max(np.abs(grid.values - 1 / (4 * np.pi))) < 1e-14
 
     def test_normalization(self, sys3):
@@ -103,18 +103,18 @@ class TestWignerFunction:
             random_density(rng, 7),
         ]
         for rho in states:
-            assert wigner_integral(rho, sys3) == pytest.approx(1.0, abs=1e-6)
+            assert wigner_integral(rho) == pytest.approx(1.0, abs=1e-6)
 
     def test_stretched_state_peaks_at_pole(self, sys3):
-        grid = wigner_function(make_state(sys3, "basis_state", m=3), sys3, 181, 360)
+        grid = wigner_function(make_state(sys3, "basis_state", m=3), 181, 360)
         row, _ = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert grid.thetas[row] == 0.0
         # fine-grid oracle: no value anywhere beats the polar value
-        fine = wigner_function(make_state(sys3, "basis_state", m=3), sys3, 721, 720)
+        fine = wigner_function(make_state(sys3, "basis_state", m=3), 721, 720)
         assert fine.values.max() <= grid.values[row].max() + 1e-9
 
     def test_cat_state_structure(self, sys3):
-        grid = wigner_function(make_state(sys3, "cat"), sys3, 181, 360)
+        grid = wigner_function(make_state(sys3, "cat"), 181, 360)
         # antipodal lobes
         assert grid.values[0].max() > 0.5
         assert grid.values[-1].max() > 0.5
@@ -129,32 +129,41 @@ class TestWignerFunction:
         alpha = 2 * np.pi * shift / n_phi
         rho = make_state(sys3, "twisted", mu=0.4)
         U = np.diag(np.exp(-1j * alpha * sys3.m_values))
-        rotated = wigner_function(U @ rho @ U.conj().T, sys3, 61, n_phi)
-        base = wigner_function(rho, sys3, 61, n_phi)
+        rotated = wigner_function(U @ rho @ U.conj().T, 61, n_phi)
+        base = wigner_function(rho, 61, n_phi)
         assert np.max(np.abs(rotated.values - np.roll(base.values, shift, axis=1))) < 1e-8
 
-    def test_linearity(self, sys3):
+    def test_linearity(self):
         rng = np.random.default_rng(41)
         a, b = random_density(rng, 7), random_density(rng, 7)
         lam = 0.3
-        mix = wigner_function(lam * a + (1 - lam) * b, sys3, 24, 24)
-        wa = wigner_function(a, sys3, 24, 24)
-        wb = wigner_function(b, sys3, 24, 24)
+        mix = wigner_function(lam * a + (1 - lam) * b, 24, 24)
+        wa = wigner_function(a, 24, 24)
+        wb = wigner_function(b, 24, 24)
         assert np.max(np.abs(mix.values - lam * wa.values - (1 - lam) * wb.values)) < 1e-10
 
     def test_values_are_exactly_real(self, sys3):
-        grid = wigner_function(make_state(sys3, "cat"), sys3, 16, 16)
+        grid = wigner_function(make_state(sys3, "cat"), 16, 16)
         assert grid.values.dtype == np.float64
 
     def test_input_validation(self, sys3):
         with pytest.raises(ValueError):
-            wigner_function(np.diag([1.2, -0.2, 0, 0, 0, 0, 0]).astype(complex), sys3)
+            wigner_function(np.diag([1.2, -0.2, 0, 0, 0, 0, 0]).astype(complex))
         with pytest.raises(ValueError, match="grid"):
-            wigner_function(make_state(sys3, "mixed"), sys3, 4, 64)
+            wigner_function(make_state(sys3, "mixed"), 4, 64)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 6)], ids=["1x1", "non_square"])
+    def test_spin_size_is_the_state_size(self, shape):
+        # np.eye(1) is a valid density matrix, but of no spin
+        rho = np.eye(*shape, dtype=complex)
+        with pytest.raises(ValueError, match="d >= 2|square"):
+            wigner_function(rho)
+        with pytest.raises(ValueError, match="d >= 2|square"):
+            wigner_integral(rho)
 
 
 def test_csv_export(sys3, tmp_path):
-    grid = wigner_function(make_state(sys3, "mixed"), sys3, 10, 12)
+    grid = wigner_function(make_state(sys3, "mixed"), 10, 12)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
     lines = path.read_text().splitlines()
@@ -178,16 +187,15 @@ def csv_reference(grid) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def test_csv_bytes_match_row_by_row_reference(sys3, tmp_path):
-    grid = wigner_function(random_density(np.random.default_rng(5), 7), sys3, n_theta=9, n_phi=11)
+def test_csv_bytes_match_row_by_row_reference(tmp_path):
+    grid = wigner_function(random_density(np.random.default_rng(5), 7), n_theta=9, n_phi=11)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
     assert path.read_bytes() == csv_reference(grid)
 
 
 def test_csv_bytes_match_reference_on_default_grid(tmp_path):
-    sys1 = build_spin_system(1)
-    grid = wigner_function(random_density(np.random.default_rng(6), 3), sys1)
+    grid = wigner_function(random_density(np.random.default_rng(6), 3))
     assert (grid.n_theta, grid.n_phi) == (181, 360)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
@@ -197,7 +205,7 @@ def test_csv_bytes_match_reference_on_default_grid(tmp_path):
 @pytest.mark.parametrize("field", ["thetas", "phis", "values"])
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
 def test_csv_of_non_finite_grid_raises_and_writes_nothing(sys3, tmp_path, field, bad):
-    grid = wigner_function(make_state(sys3, "cat"), sys3, n_theta=9, n_phi=11)
+    grid = wigner_function(make_state(sys3, "cat"), n_theta=9, n_phi=11)
     arrays = {"thetas": grid.thetas.copy(), "phis": grid.phis.copy(), "values": grid.values.copy()}
     arrays[field].flat[-1] = bad
     path = tmp_path / "wigner.csv"
