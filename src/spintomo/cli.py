@@ -32,7 +32,7 @@ from .dynamics import heisenberg_history, sample_times
 from .estimator import (
     NUISANCE_NAMES,
     FingerprintMismatchError,
-    _check_grid,
+    _check_match,
     estimate,
     estimate_batch,
     estimate_prefix_curve,
@@ -117,8 +117,8 @@ def cmd_estimate(args) -> int:
     if args.nuisance is not None:
         params = _parse_nuisance(args.nuisance)
         # the fit takes the record's spin and sample grid, which must be the config's
-        _check_grid(record, config.spin_system().d,
-                    sample_times(config.waveform, config.n_samples))
+        _check_match([record], config.spin_system().d,
+                     sample_times(config.waveform, config.n_samples))
         result = estimate_with_nuisance(record, config.waveform, params, budget=args.budget)
         for name, value in result.nuisance.items():
             print(f"nuisance {name}: {_f(value)}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rand, serialize
-from .dynamics import ControlWaveform
+from .dynamics import ControlWaveform, sample_times
 from .spin_algebra import (
     TEST_STATE_PARAMS,
     SpinSystem,
@@ -105,9 +105,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     sampling = serialize.check_fields(doc["sampling"], "sampling", ("n_samples",))
     n_samples = serialize.integer(sampling["n_samples"], "sampling.n_samples", 1)
-    if n_samples % n_steps:
-        raise ConfigError("malformed field sampling.n_samples: must be a multiple of "
-                          "waveform.n_steps", "sampling.n_samples")
+    _checked("sampling.n_samples", lambda: sample_times(waveform, n_samples))
 
     noise = serialize.check_fields(doc["noise"], "noise", ("sigma", "seed"),
                                    optional=("n_averaged",))

@@ -86,45 +86,33 @@ class EstimateResult:
     nuisance_converged: bool | None = None
 
 
-def _check_match(records: list, history: ObservableHistory) -> None:
-    """Every record must match ``history``: fingerprint, spin size and sample grid.
+def _check_match(records: list, d: int, times: np.ndarray, fingerprint: str | None = None):
+    """Every record must match the model: waveform fingerprint, spin size and sample grid.
 
-    The sample times of the whole batch are compared in one ``allclose``
-    over their stack. If any check fails, the records are checked one at a
-    time, so the first offending record raises the message it raises alone.
+    The fingerprint, when the model names one, covers neither the spin nor
+    the grid, so a record simulated for another F or on another grid would
+    otherwise be fitted silently. Records are checked one at a time, so the
+    first offending record raises the message it raises alone; each
+    distinct ``times`` array is compared once (a sweep's records share one per state).
     """
-    fingerprint, F, n = history.waveform_fingerprint, (history.d - 1) / 2.0, history.n_samples
-    scalars_match = all(
-        r.waveform_fingerprint == fingerprint and r.F == F and r.n_samples == n for r in records
-    )
-    if scalars_match and (not records or np.allclose(
-            np.stack([r.times for r in records]), history.times, rtol=1e-12, atol=0.0)):
-        return
+    F, compared = (d - 1) / 2.0, set()
     for record in records:
-        if record.waveform_fingerprint != fingerprint:
+        if fingerprint is not None and record.waveform_fingerprint != fingerprint:
             raise FingerprintMismatchError(
                 f"record fingerprint {record.waveform_fingerprint} does not match "
                 f"history fingerprint {fingerprint}"
             )
-        _check_grid(record, history.d, history.times)
-
-
-def _check_grid(record: MeasurementRecord, d: int, times: np.ndarray) -> None:
-    """The record's spin size and sample times must be those of the model.
-
-    The waveform fingerprint covers neither, so a record simulated for
-    another F or on another grid would otherwise be fitted silently.
-    """
-    if record.F != (d - 1) / 2.0:
-        raise FingerprintMismatchError(
-            f"record is for spin F={record.F:g}, the model for F={(d - 1) / 2.0:g}"
-        )
-    if record.n_samples != len(times):
-        raise FingerprintMismatchError(
-            f"record has {record.n_samples} samples, the model has {len(times)}"
-        )
-    if not np.allclose(record.times, times, rtol=1e-12, atol=0.0):
-        raise FingerprintMismatchError("record sample times differ from the model's sample grid")
+        if record.F != F:
+            raise FingerprintMismatchError(
+                f"record is for spin F={record.F:g}, the model for F={F:g}")
+        if record.n_samples != len(times):
+            raise FingerprintMismatchError(
+                f"record has {record.n_samples} samples, the model has {len(times)}")
+        if id(record.times) not in compared and not np.allclose(
+                record.times, times, rtol=1e-12, atol=0.0):
+            raise FingerprintMismatchError(
+                "record sample times differ from the model's sample grid")
+        compared.add(id(record.times))
 
 
 def numerical_rank(s: np.ndarray) -> int:
@@ -217,7 +205,7 @@ def estimate_batch(records, history: ObservableHistory) -> list[EstimateResult]:
     record order; an empty batch gives an empty list.
     """
     records = list(records)
-    _check_match(records, history)
+    _check_match(records, history.d, history.times, history.waveform_fingerprint)
     if not records:
         return []
     return _estimates(records, history.design_matrix)
@@ -280,7 +268,7 @@ def estimate_prefix_curve(
     The third column tracks the purity the true state loses to decoherence
     under ``history.waveform``.
     """
-    _check_match([record], history)
+    _check_match([record], history.d, history.times, history.waveform_fingerprint)
     rho0_true = check_density_matrix(rho0_true, history.d)
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -414,7 +402,7 @@ def estimate_with_nuisance(
             f"{waveform.n_steps} segments"
         )
     sys = build_spin_system(record.F)
-    _check_grid(record, sys.d, sample_times(waveform, record.n_samples))
+    _check_match([record], sys.d, sample_times(waveform, record.n_samples))
     names = list(params)
     if not names:
         raise ValueError("name at least one nuisance scale; a fit without one is estimate()")

@@ -123,7 +123,7 @@ def synthesize_records(
     :func:`synthesize_record` with its seed, which is the batch of one.
     """
     check_density_matrix(rho0, history.d)
-    seeds = [rand.check_seed(seed) for seed in seeds]
+    seeds = list(seeds)
     # the noiseless record checks sigma and n_averaged by the record's rules before any draw
     exact = MeasurementRecord(
         F=(history.d - 1) / 2.0,

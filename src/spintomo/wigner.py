@@ -138,6 +138,13 @@ def _evaluate(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarr
     return np.hstack((c.real, c.imag)) @ np.vstack((np.cos(angles), np.sin(angles)))
 
 
+def _checked(rho: np.ndarray, n_theta: int, n_phi: int) -> np.ndarray:
+    """``rho`` as a density matrix, for a grid of at least 8 points in each angle."""
+    if n_theta < 8 or n_phi < 8:
+        raise ValueError("grid sizes must be at least 8")
+    return check_density_matrix(rho)
+
+
 def wigner_function(rho: np.ndarray, n_theta: int = 181, n_phi: int = 360) -> WignerGrid:
     """Sample the Wigner function on a uniform grid for visualization.
 
@@ -146,9 +153,7 @@ def wigner_function(rho: np.ndarray, n_theta: int = 181, n_phi: int = 360) -> Wi
     :func:`wigner_integral` for normalization checks; the uniform grid is
     only second-order accurate as a quadrature rule.
     """
-    rho = check_density_matrix(rho)
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("grid sizes must be at least 8")
+    rho = _checked(rho, n_theta, n_phi)
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
     return WignerGrid(thetas=thetas, phis=phis, values=_evaluate(rho, thetas, phis))
@@ -162,7 +167,7 @@ def wigner_integral(rho: np.ndarray, n_theta: int = 64, n_phi: int = 128) -> flo
     evaluate the integral to machine precision; the result is 1 for any
     physical state in this package's normalization convention.
     """
-    rho = check_density_matrix(rho)
+    rho = _checked(rho, n_theta, n_phi)
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     thetas = np.arccos(nodes)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

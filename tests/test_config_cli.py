@@ -79,11 +79,16 @@ class TestConfigParsing:
         config = load_config(write_config(tmp_path, doc))
         assert config.waveform.phi == (0.1,) * 30
 
-    def test_sample_alignment_checked(self, tmp_path):
+    def test_sample_alignment_checked(self, tmp_path, capsys):
         doc = base_config()
         doc["sampling"]["n_samples"] = 100
-        with pytest.raises(ConfigError, match="n_samples"):
-            load_config(write_config(tmp_path, doc))
+        cfg = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match="n_samples") as info:
+            load_config(cfg)
+        assert info.value.field == "sampling.n_samples"
+        assert main(["check", cfg]) == 2
+        assert "sampling.n_samples: n_samples=100 must be a multiple of n_steps=30" in \
+            capsys.readouterr().err
 
     def test_state_and_states_exclusive(self, tmp_path):
         doc = base_config()

@@ -33,6 +33,7 @@ from spintomo import (
     read_estimate,
     state_to_coords,
     synthesize_record,
+    synthesize_records,
     write_estimate,
 )
 from spintomo import estimator, metrics
@@ -297,8 +298,7 @@ class TestEstimateBatch:
             estimate_batch(records[:2] + [other], default_history)
 
     def test_perturbed_time_grid_in_a_batch_names_that_record(self, default_history, records):
-        # the grid check runs once over the stacked times; a failure falls back
-        # to the record-by-record check and its message
+        # the first offending record in a batch raises the message it raises alone
         shifted = replace(records[3], times=records[3].times * (1 + 1e-9))
         batch = records[:3] + [shifted] + records[4:]
         with pytest.raises(FingerprintMismatchError) as batched:
@@ -313,6 +313,30 @@ class TestEstimateBatch:
             estimate_batch(records[:3] + [shifted, other], default_history)
         with pytest.raises(FingerprintMismatchError, match="fingerprint"):
             estimate_batch(records[:3] + [other, shifted], default_history)
+
+    def test_sweep_batch_compares_each_shared_grid_once(self, default_history, paper_states,
+                                                        monkeypatch):
+        # a sweep interleaves its states, and the records of one state share one times array
+        by_state = [synthesize_records(rho, default_history, CALIBRATED_SIGMA, range(k, 150, 3))
+                    for k, (_label, rho) in enumerate(paper_states)]
+        batch = [record for row in zip(*by_state) for record in row]
+        calls, allclose = [], np.allclose
+
+        def spy(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return allclose(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "allclose", spy)
+        assert len(estimate_batch(batch, default_history)) == 150
+        assert len({id(record.times) for record in batch}) == 3
+        assert 1 <= len(calls) <= 3 and set(calls) == {default_history.times.shape}
+
+    def test_equal_copy_of_the_shared_grid_is_accepted(self, default_history, paper_states):
+        records = synthesize_records(paper_states[1][1], default_history, CALIBRATED_SIGMA,
+                                     [0, 1, 2])
+        copied = replace(records[1], times=records[1].times.copy())
+        batch = estimate_batch([records[0], copied, records[2]], default_history)
+        assert np.array_equal(batch[1].rho_ls, estimate_batch(records, default_history)[1].rho_ls)
 
     def test_empty_batch_is_empty(self, default_history):
         assert estimate_batch([], default_history) == []

@@ -175,8 +175,9 @@ def test_synthesize_records_entries_are_batches_of_one(sys3, default_history, si
 def test_synthesize_records_checks_every_seed_before_any_draw(
     sys3, default_history, monkeypatch, seeds
 ):
+    # the stub sits below rand.normals' own seed check, so it records any draw
     draws = []
-    monkeypatch.setattr(rand, "normals", lambda *args: draws.append(args))
+    monkeypatch.setattr(rand, "_philox_first_words", lambda *args: draws.append(args))
     with pytest.raises(ValueError, match="seed"):
         synthesize_records(make_state(sys3, "cat"), default_history, 0.9, seeds)
     assert draws == []

@@ -161,6 +161,11 @@ class TestWignerFunction:
         with pytest.raises(ValueError, match="d >= 2|square"):
             wigner_integral(rho)
 
+    @pytest.mark.parametrize("n_theta, n_phi", [(0, 128), (7, 128), (64, 0), (64, 7)])
+    def test_integral_grid_sizes_checked(self, sys3, n_theta, n_phi):
+        with pytest.raises(ValueError, match="grid sizes must be at least 8"):
+            wigner_integral(make_state(sys3, "mixed"), n_theta, n_phi)
+
 
 def test_csv_export(sys3, tmp_path):
     grid = wigner_function(make_state(sys3, "mixed"), 10, 12)
