@@ -10,7 +10,10 @@ set of named scale factors of the drive (nuisance parameters) is
 co-estimated by minimizing the least-squares residual over recomputed
 observable histories, one history per trial point: each scale is searched
 in turn, on a 9-point grid over its bounds, built as one batch, then by
-Brent's bracketed golden-section/parabolic method, in numpy alone.
+Brent's bracketed golden-section/parabolic method, in numpy alone. A trial
+point is scored by the residual alone, read off one triangular QR factor
+of the design and record (the SVD solve only where that factor cannot
+certify full rank); the one full fit is at the best point.
 """
 
 from __future__ import annotations
@@ -225,6 +228,36 @@ def estimate(record: MeasurementRecord, history: ObservableHistory) -> EstimateR
     return estimate_batch([record], history)[0]
 
 
+def _augmented_r(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Triangular factor R of the QR of [A | b]: R[:n, :n] factors A and R[:n, n] is Q^T b.
+
+    With more rows than A's n columns, |R[n, n]| is the least-squares residual norm of
+    A x = b when A has full column rank (Golub, Numer. Math. 7, 206, 1965).
+    """
+    return np.linalg.qr(np.column_stack((A, b)), mode="r")
+
+
+def _residual_norm(values: np.ndarray, design: np.ndarray) -> float:
+    """The residual norm :func:`_solve` gives one record, from one triangular factor.
+
+    |R[n, n]| of :func:`_augmented_r` on the traceless design A and the
+    trace-corrected values, where A is certified full rank by the bound of
+    :func:`_prefix_fits`, ||R[:n, :n]^-1||_F ||A||_F < 1 / ``RANK_CUTOFF``;
+    any other design, and one with no more samples than A has columns, goes
+    through :func:`_solve`.
+    """
+    d = math.isqrt(design.shape[1])
+    A = design[:, 1:]
+    (N, n) = A.shape
+    if N > n:
+        R = _augmented_r(A, values - design[:, 0] / math.sqrt(d))
+        diag = np.abs(np.diagonal(R)[:n])  # s_min/s_max of A is at most that of this diagonal
+        if np.all(diag > RANK_CUTOFF * diag.max()) and (
+                np.sum(np.linalg.inv(R[:n, :n]) ** 2) * np.sum(A**2) < RANK_CUTOFF**-2):
+            return float(abs(R[n, n]))
+    return _solve(values[None], design)[1][0]
+
+
 def _prefix_fits(values: np.ndarray, design: np.ndarray, ks: list[int]) -> list[np.ndarray]:
     """The rho_ls of :func:`_solve` on the first k samples, for each of the ascending ``ks``.
 
@@ -246,7 +279,7 @@ def _prefix_fits(values: np.ndarray, design: np.ndarray, ks: list[int]) -> list[
     fast = [k for k in ks if k <= len(bound) and bound[k - 1] < RANK_CUTOFF**-2]
     x = list(np.cumsum(Q[:, :m] * (L_inv @ b[:m]), axis=1).T[[k - 1 for k in fast if k <= p]])
     for k in (k for k in fast if k > p):
-        Rb = np.linalg.qr(np.column_stack((A[:k], b[:k])), mode="r")
+        Rb = _augmented_r(A[:k], b[:k])
         x.append(np.linalg.solve(Rb[:n, :n], Rb[:n, n]))
     coords = np.insert(np.reshape(x, (len(fast), n)), 0, 1.0 / math.sqrt(d), axis=1)
     served = dict(zip(fast, coords_to_state(coords)))
@@ -380,8 +413,10 @@ def estimate_with_nuisance(
     ``params`` maps one or both of the names {omega_scale, chi_scale} to bounds
     0 <= lower < upper. For Gaussian noise, minimizing the least-squares
     residual over the scales is equivalent to maximizing the likelihood. Each
-    trial point gets a freshly propagated observable history and the inner
-    linear fit; the scales are searched one at a time, first on a 9-point grid
+    trial point gets a freshly propagated observable history and the residual
+    norm of its linear fit, from one QR factor (``_residual_norm``; the SVD
+    solve where the factor does not certify full rank); the scales are
+    searched one at a time, first on a 9-point grid
     over the bounds (the profile need not be unimodal), built as one batch of
     histories, then by Brent's golden-section/parabolic refinement of the best
     grid point between its neighbours (``_coordinate_search``). Every trial
@@ -429,7 +464,7 @@ def estimate_with_nuisance(
         scaled = [waveform.with_scales(**dict(zip(names, key))) for key in new]
         histories = heisenberg_histories(scaled, observable, record.n_samples) if new else []
         for key, history in zip(new, histories):
-            residuals[key] = _solve(record.values[None], history.design_matrix)[1][0]
+            residuals[key] = _residual_norm(record.values, history.design_matrix)
             if not best or residuals[key] < best["residual"]:
                 best.update(scales=dict(zip(names, key)), residual=residuals[key],
                             design=history.design_matrix)

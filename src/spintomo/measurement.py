@@ -81,6 +81,9 @@ class MeasurementRecord:
         if n_averaged < 1:
             raise ValueError("n_averaged must be an integer >= 1")
         seed = rand.check_seed(self.seed)
+        # the caller's arrays stay writeable: a writeable one is copied before it is frozen,
+        # a read-only one (a sweep's grid, shared by the records of one state) is kept
+        times, values = (a.copy() if a.flags.writeable else a for a in (times, values))
         times.setflags(write=False)
         values.setflags(write=False)
         # each field holds what its document field reads back as; vars() passes the
@@ -138,6 +141,7 @@ def synthesize_records(
         values = [exact.values] * len(seeds)
     else:
         values = exact.values + exact.sigma_eff * rand.normals(seeds, exact.n_samples)
+        values.setflags(write=False)  # so each record keeps its row as a view, not a copy
     return [
         MeasurementRecord(exact.F, exact.times, row, exact.sigma, seed, exact.n_averaged,
                           exact.waveform_fingerprint)

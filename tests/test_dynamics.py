@@ -468,6 +468,25 @@ class TestHistoryBatch:
             assert np.array_equal(h.times, alone.times)
             assert h.waveform_fingerprint == alone.waveform_fingerprint
 
+    @pytest.mark.parametrize("F, batch, stacked_calls", [(1, 1, 1), (1, 9, 1), (3, 1, 3),
+                                                          (3, 9, 30), (5, 1, 30), (5, 9, 30)])
+    def test_stacked_exponentials_equal_one_segment_per_call(self, F, batch, stacked_calls,
+                                                             monkeypatch):
+        s = build_spin_system(F)
+        O = measured_observable(s)
+        base = make_waveform(gamma_dec=200.0)
+        waveforms = [base.with_scales(omega_scale=x) for x in np.linspace(0.95, 1.05, batch)]
+        calls, expm_alone = [], dynamics.expm
+        monkeypatch.setattr(dynamics, "expm", lambda A: calls.append(len(A)) or expm_alone(A))
+        stacked = heisenberg_histories(waveforms, O, n_samples=150)
+        assert len(calls) == stacked_calls and sum(calls) == 30
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_EXPM_WORK_BYTES", 1)  # one segment per call
+        alone = heisenberg_histories(waveforms, O, n_samples=150)
+        assert calls == [1] * 30
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a.design_matrix, b.design_matrix)
+
     @pytest.mark.parametrize("field, value", [("dt", 4e-5), ("gamma_dec", 100.0),
                                               ("gamma_dec", 0.0), ("phi", (0.0,) * 30)])
     def test_rejects_waveforms_differing_beyond_the_scales(self, sys3, field, value):

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from spintomo import (
     heisenberg_history,
     max_eigenvalue,
     measured_observable,
+    parse_config,
     project_to_physical,
     propagate_state,
     read_estimate,
@@ -38,7 +40,7 @@ from spintomo import (
 )
 from spintomo import estimator, metrics
 from spintomo import test_state as make_state
-from spintomo.estimator import _estimates, _prefix_fits, _solve
+from spintomo.estimator import _estimates, _prefix_fits, _residual_norm, _solve
 from spintomo.serialize import DocumentError
 
 
@@ -464,6 +466,73 @@ class TestPrefixCurve:
             np.stack([_solve(record.values[None, :k], design[:k])[0][0] for k in ks])
         )
         assert [fid for _, fid, _ in points[1:]] == [fidelity(rho, est) for est in projected]
+
+
+class TestResidualKernel:
+    """_residual_norm: the nuisance search's score of one trial design, from one QR factor."""
+
+    @pytest.mark.parametrize("F", [1, 3])
+    @pytest.mark.parametrize("gamma", [0.0, 200.0])
+    def test_equals_the_solve_residual(self, F, gamma, monkeypatch):
+        s = build_spin_system(F)
+        history = heisenberg_history(make_waveform(gamma_dec=gamma), measured_observable(s), 150)
+        record = synthesize_record(make_state(s, "cat"), history, sigma=CALIBRATED_SIGMA, seed=4)
+        want = _solve(record.values[None], history.design_matrix)[1][0]
+        monkeypatch.setattr(estimator, "_solve", None)  # a certified design needs no SVD
+        got = _residual_norm(record.values, history.design_matrix)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.fixture(scope="class")
+    def cat_n30(self):
+        # the shipped cat.json cut to 30 samples: rank 30 of the 48 traceless columns
+        doc = json.loads((pathlib.Path(__file__).resolve().parent.parent
+                          / "configs" / "cat.json").read_text())
+        doc["sampling"]["n_samples"] = 30
+        config = parse_config(doc)
+        history = heisenberg_history(config.waveform, measured_observable(config.spin_system()),
+                                     30)
+        record = synthesize_record(config.single_state, history, sigma=CALIBRATED_SIGMA, seed=2)
+        return record.values, history.design_matrix
+
+    @pytest.mark.parametrize("case, rank", [("cat_n30", 30), ("cat_n30_five_times", 30),
+                                            ("uncertified", 47)])
+    def test_rank_deficient_design_takes_the_solve(self, cat_n30, default_history, case, rank,
+                                                   monkeypatch):
+        values, design = cat_n30
+        if case == "cat_n30_five_times":
+            # more samples than columns, so the QR factor is taken, still at rank 30
+            values, design = np.tile(values, 5), np.tile(design, (5, 1))
+        elif case == "uncertified":
+            # R's diagonal stays far above the cutoff, but s_min/s_max is about 1e-12:
+            # only the certificate sends it to the SVD
+            design = default_history.design_matrix.copy()
+            noise = np.random.default_rng(7).standard_normal(len(design))
+            design[:, 48] = 1e5 * design[:, 47] + 1e-6 * noise
+            values = synthesize_record(make_state(build_spin_system(3), "cat"),
+                                       ObservableHistory(default_history.waveform, design),
+                                       sigma=CALIBRATED_SIGMA, seed=5).values
+        assert _solve(values[None], design)[2] == rank
+        calls, solve = [], _solve
+        monkeypatch.setattr(estimator, "_solve", lambda *args: calls.append(1) or solve(*args))
+        assert _residual_norm(values, design) == solve(values[None], design)[1][0]
+        assert calls == [1]
+
+    def test_converged_fit_runs_one_svd(self, sys3, monkeypatch):
+        nominal = make_waveform(gamma_dec=200.0)
+        history = heisenberg_history(nominal.with_scales(omega_scale=1.02),
+                                     measured_observable(sys3), n_samples=150)
+        record = synthesize_record(make_state(sys3, "cat"), history, sigma=CALIBRATED_SIGMA,
+                                   seed=3)
+        calls, svd = [], np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        result = estimate_with_nuisance(record, nominal, {"omega_scale": (0.95, 1.05)})
+        assert result.nuisance_converged is True
+        assert calls == [1]  # the final fit at the best design
 
 
 class TestNuisance:

@@ -261,6 +261,19 @@ def test_record_rejects_non_finite_samples(field, bad):
                           **arrays)
 
 
+def test_record_leaves_the_callers_arrays_writeable():
+    # the record used to freeze the caller's own float64 arrays and hold them as its fields
+    times, values = np.arange(3.0), np.zeros(3)
+    record = MeasurementRecord(1.0, times, values, 0.1, 1, 1, "ab")
+    assert times.flags.writeable and values.flags.writeable
+    times[0] = values[0] = 7.0
+    assert record.times[0] == 0.0 and record.values[0] == 0.0
+    assert not record.times.flags.writeable and not record.values.flags.writeable
+    # a read-only array is kept shared, as a sweep's records share one grid per state
+    again = MeasurementRecord(1.0, record.times, record.values, 0.2, 2, 1, "ab")
+    assert again.times is record.times and again.values is record.values
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("F", 2.7, "malformed field F: 2.7 is not a positive integer or half-integer"),
     ("F", -1, "malformed field F: -1 is not a positive integer or half-integer"),
