@@ -12,23 +12,24 @@ Neither takes a spin system: a d x d state or observable is of spin
 F = (d - 1) / 2. An :class:`ObservableHistory` holds the waveform it was
 built from and its design matrix, and derives everything else from them.
 
-Both run one kernel, which accumulates the propagator from t_0 to every
-sample time and applies it in the requested picture, for a batch of
-waveforms that differ only in ``omega_larmor`` and ``chi``
-(:func:`heisenberg_histories`; one history is the batch of one). Closed
-evolution (``ControlWaveform.closed``: ``gamma_dec`` = 0, no decoherence)
-keeps the d x d unitaries U_i, from one Hermitian eigendecomposition
-per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho U_i^dag for all
-samples in one batched product. Open evolution keeps a real d^2 x d^2
-transfer map on the coordinates of the Hermitian operator basis, with one
-exact exponential of the Lindblad generator per segment: :func:`expm`, the
-degree-16 Taylor series in Paterson-Stockmeyer form with scaling and squaring
-and no linear solve. One call takes a stack of consecutive segments for the
-batch, as many as keep its work within a fixed cache-sized budget and at
-least one, each matrix bitwise what it gets alone. The generator is
-linear in the drive: four parts (the commutators with Fx, Fy and Fx^2, and the
-dissipator) are cached per (d, gamma_dec) as one array, and one product gives
-omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for each waveform.
+Both run one kernel, which tells closed from open evolution once, then
+accumulates the propagator from t_0 to every sample time and applies it in the
+requested picture, for a batch of waveforms that differ only in
+``omega_larmor`` and ``chi`` (:func:`heisenberg_histories`; one history is the
+batch of one). Closed evolution (``ControlWaveform.closed``: ``gamma_dec`` =
+0, no decoherence) keeps the d x d unitaries U_i, from one Hermitian
+eigendecomposition per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho
+U_i^dag for all samples in one batched product. Open evolution keeps a real
+d^2 x d^2 transfer map on the coordinates of the Hermitian operator basis,
+with one exact exponential of the Lindblad generator per segment:
+:func:`expm`, the degree-16 Taylor series in Paterson-Stockmeyer form with
+scaling and squaring and no linear solve. One call takes a stack of
+consecutive segments for the batch, as many as keep its work within a fixed
+cache-sized budget and at least one, each matrix bitwise what it gets alone.
+The generator is linear in the drive: four parts (the commutators with Fx, Fy
+and Fx^2, and the dissipator) are cached per (d, gamma_dec) as one array, and
+one product gives omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for
+each waveform.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ class ControlWaveform:
     gamma_dec: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError("n_steps must be an integer")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
         if self.n_steps < 1:
             raise ValueError("waveform needs at least one segment")
         if not 0 < self.dt < math.inf:
@@ -228,66 +232,55 @@ def _samples_per_step(waveform: ControlWaveform, n_samples: int) -> int:
     return n_samples // waveform.n_steps
 
 
-def _interval_propagators(sys: SpinSystem, waveforms, n_samples: int, per_step: int):
-    """Propagators over the n_samples - 1 sample intervals, in order, stacked over the waveforms.
+def _evolve(waveforms, n_samples: int, op: np.ndarray, heisenberg: bool) -> np.ndarray:
+    """Coordinates of a d x d ``op`` evolved to every sample time under each waveform, (B, N, d^2).
 
-    One exponential per segment and waveform: d x d unitaries under closed
+    Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint
+    picture (O_i) of a spin (d - 1) / 2. Row 0 is the coordinate vector of
+    ``op`` itself. The B waveforms may differ only in ``omega_larmor`` and
+    ``chi``. One exponential per segment and waveform propagates every
+    sample interval inside that segment: d x d unitaries under closed
     evolution, otherwise the real d^2 x d^2 exponentials of the Lindblad
     generators. Each :func:`expm` call takes as many consecutive segments of
     the batch as keep its ten work matrices per input within
     ``_EXPM_WORK_BYTES``, and at least one.
     """
+    sys = _spin_of(op)
+    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec) for w in waveforms}) != 1:
+        raise ValueError("need one or more waveforms that differ only in omega_larmor and chi")
     first = waveforms[0]
+    per_step = _samples_per_step(first, n_samples)
     dt = first.dt / per_step
-    parts = None if first.closed else _generator_parts(sys.d, first.gamma_dec)
+    if first.closed:
+        steps = [np.stack([_unitary(_hamiltonian(sys, w, k), dt) for w in waveforms])
+                 for k in range(first.n_steps)]
+        U = np.empty((len(waveforms), n_samples, sys.d, sys.d), dtype=complex)
+        U[:, 0] = np.eye(sys.d)
+        for i in range(1, n_samples):
+            U[:, i] = steps[(i - 1) // per_step] @ U[:, i - 1]
+        Ud = U.conj().swapaxes(-1, -2)
+        return state_to_coords(Ud @ op @ U if heisenberg else U @ op @ Ud)
+    # the cumulative transfer maps are applied as they grow, so only one
+    # d^2 x d^2 map per waveform is held at a time
+    parts = _generator_parts(sys.d, first.gamma_dec)
     stack = max(1, _EXPM_WORK_BYTES // (10 * len(waveforms) * sys.d**4 * 8))
-    for i in range(n_samples - 1):
-        k, within = divmod(i, per_step)
-        if within == 0 and parts is None:
-            step = np.stack([_unitary(_hamiltonian(sys, w, k), dt) for w in waveforms])
-        elif within == 0:
-            if k % stack == 0:
+    n2 = sys.d * sys.d
+    coords = np.empty((len(waveforms), n_samples, n2))
+    coords[:, 0] = state_to_coords(op)
+    transfer = np.broadcast_to(np.eye(n2), (len(waveforms), n2, n2))
+    buffers = np.empty((2, len(waveforms), n2, n2))  # each product goes into the other one
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for i in range(1, n_samples):
+            k, within = divmod(i - 1, per_step)
+            if within == 0 and k % stack == 0:
                 segments = range(k, min(k + stack, first.n_steps))
                 block = expm(np.stack([_segment_generators(parts, waveforms, j) for j in segments])
                              * dt)
-            step = block[k % stack]
-        yield step
-
-
-def _evolve(
-    sys: SpinSystem, waveforms, n_samples: int, op: np.ndarray, heisenberg: bool
-) -> np.ndarray:
-    """Coordinates of ``op`` evolved to every sample time under each waveform, shape (B, N, d^2).
-
-    Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint
-    picture (O_i). Row 0 is the coordinate vector of ``op`` itself. The B
-    waveforms may differ only in ``omega_larmor`` and ``chi``.
-    """
-    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec) for w in waveforms}) != 1:
-        raise ValueError("need one or more waveforms that differ only in omega_larmor and chi")
-    per_step = _samples_per_step(waveforms[0], n_samples)
-    steps = _interval_propagators(sys, waveforms, n_samples, per_step)
-    if not waveforms[0].closed:
-        # the cumulative transfer maps are applied as they grow, so only one
-        # d^2 x d^2 map per waveform is held at a time
-        n2 = sys.d * sys.d
-        coords = np.empty((len(waveforms), n_samples, n2))
-        coords[:, 0] = state_to_coords(op)
-        transfer = np.broadcast_to(np.eye(n2), (len(waveforms), n2, n2))
-        buffers = np.empty((2, len(waveforms), n2, n2))  # each product goes into the other one
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            for i, step in enumerate(steps, start=1):
-                transfer = np.matmul(step, transfer, out=buffers[i % 2])
-                coords[:, i] = coords[0, 0] @ transfer if heisenberg else transfer @ coords[0, 0]
-        if not np.isfinite(coords).all():
-            raise ValueError("open-system propagation overflowed: the drive is too large")
-        return coords
-    U = np.empty((len(waveforms), n_samples, sys.d, sys.d), dtype=complex)
-    U[:, 0] = np.eye(sys.d)
-    for i, step in enumerate(steps, start=1):
-        U[:, i] = step @ U[:, i - 1]
-    Ud = U.conj().swapaxes(-1, -2)
-    return state_to_coords(Ud @ op @ U if heisenberg else U @ op @ Ud)
+            transfer = np.matmul(block[k % stack], transfer, out=buffers[i % 2])
+            coords[:, i] = coords[0, 0] @ transfer if heisenberg else transfer @ coords[0, 0]
+    if not np.isfinite(coords).all():
+        raise ValueError("open-system propagation overflowed: the drive is too large")
+    return coords
 
 
 def propagate_state(
@@ -295,9 +288,7 @@ def propagate_state(
 ) -> list[np.ndarray]:
     """Schrodinger-picture states of a spin (d - 1) / 2 at every sample time (element 0 is rho0)."""
     rho0 = check_density_matrix(rho0)
-    states = coords_to_state(
-        _evolve(_spin_of(rho0), [waveform], n_samples, rho0, heisenberg=False)[0]
-    )
+    states = coords_to_state(_evolve([waveform], n_samples, rho0, heisenberg=False)[0])
     states[0] = rho0
     return list(states)
 
@@ -357,5 +348,5 @@ def heisenberg_histories(
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    designs = _evolve(_spin_of(observable), waveforms, n_samples, observable, heisenberg=True)
+    designs = _evolve(waveforms, n_samples, observable, heisenberg=True)
     return [ObservableHistory(w, D) for w, D in zip(waveforms, designs)]

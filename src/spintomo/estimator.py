@@ -228,29 +228,21 @@ def estimate(record: MeasurementRecord, history: ObservableHistory) -> EstimateR
     return estimate_batch([record], history)[0]
 
 
-def _augmented_r(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triangular factor R of the QR of [A | b]: R[:n, :n] factors A and R[:n, n] is Q^T b.
-
-    With more rows than A's n columns, |R[n, n]| is the least-squares residual norm of
-    A x = b when A has full column rank (Golub, Numer. Math. 7, 206, 1965).
-    """
-    return np.linalg.qr(np.column_stack((A, b)), mode="r")
-
-
 def _residual_norm(values: np.ndarray, design: np.ndarray) -> float:
     """The residual norm :func:`_solve` gives one record, from one triangular factor.
 
-    |R[n, n]| of :func:`_augmented_r` on the traceless design A and the
-    trace-corrected values, where A is certified full rank by the bound of
-    :func:`_prefix_fits`, ||R[:n, :n]^-1||_F ||A||_F < 1 / ``RANK_CUTOFF``;
-    any other design, and one with no more samples than A has columns, goes
-    through :func:`_solve`.
+    R of the QR of [A | b], with A the traceless design and b the trace-corrected values,
+    factors A in R[:n, :n] and holds Q^T b in R[:n, n]; |R[n, n]| is the least-squares
+    residual norm of A x = b (Golub, Numer. Math. 7, 206, 1965) where A is certified full
+    rank by the bound of :func:`_prefix_fits`, ||R[:n, :n]^-1||_F ||A||_F < 1 /
+    ``RANK_CUTOFF``; any other design, and one with no more samples than A has columns,
+    goes through :func:`_solve`.
     """
     d = math.isqrt(design.shape[1])
     A = design[:, 1:]
     (N, n) = A.shape
     if N > n:
-        R = _augmented_r(A, values - design[:, 0] / math.sqrt(d))
+        R = np.linalg.qr(np.column_stack((A, values - design[:, 0] / math.sqrt(d))), mode="r")
         diag = np.abs(np.diagonal(R)[:n])  # s_min/s_max of A is at most that of this diagonal
         if np.all(diag > RANK_CUTOFF * diag.max()) and (
                 np.sum(np.linalg.inv(R[:n, :n]) ** 2) * np.sum(A**2) < RANK_CUTOFF**-2):
@@ -279,7 +271,7 @@ def _prefix_fits(values: np.ndarray, design: np.ndarray, ks: list[int]) -> list[
     fast = [k for k in ks if k <= len(bound) and bound[k - 1] < RANK_CUTOFF**-2]
     x = list(np.cumsum(Q[:, :m] * (L_inv @ b[:m]), axis=1).T[[k - 1 for k in fast if k <= p]])
     for k in (k for k in fast if k > p):
-        Rb = _augmented_r(A[:k], b[:k])
+        Rb = np.linalg.qr(np.column_stack((A[:k], b[:k])), mode="r")
         x.append(np.linalg.solve(Rb[:n, :n], Rb[:n, n]))
     coords = np.insert(np.reshape(x, (len(fast), n)), 0, 1.0 / math.sqrt(d), axis=1)
     served = dict(zip(fast, coords_to_state(coords)))

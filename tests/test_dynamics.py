@@ -40,6 +40,17 @@ class TestControlWaveform:
         with pytest.raises(ValueError):
             ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=-1.0, chi=0.0)
 
+    def test_n_steps_must_be_an_integer(self):
+        # a float or bool segment count would be fingerprinted as written, then fail in the kernel
+        kwargs = dict(dt=1e-5, omega_larmor=1.0, chi=0.0)
+        for n_steps in (2.0, True):
+            with pytest.raises(ValueError, match="n_steps must be an integer"):
+                ControlWaveform(n_steps=n_steps, phi=(0.0,) * int(n_steps), **kwargs)
+        wf = ControlWaveform(n_steps=np.int64(2), phi=(0.0, 0.0), **kwargs)
+        assert type(wf.n_steps) is int
+        two = ControlWaveform(n_steps=2, phi=(0.0, 0.0), **kwargs)
+        assert wf.fingerprint() == two.fingerprint()
+
     @pytest.mark.parametrize("field, value", [
         ("dt", np.inf), ("dt", np.nan), ("phi", (np.nan,)), ("phi", (np.inf,)),
         ("omega_larmor", np.nan), ("omega_larmor", np.inf), ("chi", np.nan),
@@ -452,18 +463,20 @@ class TestSegmentExponential:
 class TestHistoryBatch:
     """heisenberg_histories: waveforms differing only in drive scales, in one kernel pass."""
 
-    @pytest.mark.parametrize("F", [1, 3])
+    # 30 samples of the 30 segments: one sample per segment
+    @pytest.mark.parametrize("F, n_samples", [(1, 150), (3, 150), (1, 30), (3, 30)],
+                             ids=["1", "3", "1-30", "3-30"])
     @pytest.mark.parametrize("gamma", [0.0, 200.0])
-    def test_batch_of_nine_equals_nine_batches_of_one(self, F, gamma):
+    def test_batch_of_nine_equals_nine_batches_of_one(self, F, gamma, n_samples):
         s = build_spin_system(F)
         O = measured_observable(s)
         base = make_waveform(gamma_dec=gamma)
         scales = np.linspace(0.95, 1.05, 9)
         waveforms = [base.with_scales(omega_scale=x, chi_scale=2.0 - x) for x in scales]
-        batch = heisenberg_histories(waveforms, O, n_samples=150)
+        batch = heisenberg_histories(waveforms, O, n_samples=n_samples)
         assert len(batch) == 9
         for wf, h in zip(waveforms, batch):
-            alone = heisenberg_history(wf, O, n_samples=150)
+            alone = heisenberg_history(wf, O, n_samples=n_samples)
             assert np.array_equal(h.design_matrix, alone.design_matrix)
             assert np.array_equal(h.times, alone.times)
             assert h.waveform_fingerprint == alone.waveform_fingerprint
