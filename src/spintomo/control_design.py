@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rand
+from . import rand, serialize
 from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history
 from .estimator import numerical_rank
 from .spin_algebra import SpinSystem, measured_observable
@@ -105,7 +105,7 @@ def optimize_waveform(
     """Search field-angle schedules for the best estimator conditioning.
 
     Keeps everything of ``template`` fixed except the phi list and scores
-    ``budget`` candidates, each on a grid of ``n_samples`` samples: the
+    ``budget`` (an integer >= 1) candidates, each on ``n_samples`` samples: the
     template, ``N_RESTARTS`` uniform angle draws from the counter-based stream
     ``seed``, then the steps of a (1+1) evolution strategy: the best schedule
     so far plus a Gaussian step from the same stream, whose length (0.3 at
@@ -120,8 +120,7 @@ def optimize_waveform(
     error, favouring schedules that stay well conditioned when the drive
     drifts. Each scored candidate then costs three design evaluations.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = serialize.integer(budget, "budget", 1)
     if not 0 <= sensitivity_weight < np.inf:
         raise ValueError("sensitivity_weight must be finite and nonnegative")
 

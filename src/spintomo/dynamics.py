@@ -67,10 +67,10 @@ __all__ = [
 class ControlWaveform:
     """Piecewise-constant control schedule.
 
-    ``phi`` holds one field angle (radians, x-y plane) per segment of
-    length ``dt``; ``omega_larmor`` is the Larmor rate of the transverse
-    field, ``chi`` the strength of the Fx^2 term, and ``gamma_dec`` the
-    rate of the isotropic decoherence channel.
+    ``phi`` holds one field angle (radians, x-y plane) for each of the
+    ``n_steps`` segments (an integer >= 1) of length ``dt``; ``omega_larmor``
+    is the Larmor rate of the transverse field, ``chi`` the strength of the
+    Fx^2 term, and ``gamma_dec`` the rate of the isotropic decoherence channel.
     """
 
     n_steps: int
@@ -81,11 +81,7 @@ class ControlWaveform:
     gamma_dec: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
-            raise ValueError("n_steps must be an integer")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        if self.n_steps < 1:
-            raise ValueError("waveform needs at least one segment")
+        object.__setattr__(self, "n_steps", serialize.integer(self.n_steps, "n_steps", 1))
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be finite and positive")
         phi = tuple(float(p) for p in self.phi)
@@ -216,14 +212,13 @@ def _segment_generators(parts: np.ndarray, waveforms, step_index: int) -> np.nda
 
 
 def sample_times(waveform: ControlWaveform, n_samples: int) -> np.ndarray:
-    """Uniform sample grid t_i = i * duration / n_samples, starting at 0."""
+    """Uniform grid t_i = i * duration / n_samples from 0; n_samples = k * n_steps, int k >= 1."""
     _samples_per_step(waveform, n_samples)
     return np.arange(n_samples) * (waveform.duration / n_samples)
 
 
 def _samples_per_step(waveform: ControlWaveform, n_samples: int) -> int:
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    n_samples = serialize.integer(n_samples, "n_samples", 1)
     if n_samples % waveform.n_steps != 0:
         raise ValueError(
             f"n_samples={n_samples} must be a multiple of n_steps={waveform.n_steps} "

@@ -287,16 +287,15 @@ def estimate_prefix_curve(
     """Reconstruction quality as the record accumulates.
 
     Returns (time, fidelity, max eigenvalue of the evolved true state) for
-    prefix lengths k = 0, stride, 2*stride, ..., N. The k = 0 point is the
-    unbiased prior I/d at time 0; each later point is the estimate on the
-    first k samples (:func:`_prefix_fits`), all scored with one sqrt(rho0_true).
-    The third column tracks the purity the true state loses to decoherence
-    under ``history.waveform``.
+    prefix lengths k = 0, stride, 2*stride, ..., N (``stride`` an integer >= 1).
+    The k = 0 point is the unbiased prior I/d at time 0; each later point is
+    the estimate on the first k samples (:func:`_prefix_fits`), all scored with
+    one sqrt(rho0_true). The third column tracks the purity the true state
+    loses to decoherence under ``history.waveform``.
     """
     _check_match([record], history.d, history.times, history.waveform_fingerprint)
     rho0_true = check_density_matrix(rho0_true, history.d)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    stride = serialize.integer(stride, "stride", 1)
     n = record.n_samples
     waveform = history.waveform
     evolved = [rho0_true] * n if waveform.closed else propagate_state(rho0_true, waveform, n)
@@ -414,14 +413,15 @@ def estimate_with_nuisance(
     grid point between its neighbours (``_coordinate_search``). Every trial
     point lies inside the bounds.
 
-    The spin and the sample count are the record's. The waveform
-    fingerprint is deliberately not checked against the record here: a
-    drifted drive is the reason this entry point exists. The search is
-    deterministic. ``budget`` counts histories, grid points included, and
-    none is built past it; the best point's design matrix is kept and
-    fitted once at the end. If the budget runs out first, the best
-    point built (the first of equal ones) is returned with
-    ``nuisance_converged`` False.
+    The spin and the sample count are the record's; the count must exceed the
+    d^2 - 1 traceless coordinates, or every full-rank trial fits the record
+    exactly and the residuals are rounding noise. The waveform fingerprint is
+    deliberately not checked against the record here: a drifted drive is the
+    reason this entry point exists. The search is deterministic. ``budget``, an
+    integer >= 1, counts histories, grid points included, and none is built
+    past it; the best point's design matrix is kept and fitted once at the end.
+    If the budget runs out first, the best point built (the first of equal
+    ones) is returned with ``nuisance_converged`` False.
     """
     if record.n_samples % waveform.n_steps:
         raise FingerprintMismatchError(
@@ -430,6 +430,9 @@ def estimate_with_nuisance(
         )
     sys = build_spin_system(record.F)
     _check_match([record], sys.d, sample_times(waveform, record.n_samples))
+    if record.n_samples <= sys.d**2 - 1:  # every full-rank trial would fit the record exactly
+        raise ValueError(f"a nuisance fit needs more samples than the {sys.d**2 - 1} traceless "
+                         f"coordinates; the record has {record.n_samples} samples")
     names = list(params)
     if not names:
         raise ValueError("name at least one nuisance scale; a fit without one is estimate()")
@@ -442,8 +445,7 @@ def estimate_with_nuisance(
         raise ValueError("nuisance bounds must be finite with lower < upper")
     if np.any(lows < 0):
         raise ValueError("nuisance bounds must be nonnegative")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = serialize.integer(budget, "budget", 1)
 
     observable = measured_observable(sys)
     residuals: dict[tuple[float, ...], float] = {}

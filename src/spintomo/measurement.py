@@ -49,7 +49,7 @@ RecordFormatError = serialize.DocumentError
 
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
-    """An immutable measurement record with its noise metadata."""
+    """An immutable measurement record with its noise metadata; ``n_averaged`` is an int >= 1."""
 
     F: float
     times: np.ndarray
@@ -77,9 +77,7 @@ class MeasurementRecord:
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and nonnegative")
         sigma = serialize.number(self.sigma, "sigma")  # a bool is no number
-        n_averaged = serialize.integer(self.n_averaged, "n_averaged")
-        if n_averaged < 1:
-            raise ValueError("n_averaged must be an integer >= 1")
+        n_averaged = serialize.integer(self.n_averaged, "n_averaged", 1)
         seed = rand.check_seed(self.seed)
         # the caller's arrays stay writeable: a writeable one is copied before it is frozen,
         # a read-only one (a sweep's grid, shared by the records of one state) is kept

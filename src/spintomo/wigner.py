@@ -139,19 +139,19 @@ def _evaluate(rho: np.ndarray, thetas: np.ndarray, phis: np.ndarray) -> np.ndarr
 
 
 def _checked(rho: np.ndarray, n_theta: int, n_phi: int) -> np.ndarray:
-    """``rho`` as a density matrix, for a grid of at least 8 points in each angle."""
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("grid sizes must be at least 8")
+    """``rho`` as a density matrix, for a grid of integer sizes of at least 8 in each angle."""
+    serialize.integer(n_theta, "n_theta", 8)
+    serialize.integer(n_phi, "n_phi", 8)
     return check_density_matrix(rho)
 
 
 def wigner_function(rho: np.ndarray, n_theta: int = 181, n_phi: int = 360) -> WignerGrid:
     """Sample the Wigner function on a uniform grid for visualization.
 
-    theta runs inclusively from 0 to pi (so both poles are on the grid) and
-    phi covers [0, 2 pi) without the duplicate endpoint. Use
-    :func:`wigner_integral` for normalization checks; the uniform grid is
-    only second-order accurate as a quadrature rule.
+    ``n_theta`` thetas run inclusively from 0 to pi (both poles are on the
+    grid), ``n_phi`` phis cover [0, 2 pi) without the duplicate endpoint; both
+    are integers >= 8. Use :func:`wigner_integral` for normalization checks;
+    the uniform grid is only second-order accurate as a quadrature rule.
     """
     rho = _checked(rho, n_theta, n_phi)
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -164,8 +164,8 @@ def wigner_integral(rho: np.ndarray, n_theta: int = 64, n_phi: int = 128) -> flo
     trapezoid (= rectangle, by periodicity) in phi.
 
     The integrand is band-limited at degree 2F, so the default node counts
-    evaluate the integral to machine precision; the result is 1 for any
-    physical state in this package's normalization convention.
+    (integers >= 8) evaluate the integral to machine precision; the result is
+    1 for any physical state in this package's normalization convention.
     """
     rho = _checked(rho, n_theta, n_phi)
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)

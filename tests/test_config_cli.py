@@ -206,14 +206,15 @@ class TestCliPipeline:
 
     @pytest.mark.parametrize("spec, message", [
         ("omega_scale:nan:1.05", "finite"),
-        ("omega_scale:0.95:inf", "finite"),
-        ("omega_scale:1.05:0.95", "lower < upper"),
+        ("omega_scale:0.95:inf", "nuisance bounds must be finite with lower < upper"),
+        ("omega_scale:1.05:0.95", "nuisance bounds must be finite with lower < upper"),
         ("bogus:0.9:1.1", "unknown nuisance parameter 'bogus'"),
         # a negative scale is a malformed entry, refused before any search starts
         ("omega_scale:-0.5:1.05", "negative --nuisance bound in 'omega_scale:-0.5:1.05'"),
         ("chi_scale:-2:-1", "negative --nuisance bound in 'chi_scale:-2:-1'"),
+        ("omega_scale:low:1.05", "bad --nuisance bounds in 'omega_scale:low:1.05'"),
     ], ids=["nan_lower", "inf_upper", "reversed", "unknown_name", "negative_lower",
-            "negative_both"])
+            "negative_both", "non_numeric_lower"])
     def test_bad_nuisance_spec_exit_2(self, tmp_path, capsys, spec, message):
         cfg = write_config(tmp_path, base_config())
         record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
@@ -222,6 +223,34 @@ class TestCliPipeline:
         assert main(["estimate", record, cfg, str(est), "--nuisance", spec]) == 2
         assert message in capsys.readouterr().err
         assert not est.exists()
+
+    def test_nuisance_fit_without_degrees_of_freedom_exit_3(self, tmp_path, capsys):
+        # 30 samples cannot overdetermine the 48 traceless coordinates at F = 3
+        doc = base_config(state={"kind": "cat"})
+        doc["sampling"]["n_samples"] = 30
+        cfg = write_config(tmp_path, doc)
+        record, est = str(tmp_path / "record.json"), tmp_path / "e.json"
+        assert main(["simulate", cfg, record]) == 0
+        capsys.readouterr()
+        assert main(["estimate", record, cfg, str(est), "--nuisance", "omega_scale:0.95:1.05"]) == 3
+        assert capsys.readouterr() == ("", "error: a nuisance fit needs more samples than the 48 "
+                                           "traceless coordinates; the record has 30 samples\n")
+        assert not est.exists()
+
+    @pytest.mark.parametrize("config, extra, reason", [
+        ("paper_states_sweep.json", [], "config does not name a single true state"),
+        ("cat.json", ["--nuisance", "omega_scale:0.95:1.05", "--budget", "3"],
+         "not available together with --nuisance"),
+    ], ids=["several_states", "nuisance"])
+    def test_prefix_curve_skipped(self, tmp_path, capsys, config, extra, reason):
+        # the estimate is still written; only the curve is skipped, with its reason
+        record, est, curve = (str(tmp_path / name) for name in ("record.json", "e.json", "c.csv"))
+        assert main(["simulate", str(SHIPPED / "cat.json"), record]) == 0
+        capsys.readouterr()
+        assert main(["estimate", record, str(SHIPPED / config), est, "--prefix-curve", curve,
+                     *extra]) == 0
+        assert f"prefix curve skipped: {reason}\n" in capsys.readouterr().out
+        assert os.path.exists(est) and not os.path.exists(curve)
 
     def test_empty_nuisance_spec_exit_2(self, tmp_path, capsys):
         # an empty --nuisance names no scale: a bad entry, not a plain estimate

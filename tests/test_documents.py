@@ -34,7 +34,7 @@ CONFIG = {
         "gamma_dec": 0.0,
         "jump_preset": "isotropic",
     },
-    "sampling": {"n_samples": 8},
+    "sampling": {"n_samples": 12},
     "noise": {"sigma": 0.5, "seed": 3, "n_averaged": 1},
     "state": {"kind": "basis_state", "m": -1},
 }

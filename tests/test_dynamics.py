@@ -44,7 +44,7 @@ class TestControlWaveform:
         # a float or bool segment count would be fingerprinted as written, then fail in the kernel
         kwargs = dict(dt=1e-5, omega_larmor=1.0, chi=0.0)
         for n_steps in (2.0, True):
-            with pytest.raises(ValueError, match="n_steps must be an integer"):
+            with pytest.raises(ValueError, match="field n_steps: expected an integer"):
                 ControlWaveform(n_steps=n_steps, phi=(0.0,) * int(n_steps), **kwargs)
         wf = ControlWaveform(n_steps=np.int64(2), phi=(0.0, 0.0), **kwargs)
         assert type(wf.n_steps) is int

@@ -41,6 +41,7 @@ from spintomo import (
 from spintomo import estimator, metrics
 from spintomo import test_state as make_state
 from spintomo.estimator import _estimates, _prefix_fits, _residual_norm, _solve
+from spintomo.rand import uniform_angles
 from spintomo.serialize import DocumentError
 
 
@@ -661,6 +662,35 @@ class TestNuisance:
             estimate_with_nuisance(short, default_waveform, {"omega_scale": (0.95, 1.05)})
         with pytest.raises(FingerprintMismatchError, match="record has 100 samples"):
             estimate(short, default_history)
+
+    @pytest.mark.parametrize("F, n_steps, n_samples", [(3, 30, 30), (1, 1, 8)],
+                             ids=["F3_30_samples", "F1_8_samples"])
+    def test_fit_without_degrees_of_freedom_rejected_before_any_history(self, F, n_steps,
+                                                                         n_samples, monkeypatch):
+        # with N <= d^2 - 1 every full-rank trial design fits the record exactly, so the
+        # residuals the search compares are rounding noise and its scale is arbitrary
+        s = build_spin_system(F)
+        waveform = make_waveform(n_steps=n_steps, phi=tuple(uniform_angles(10, n_steps)))
+        history = heisenberg_history(waveform, measured_observable(s), n_samples)
+        record = synthesize_record(make_state(s, "cat"), history, sigma=CALIBRATED_SIGMA, seed=2)
+
+        def no_history(*args):
+            raise AssertionError("a history was built")
+
+        monkeypatch.setattr(estimator, "heisenberg_histories", no_history)
+        message = f"than the {s.d**2 - 1} traceless coordinates; the record has {n_samples} samples"
+        with pytest.raises(ValueError, match=message):
+            estimate_with_nuisance(record, waveform, {"omega_scale": (0.95, 1.05)})
+
+    def test_one_degree_of_freedom_is_enough(self):
+        # N = d^2 samples leave one residual degree of freedom: the fit runs
+        s = build_spin_system(1)
+        waveform = make_waveform(n_steps=1, phi=(0.3,))
+        history = heisenberg_history(waveform, measured_observable(s), 9)
+        record = synthesize_record(make_state(s, "cat"), history, sigma=CALIBRATED_SIGMA, seed=2)
+        result = estimate_with_nuisance(record, waveform, {"omega_scale": (0.95, 1.05)},
+                                        budget=3)
+        assert list(result.nuisance) == ["omega_scale"]
 
     @pytest.mark.parametrize("bounds", [{"omega_scale": (-0.5, 1.05)},
                                         {"chi_scale": (-2.0, -1.0)}])

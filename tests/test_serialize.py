@@ -1,7 +1,13 @@
-"""Document text: arrays are formatted whole, with the bytes of the per-number encoder."""
+"""Document text: arrays are formatted whole, with the bytes of the per-number encoder.
 
+Also the integer rule, ``serialize.integer``, which reads every count argument of the library.
+"""
+
+import dataclasses
 import json
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +16,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import dumps_reference
+from spintomo import (
+    ControlWaveform,
+    build_spin_system,
+    estimate_prefix_curve,
+    estimate_with_nuisance,
+    heisenberg_history,
+    measured_observable,
+    optimize_waveform,
+    propagate_state,
+    sample_times,
+    wigner_function,
+    wigner_integral,
+)
 from spintomo import test_state as make_state
 from spintomo.estimator import estimate, write_estimate
 from spintomo.measurement import read_record, synthesize_record, write_record
@@ -65,3 +84,73 @@ def test_written_documents_match_per_number_encoder(sys3, default_history, tmp_p
         text = (tmp_path / name).read_text()
         assert text == dumps_reference(json.loads(text))
     assert np.array_equal(read_record(tmp_path / "record.json").values, record.values)
+
+
+
+@pytest.fixture(scope="module")
+def model():
+    """A small F = 1 model, 3 segments and 12 samples, with one record of it."""
+    s = build_spin_system(1)
+    waveform = ControlWaveform(n_steps=3, dt=5e-5, phi=(0.1, 2.0, 4.0),
+                               omega_larmor=62831.853071795864, chi=37699.11184307752)
+    observable = measured_observable(s)
+    history = heisenberg_history(waveform, observable, 12)
+    rho = make_state(s, "cat")
+    record = synthesize_record(rho, history, 0.9, 1)
+    return SimpleNamespace(sys=s, waveform=waveform, observable=observable, history=history,
+                           rho=rho, record=record)
+
+
+# per count: the argument's name, a valid value, and every call that takes it
+COUNTS = {
+    "n_steps": ("n_steps", 3, [
+        lambda m, n: heisenberg_history(replace(m.waveform, n_steps=n), m.observable, 12),
+    ]),
+    "n_samples": ("n_samples", 12, [
+        lambda m, n: sample_times(m.waveform, n),
+        lambda m, n: heisenberg_history(m.waveform, m.observable, n).design_matrix,
+        lambda m, n: propagate_state(m.rho, m.waveform, n),
+    ]),
+    "n_averaged": ("n_averaged", 4, [
+        lambda m, n: synthesize_record(m.rho, m.history, 0.9, 1, n),
+    ]),
+    "nuisance_budget": ("budget", 3, [
+        lambda m, n: estimate_with_nuisance(m.record, m.waveform, {"omega_scale": (0.95, 1.05)},
+                                            budget=n),
+    ]),
+    "design_budget": ("budget", 3, [
+        lambda m, n: optimize_waveform(m.sys, m.waveform, 12, budget=n),
+    ]),
+    "stride": ("stride", 2, [
+        lambda m, n: estimate_prefix_curve(m.record, m.history, m.rho, stride=n),
+    ]),
+    "n_theta": ("n_theta", 9, [
+        lambda m, n: wigner_function(m.rho, n_theta=n, n_phi=8),
+        lambda m, n: wigner_integral(m.rho, n_theta=n),
+    ]),
+    "n_phi": ("n_phi", 9, [
+        lambda m, n: wigner_function(m.rho, n_theta=8, n_phi=n),
+        lambda m, n: wigner_integral(m.rho, n_phi=n),
+    ]),
+}
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal arrays, numbers and strings, field by field through dataclasses and dicts."""
+    if dataclasses.is_dataclass(a):
+        return all(_bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_bitwise_equal(a[k], b[k]) for k in a)
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("count", list(COUNTS))
+def test_every_count_argument_is_read_by_the_integer_rule(model, count):
+    # a float or bool count used to fail inside numpy (TypeError) or pass as a number
+    name, valid, calls = COUNTS[count]
+    for call in calls:
+        for bad in (2.5, float(valid), True):
+            with pytest.raises(ValueError, match=f"field {name}: expected an integer"):
+                call(model, bad)
+        assert _bitwise_equal(call(model, valid), call(model, np.int64(valid)))

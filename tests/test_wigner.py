@@ -149,7 +149,7 @@ class TestWignerFunction:
     def test_input_validation(self, sys3):
         with pytest.raises(ValueError):
             wigner_function(np.diag([1.2, -0.2, 0, 0, 0, 0, 0]).astype(complex))
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(ValueError, match="field n_theta: must be at least 8"):
             wigner_function(make_state(sys3, "mixed"), 4, 64)
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 6)], ids=["1x1", "non_square"])
@@ -163,7 +163,8 @@ class TestWignerFunction:
 
     @pytest.mark.parametrize("n_theta, n_phi", [(0, 128), (7, 128), (64, 0), (64, 7)])
     def test_integral_grid_sizes_checked(self, sys3, n_theta, n_phi):
-        with pytest.raises(ValueError, match="grid sizes must be at least 8"):
+        name = "n_theta" if n_theta < 8 else "n_phi"
+        with pytest.raises(ValueError, match=f"field {name}: must be at least 8"):
             wigner_integral(make_state(sys3, "mixed"), n_theta, n_phi)
 
 
