@@ -2,8 +2,8 @@
 
 Simulates the measurement record of a single probed observable evolving
 under a designed piecewise-constant drive, and reconstructs the initial
-density matrix by constrained least squares, with fidelity, purity and
-Wigner-function diagnostics.
+density matrix by least squares, then projection onto the density matrices,
+with fidelity, purity and Wigner-function diagnostics.
 """
 
 from .config import ConfigError, ExperimentConfig, load_config, parse_config

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rand, serialize
-from .dynamics import ControlWaveform, ObservableHistory, heisenberg_history
+from .dynamics import ControlWaveform, ObservableHistory, heisenberg_histories
 from .estimator import numerical_rank
 from .spin_algebra import SpinSystem, measured_observable
 
@@ -76,18 +76,29 @@ def design_objective(
     scores 0 / -inf: no schedule of that family can determine every
     parameter.
     """
+    return _scores(sys, [waveform], n_samples, objective, 0.0)[0]
+
+
+def _scores(sys, candidates, n_samples, objective, sensitivity_weight) -> list[float]:
+    """Objective of each candidate, with its +-1% Larmor-rate copies if weighted, in one batch."""
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; valid: {OBJECTIVES}")
-    history = heisenberg_history(waveform, measured_observable(sys), n_samples=n_samples)
-    report = completeness_report(history)
-    if objective == "min_singular_value":
-        return float(report.singular_values[-1]) if report.complete else 0.0
-    if not report.complete:
-        return -np.inf
-    s = report.singular_values
-    if objective == "condition_number":
-        return float(-s[0] / s[-1])
-    return float(-np.sum(1.0 / s**2))
+    drifts = (0.99, 1.01) if sensitivity_weight > 0.0 else ()
+    batch = [w for c in candidates for w in (c, *(c.with_scales(omega_scale=x) for x in drifts))]
+    values = []
+    for history in heisenberg_histories(batch, measured_observable(sys), n_samples):
+        report = completeness_report(history)
+        s = report.singular_values
+        if objective == "min_singular_value":
+            values.append(float(s[-1]) if report.complete else 0.0)
+        elif not report.complete:
+            values.append(-np.inf)
+        else:
+            values.append(float(-s[0] / s[-1] if objective == "condition_number"
+                                else -np.sum(1.0 / s**2)))
+    return [value - sensitivity_weight * max(0.0, value - min(drifted))
+            if drifted and np.isfinite(value) else value
+            for value, *drifted in np.reshape(values, (len(candidates), -1)).tolist()]
 
 
 N_RESTARTS = 24  # uniform restarts before the local search of optimize_waveform
@@ -113,7 +124,8 @@ def optimize_waveform(
     one-fifth success rule. A candidate replaces the best only if it scores
     strictly higher. Candidate j depends only on the seed and the scores before
     it, never on the budget, so the result is deterministic, never worse than
-    the template, and never worse for a larger budget.
+    the template, and never worse for a larger budget. The template and the
+    restarts are scored as one batch of histories, each step alone.
 
     With ``sensitivity_weight`` > 0 the score is penalized by that weight
     times the objective degradation under a +-1% Larmor-rate calibration
@@ -124,36 +136,25 @@ def optimize_waveform(
     if not 0 <= sensitivity_weight < np.inf:
         raise ValueError("sensitivity_weight must be finite and nonnegative")
 
-    def score(phis: np.ndarray) -> float:
-        candidate = replace(template, phi=tuple(np.mod(phis, 2.0 * np.pi)))
-        value = design_objective(sys, candidate, n_samples, objective)
-        if sensitivity_weight > 0.0 and np.isfinite(value):
-            perturbed = min(
-                design_objective(sys, candidate.with_scales(omega_scale=scale), n_samples,
-                                 objective)
-                for scale in (0.99, 1.01)
-            )
-            value -= sensitivity_weight * max(0.0, value - perturbed)
-        return value
+    def score(phis) -> list[tuple]:
+        """(phi, waveform, score) of each schedule, the angles taken mod 2 pi."""
+        waveforms = [replace(template, phi=tuple(np.mod(p, 2.0 * np.pi))) for p in phis]
+        return list(zip(phis, waveforms,
+                        _scores(sys, waveforms, n_samples, objective, sensitivity_weight)))
 
-    best_phi = np.asarray(template.phi, dtype=float)
-    best_obj = score(best_phi)
-    improved = False
     n = template.n_steps
     stream = rand.stream(seed)
+    starts = [np.asarray(template.phi, dtype=float)]
+    starts += [stream.uniform(0.0, 2.0 * np.pi, size=n) for _ in range(min(N_RESTARTS, budget - 1))]
+    scored = score(starts)
+    (best_phi, _, best_obj), best = scored[0], template
     step = 0.3
     for j in range(1, budget):
         if j <= N_RESTARTS:
-            phis = stream.uniform(0.0, 2.0 * np.pi, size=n)
+            phis, waveform, obj = scored[j]
         else:
-            phis = best_phi + step * stream.standard_normal(n)
-        obj = score(phis)
-        if j > N_RESTARTS:
+            phis, waveform, obj = score([best_phi + step * stream.standard_normal(n)])[0]
             step *= 1.5 if obj > best_obj else 1.5 ** -0.25
         if obj > best_obj:
-            best_obj, best_phi, improved = obj, phis, True
-
-    waveform = template
-    if improved:
-        waveform = replace(template, phi=tuple(np.mod(best_phi, 2.0 * np.pi)))
-    return WaveformDesignResult(waveform=waveform, objective=best_obj)
+            best_phi, best, best_obj = phis, waveform, obj
+    return WaveformDesignResult(waveform=best, objective=best_obj)

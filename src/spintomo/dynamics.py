@@ -14,22 +14,21 @@ built from and its design matrix, and derives everything else from them.
 
 Both run one kernel, which tells closed from open evolution once, then
 accumulates the propagator from t_0 to every sample time and applies it in the
-requested picture, for a batch of waveforms that differ only in
-``omega_larmor`` and ``chi`` (:func:`heisenberg_histories`; one history is the
-batch of one). Closed evolution (``ControlWaveform.closed``: ``gamma_dec`` =
-0, no decoherence) keeps the d x d unitaries U_i, from one Hermitian
-eigendecomposition per segment; then O_i = U_i^dag O U_i and rho_i = U_i rho
-U_i^dag for all samples in one batched product. Open evolution keeps a real
-d^2 x d^2 transfer map on the coordinates of the Hermitian operator basis,
-with one exact exponential of the Lindblad generator per segment:
-:func:`expm`, the degree-16 Taylor series in Paterson-Stockmeyer form with
-scaling and squaring and no linear solve. One call takes a stack of
-consecutive segments for the batch, as many as keep its work within a fixed
-cache-sized budget and at least one, each matrix bitwise what it gets alone.
-The generator is linear in the drive: four parts (the commutators with Fx, Fy
-and Fx^2, and the dissipator) are cached per (d, gamma_dec) as one array, and
-one product gives omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for
-each waveform.
+requested picture, for a batch of waveforms that share ``n_steps``, ``dt`` and
+``gamma_dec`` (:func:`heisenberg_histories`; one history is the batch of one).
+Closed evolution (``ControlWaveform.closed``: ``gamma_dec`` = 0) keeps the
+d x d unitaries U_i: every segment Hamiltonian of the batch is one array,
+exponentiated by one stacked Hermitian eigendecomposition; then O_i = U_i^dag O
+U_i and rho_i = U_i rho U_i^dag in one batched product. Open evolution keeps a
+real d^2 x d^2 transfer map on the coordinates of the Hermitian operator basis,
+with one exact exponential of the Lindblad generator per segment: :func:`expm`,
+the degree-16 Taylor series in Paterson-Stockmeyer form with scaling and
+squaring and no linear solve. One call takes a stack of consecutive segments
+for the batch, as many as keep its work within a fixed cache-sized budget and
+at least one, each matrix bitwise what it gets alone. The generator is linear
+in the drive: four parts (the commutators with Fx, Fy and Fx^2, and the
+dissipator) are cached per (d, gamma_dec) as one array, and one product gives
+omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for each waveform.
 """
 
 from __future__ import annotations
@@ -135,6 +134,8 @@ _THETA16 = 0.78
 # of the 2-vCPU x86 machine the stacking was measured on. A single F = 3 history then takes
 # ten segments per call; a 9-waveform batch and every F >= 5 history take one.
 _EXPM_WORK_BYTES = 2 * 1024 * 1024
+# bytes of one kernel call's (B, N, d, d) complex propagators; heisenberg_histories slices past it
+_BATCH_BYTES = 4 * 1024 * 1024
 
 
 def expm(A: np.ndarray) -> np.ndarray:
@@ -194,20 +195,19 @@ def _generator_parts(d: int, gamma_dec: float) -> np.ndarray:
     return parts
 
 
-def _hamiltonian(sys: SpinSystem, waveform: ControlWaveform, step_index: int) -> np.ndarray:
-    """Hamiltonian of segment ``step_index``: field term plus chi * Fx^2."""
-    angle = waveform.phi[step_index]
-    H = waveform.omega_larmor * (np.cos(angle) * sys.Fx + np.sin(angle) * sys.Fy)
-    if waveform.chi:
-        H = H + waveform.chi * (sys.Fx @ sys.Fx)
+def _hamiltonians(sys: SpinSystem, waveforms) -> np.ndarray:
+    """(B, K, d, d) segment Hamiltonians: omega (cos phi Fx + sin phi Fy), plus chi Fx^2 if chi."""
+    phi = np.array([w.phi for w in waveforms])[..., None, None]
+    omega, chi = np.array([(w.omega_larmor, w.chi) for w in waveforms]).T
+    H = omega[:, None, None, None] * (np.cos(phi) * sys.Fx + np.sin(phi) * sys.Fy)
+    H[chi != 0] += chi[chi != 0, None, None, None] * (sys.Fx @ sys.Fx)
     return H
 
 
 def _segment_generators(parts: np.ndarray, waveforms, step_index: int) -> np.ndarray:
     """Segment ``step_index``'s generators: rows (omega cos phi, omega sin phi, chi, 1) @ parts."""
-    angle = waveforms[0].phi[step_index]
-    coeffs = [(w.omega_larmor * np.cos(angle), w.omega_larmor * np.sin(angle), w.chi, 1.0)
-              for w in waveforms]
+    coeffs = [(w.omega_larmor * np.cos(w.phi[step_index]),
+               w.omega_larmor * np.sin(w.phi[step_index]), w.chi, 1.0) for w in waveforms]
     return (np.array(coeffs) @ parts.reshape(4, -1)).reshape(len(waveforms), *parts.shape[1:])
 
 
@@ -230,29 +230,26 @@ def _samples_per_step(waveform: ControlWaveform, n_samples: int) -> int:
 def _evolve(waveforms, n_samples: int, op: np.ndarray, heisenberg: bool) -> np.ndarray:
     """Coordinates of a d x d ``op`` evolved to every sample time under each waveform, (B, N, d^2).
 
-    Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint
-    picture (O_i) of a spin (d - 1) / 2. Row 0 is the coordinate vector of
-    ``op`` itself. The B waveforms may differ only in ``omega_larmor`` and
-    ``chi``. One exponential per segment and waveform propagates every
-    sample interval inside that segment: d x d unitaries under closed
-    evolution, otherwise the real d^2 x d^2 exponentials of the Lindblad
-    generators. Each :func:`expm` call takes as many consecutive segments of
-    the batch as keep its ten work matrices per input within
+    Schrodinger picture (rho_i) or, with ``heisenberg``, the adjoint picture
+    (O_i) of a spin (d - 1) / 2. Row 0 is the coordinate vector of ``op``
+    itself. The B waveforms share ``n_steps``, ``dt`` and ``gamma_dec``. One
+    exponential per segment and waveform propagates every sample interval
+    inside that segment: d x d unitaries under closed evolution, all from one
+    :func:`_unitary` call, otherwise the real d^2 x d^2 exponentials of the
+    Lindblad generators. Each :func:`expm` call takes as many consecutive
+    segments of the batch as keep its ten work matrices per input within
     ``_EXPM_WORK_BYTES``, and at least one.
     """
     sys = _spin_of(op)
-    if len({(w.n_steps, w.dt, w.phi, w.gamma_dec) for w in waveforms}) != 1:
-        raise ValueError("need one or more waveforms that differ only in omega_larmor and chi")
     first = waveforms[0]
     per_step = _samples_per_step(first, n_samples)
     dt = first.dt / per_step
     if first.closed:
-        steps = [np.stack([_unitary(_hamiltonian(sys, w, k), dt) for w in waveforms])
-                 for k in range(first.n_steps)]
+        steps = _unitary(_hamiltonians(sys, waveforms), dt)
         U = np.empty((len(waveforms), n_samples, sys.d, sys.d), dtype=complex)
         U[:, 0] = np.eye(sys.d)
         for i in range(1, n_samples):
-            U[:, i] = steps[(i - 1) // per_step] @ U[:, i - 1]
+            U[:, i] = steps[:, (i - 1) // per_step] @ U[:, i - 1]
         Ud = U.conj().swapaxes(-1, -2)
         return state_to_coords(Ud @ op @ U if heisenberg else U @ op @ Ud)
     # the cumulative transfer maps are applied as they grow, so only one
@@ -333,15 +330,20 @@ def heisenberg_history(
 def heisenberg_histories(
     waveforms, observable: np.ndarray, n_samples: int
 ) -> list[ObservableHistory]:
-    """:func:`heisenberg_history` under each of a batch of waveforms, in one pass of the kernel.
+    """:func:`heisenberg_history` under each of a batch of waveforms, in passes of the kernel.
 
-    The waveforms may differ only in ``omega_larmor`` and ``chi``, as the
-    trial points of a nuisance search do. Each history is bitwise equal to
-    the one its waveform gets alone.
+    The waveforms share ``n_steps``, ``dt`` and ``gamma_dec``; each pass takes
+    a consecutive slice whose propagators fit ``_BATCH_BYTES``. Each history is
+    bitwise equal to the one its waveform gets alone.
     """
     observable = np.asarray(observable, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if not is_hermitian(observable, tol=1e-10 * scale):
         raise ValueError("observable must be a Hermitian d x d matrix")
-    designs = _evolve(waveforms, n_samples, observable, heisenberg=True)
-    return [ObservableHistory(w, D) for w, D in zip(waveforms, designs)]
+    if len({(w.n_steps, w.dt, w.gamma_dec) for w in waveforms}) != 1:
+        raise ValueError("need one or more waveforms with the same n_steps, dt and gamma_dec")
+    size = max(1, _BATCH_BYTES // (16 * serialize.integer(n_samples, "n_samples", 1)
+                                   * observable.size))
+    slices = [waveforms[i:i + size] for i in range(0, len(waveforms), size)]
+    return [ObservableHistory(w, D) for ws in slices
+            for w, D in zip(ws, _evolve(ws, n_samples, observable, heisenberg=True))]

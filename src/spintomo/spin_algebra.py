@@ -264,9 +264,9 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
 
 
 def _unitary(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) of a Hermitian H, from its eigendecomposition."""
+    """exp(-i H t) of a Hermitian H, or of each of a (..., d, d) stack, from one ``eigh`` call."""
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
+    return (V * np.exp(-1j * w * t)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 # kind -> the parameter names it accepts; the first one, if any, is required

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from spintomo import (
     build_spin_system,
+    design_objective,
     estimate_batch,
     fidelity,
     heisenberg_history,
@@ -16,6 +18,8 @@ from spintomo import (
     state_to_coords,
     synthesize_record,
 )
+from spintomo import rand
+from spintomo.control_design import N_RESTARTS
 from spintomo.estimator import _solve
 from spintomo.serialize import format_float
 
@@ -88,6 +92,15 @@ def lindblad_reference(sys, H, gamma_dec=0.0, jump_ops=()) -> np.ndarray:
         diss = sum(A @ B @ A.conj().T for A in jumps)
         LB = LB + gamma_dec * (diss - 0.5 * (K @ B + B @ K))
     return np.ascontiguousarray(state_to_coords(LB).T)
+
+
+def hamiltonian_reference(sys, waveform, k) -> np.ndarray:
+    """Hamiltonian of segment ``k`` alone: omega (cos phi_k Fx + sin phi_k Fy), plus chi Fx^2."""
+    angle = waveform.phi[k]
+    H = waveform.omega_larmor * (np.cos(angle) * sys.Fx + np.sin(angle) * sys.Fy)
+    if waveform.chi:
+        H = H + waveform.chi * (sys.Fx @ sys.Fx)
+    return H
 
 
 def legendre_table(kmax: int, x: np.ndarray) -> np.ndarray:
@@ -271,3 +284,37 @@ def dumps_reference(document) -> str:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
     return encode(document) + "\n"
+
+
+def optimize_waveform_reference(sys, template, n_samples, budget, seed, objective,
+                                sensitivity_weight):
+    """``optimize_waveform`` scoring one candidate at a time (reference).
+
+    Each candidate, and each of its +-1% Larmor-rate copies when weighted, is
+    scored by its own ``design_objective`` call, and each restart is drawn just
+    before it is scored.
+    """
+    def score(phis):
+        candidate = replace(template, phi=tuple(np.mod(phis, 2.0 * np.pi)))
+        value = design_objective(sys, candidate, n_samples, objective)
+        if sensitivity_weight > 0.0 and np.isfinite(value):
+            perturbed = min(design_objective(sys, candidate.with_scales(omega_scale=x),
+                                             n_samples, objective) for x in (0.99, 1.01))
+            value -= sensitivity_weight * max(0.0, value - perturbed)
+        return value
+
+    best_phi = np.asarray(template.phi, dtype=float)
+    best_obj, improved = score(best_phi), False
+    stream, step = rand.stream(seed), 0.3
+    for j in range(1, budget):
+        if j <= N_RESTARTS:
+            phis = stream.uniform(0.0, 2.0 * np.pi, size=template.n_steps)
+        else:
+            phis = best_phi + step * stream.standard_normal(template.n_steps)
+        obj = score(phis)
+        if j > N_RESTARTS:
+            step *= 1.5 if obj > best_obj else 1.5 ** -0.25
+        if obj > best_obj:
+            best_obj, best_phi, improved = obj, phis, True
+    phi = tuple(np.mod(best_phi, 2.0 * np.pi)) if improved else template.phi
+    return phi, best_obj

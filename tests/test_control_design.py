@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_waveform
+from helpers import optimize_waveform_reference
 from spintomo import (
     ObservableHistory,
     completeness_report,
@@ -12,7 +13,9 @@ from spintomo import (
     optimize_waveform,
     synthesize_record,
 )
+from spintomo import control_design
 from spintomo import test_state as make_state
+from spintomo.control_design import OBJECTIVES
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +137,34 @@ class TestOptimizeWaveform:
     def test_budget_validation(self, sys3, default_waveform):
         with pytest.raises(ValueError, match="budget"):
             optimize_waveform(sys3, default_waveform, 150, budget=0)
+
+
+class TestBatchedSearch:
+    """The template and its restarts are scored as one batch of histories, each step alone."""
+
+    @pytest.mark.parametrize("weight, sizes", [(0.0, [25] + [1] * 35), (1.0, [75] + [3] * 35)])
+    def test_batch_sizes(self, sys3, default_waveform, weight, sizes, monkeypatch):
+        calls, histories = [], control_design.heisenberg_histories
+
+        def counted(waveforms, *args, **kwargs):
+            calls.append(len(waveforms))
+            return histories(waveforms, *args, **kwargs)
+
+        monkeypatch.setattr(control_design, "heisenberg_histories", counted)
+        optimize_waveform(sys3, default_waveform, 150, budget=60, sensitivity_weight=weight)
+        assert calls == sizes
+
+    # the last template has no Fx^2 term: no schedule is complete, every score is 0 or -inf
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("chi, budget", [(None, 1), (None, 4), (None, 25), (None, 26),
+                                             (None, 60), (0.0, 26)],
+                             ids=["1", "4", "25", "26", "60", "rotations_only-26"])
+    def test_equals_one_candidate_at_a_time(self, sys3, chi, budget, objective, weight):
+        template = make_waveform() if chi is None else make_waveform(chi=chi)
+        args = (sys3, template, 150, budget, 0, objective, weight)
+        result = optimize_waveform(*args)
+        assert (result.waveform.phi, result.objective) == optimize_waveform_reference(*args)
 
 
 class TestObjectiveOptions:

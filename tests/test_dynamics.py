@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import make_waveform
-from helpers import lindblad_reference, random_density
+from helpers import hamiltonian_reference, lindblad_reference, random_density
 from spintomo import (
     ControlWaveform,
     ObservableHistory,
@@ -22,6 +22,7 @@ from spintomo import (
 from spintomo import dynamics
 from spintomo import test_state as make_state
 from spintomo.metrics import purity
+from spintomo.rand import uniform_angles
 from spintomo.spin_algebra import _unitary
 
 
@@ -91,21 +92,31 @@ class TestControlWaveform:
 
 
 class TestStepHamiltonian:
-    """Each segment's Hamiltonian, ``dynamics._hamiltonian``."""
+    """Each segment's Hamiltonian, ``hamiltonian_reference``, that the kernel's array must equal."""
 
     def test_field_along_x(self, sys3):
         wf = ControlWaveform(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=2.0, chi=0.0)
-        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 0) - 2.0 * sys3.Fx)) < 1e-12
+        assert np.max(np.abs(hamiltonian_reference(sys3, wf, 0) - 2.0 * sys3.Fx)) < 1e-12
 
     def test_pure_twisting(self, sys3):
         wf = ControlWaveform(n_steps=1, dt=1e-5, phi=(0.3,), omega_larmor=0.0, chi=1.5)
-        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 0) - 1.5 * sys3.Fx @ sys3.Fx)) < 1e-12
+        H = hamiltonian_reference(sys3, wf, 0)
+        assert np.max(np.abs(H - 1.5 * sys3.Fx @ sys3.Fx)) < 1e-12
 
     def test_quarter_turn_swaps_axes(self, sys3):
         wf = ControlWaveform(
             n_steps=2, dt=1e-5, phi=(0.0, np.pi / 2), omega_larmor=1.0, chi=0.0
         )
-        assert np.max(np.abs(dynamics._hamiltonian(sys3, wf, 1) - sys3.Fy)) < 1e-12
+        assert np.max(np.abs(hamiltonian_reference(sys3, wf, 1) - sys3.Fy)) < 1e-12
+
+    def test_kernel_array_is_each_segment_alone(self, sys3):
+        waveforms = [make_waveform(), make_waveform(phi_seed=4, chi=0.0),
+                     make_waveform(phi_seed=5, omega_larmor=0.0)]
+        H = dynamics._hamiltonians(sys3, waveforms)
+        assert H.shape == (3, 30, 7, 7)
+        for wf, stack in zip(waveforms, H):
+            for k, Hk in enumerate(stack):  # bytes: the signs of zeros steer eigh too
+                assert Hk.tobytes() == hamiltonian_reference(sys3, wf, k).tobytes()
 
 
 class TestStepPropagator:
@@ -115,16 +126,26 @@ class TestStepPropagator:
         assert np.max(np.abs(_unitary(np.zeros((3, 3)), 0.7) - np.eye(3))) < 1e-14
 
     def test_group_property(self, sys3):
-        H = dynamics._hamiltonian(sys3, make_waveform(), 0)
+        H = hamiltonian_reference(sys3, make_waveform(), 0)
         u1 = _unitary(H, 1e-5)
         u2 = _unitary(H, 2.5e-5)
         u3 = _unitary(H, 3.5e-5)
         assert np.max(np.abs(u1 @ u2 - u3)) < 1e-10
 
     def test_unitarity(self, sys3):
-        H = dynamics._hamiltonian(sys3, make_waveform(), 3)
+        H = hamiltonian_reference(sys3, make_waveform(), 3)
         U = _unitary(H, 5e-5)
         assert np.linalg.norm(U.conj().T @ U - np.eye(7)) < 1e-10
+
+    def test_stack_is_each_matrix_alone(self, sys3):
+        rng = np.random.default_rng(14)
+        A = rng.normal(size=(3, 4, 7, 7)) + 1j * rng.normal(size=(3, 4, 7, 7))
+        kernel = dynamics._hamiltonians(sys3, [make_waveform(), make_waveform(chi=0.0)])
+        for H in (1e4 * (A + A.conj().swapaxes(-1, -2)), kernel):
+            U = _unitary(H, 1e-5)
+            assert U.shape == H.shape
+            for index in np.ndindex(H.shape[:-2]):
+                assert np.array_equal(U[index], _unitary(H[index], 1e-5))
 
     def test_spin_half_analytic(self):
         s = build_spin_system(0.5)
@@ -143,7 +164,7 @@ class TestLindblad:
         dt_sample = wf.duration / 30
         direct = [rho]
         for i in range(29):
-            H = dynamics._hamiltonian(sys3, wf, i)  # one sample per segment here
+            H = hamiltonian_reference(sys3, wf, i)  # one sample per segment here
             U = _unitary(H, dt_sample)
             direct.append(U @ direct[-1] @ U.conj().T)
         for a, b in zip(states, direct):
@@ -230,14 +251,14 @@ class TestPropagateState:
         rho0 = random_density(rng, 7)
         forward = np.eye(7, dtype=complex)
         for i in range(wf.n_steps):
-            forward = _unitary(dynamics._hamiltonian(sys3, wf, i), wf.dt) @ forward
+            forward = _unitary(hamiltonian_reference(sys3, wf, i), wf.dt) @ forward
         rho_end = forward @ rho0 @ forward.conj().T
         back = rho_end
         for i in reversed(range(wf.n_steps)):
             back = (
-                _unitary(dynamics._hamiltonian(sys3, wf, i), -wf.dt)
+                _unitary(hamiltonian_reference(sys3, wf, i), -wf.dt)
                 @ back
-                @ _unitary(dynamics._hamiltonian(sys3, wf, i), -wf.dt).conj().T
+                @ _unitary(hamiltonian_reference(sys3, wf, i), -wf.dt).conj().T
             )
         assert np.linalg.norm(back - rho0) < 1e-8
 
@@ -360,7 +381,7 @@ def _reference_transfer_maps(sys, wf, n_samples):
     per_step = n_samples // wf.n_steps
     steps = [
         expm(
-            lindblad_reference(sys, dynamics._hamiltonian(sys, wf, s), wf.gamma_dec,
+            lindblad_reference(sys, hamiltonian_reference(sys, wf, s), wf.gamma_dec,
                                isotropic(sys))
             * (wf.dt / per_step)
         )
@@ -429,7 +450,7 @@ class TestSegmentExponential:
         wf = make_waveform(gamma_dec=150.0, chi=chi)
         parts = dynamics._generator_parts(sys3.d, wf.gamma_dec)
         for k in range(wf.n_steps):
-            want = lindblad_reference(sys3, dynamics._hamiltonian(sys3, wf, k), wf.gamma_dec,
+            want = lindblad_reference(sys3, hamiltonian_reference(sys3, wf, k), wf.gamma_dec,
                                       isotropic(sys3))
             got = dynamics._segment_generators(parts, [wf], k)[0]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -461,18 +482,23 @@ class TestSegmentExponential:
 
 
 class TestHistoryBatch:
-    """heisenberg_histories: waveforms differing only in drive scales, in one kernel pass."""
+    """heisenberg_histories: waveforms of one n_steps, dt and gamma_dec, in one kernel pass."""
 
     # 30 samples of the 30 segments: one sample per segment
-    @pytest.mark.parametrize("F, n_samples", [(1, 150), (3, 150), (1, 30), (3, 30)],
-                             ids=["1", "3", "1-30", "3-30"])
+    @pytest.mark.parametrize("F, n_samples", [(0.5, 150), (1, 150), (3, 150), (5, 150), (1, 30),
+                                              (3, 30)],
+                             ids=["1/2", "1", "3", "5", "1-30", "3-30"])
     @pytest.mark.parametrize("gamma", [0.0, 200.0])
     def test_batch_of_nine_equals_nine_batches_of_one(self, F, gamma, n_samples):
         s = build_spin_system(F)
         O = measured_observable(s)
         base = make_waveform(gamma_dec=gamma)
-        scales = np.linspace(0.95, 1.05, 9)
-        waveforms = [base.with_scales(omega_scale=x, chi_scale=2.0 - x) for x in scales]
+        # each with its own angles and drive scales, every third one without the Fx^2 term
+        waveforms = [replace(base.with_scales(omega_scale=x, chi_scale=(2.0 - x) * (j % 3 > 0)),
+                             phi=tuple(uniform_angles(j, base.n_steps)))
+                     for j, x in enumerate(np.linspace(0.95, 1.05, 9))]
+        assert len({w.phi for w in waveforms}) == 9
+        assert {w.chi == 0 for w in waveforms} == {True, False}
         batch = heisenberg_histories(waveforms, O, n_samples=n_samples)
         assert len(batch) == 9
         for wf, h in zip(waveforms, batch):
@@ -500,13 +526,46 @@ class TestHistoryBatch:
         for a, b in zip(stacked, alone):
             assert np.array_equal(a.design_matrix, b.design_matrix)
 
-    @pytest.mark.parametrize("field, value", [("dt", 4e-5), ("gamma_dec", 100.0),
-                                              ("gamma_dec", 0.0), ("phi", (0.0,) * 30)])
-    def test_rejects_waveforms_differing_beyond_the_scales(self, sys3, field, value):
+    @pytest.mark.parametrize("overrides", [{"dt": 4e-5}, {"gamma_dec": 100.0}, {"gamma_dec": 0.0},
+                                           {"n_steps": 15, "phi": (0.0,) * 15}],
+                             ids=["dt-4e-05", "gamma_dec-100.0", "gamma_dec-0.0", "n_steps-15"])
+    def test_rejects_waveforms_differing_beyond_the_scales(self, sys3, overrides, monkeypatch):
         base = make_waveform(gamma_dec=200.0)
-        other = replace(base, **{field: value})
-        with pytest.raises(ValueError, match="differ only in omega_larmor and chi"):
-            heisenberg_histories([base, other], measured_observable(sys3), n_samples=150)
+        other = replace(base, **overrides)
+        # refused as a whole, also where each slice would hold one waveform
+        for cap in (dynamics._BATCH_BYTES, 1):
+            monkeypatch.setattr(dynamics, "_BATCH_BYTES", cap)
+            with pytest.raises(ValueError, match="with the same n_steps, dt and gamma_dec"):
+                heisenberg_histories([base, other], measured_observable(sys3), n_samples=150)
+
+    def test_closed_batch_takes_one_eigendecomposition_call(self, sys3, monkeypatch):
+        calls, unitary = [], dynamics._unitary
+        monkeypatch.setattr(dynamics, "_unitary",
+                            lambda H, t: calls.append(H.shape) or unitary(H, t))
+        waveforms = [make_waveform(phi_seed=j) for j in range(9)]
+        heisenberg_histories(waveforms, measured_observable(sys3), n_samples=150)
+        assert calls == [(9, 30, 7, 7)]
+
+    @pytest.mark.parametrize("gamma", [0.0, 200.0])
+    def test_sliced_batch_equals_the_whole(self, sys3, gamma, monkeypatch):
+        O = measured_observable(sys3)
+        waveforms = [make_waveform(gamma_dec=gamma, phi_seed=j, chi=j * 1e3) for j in range(9)]
+        calls, evolve = [], dynamics._evolve
+
+        def counted(batch, *args, **kwargs):
+            calls.append(len(batch))
+            return evolve(batch, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_evolve", counted)
+        whole = heisenberg_histories(waveforms, O, n_samples=150)
+        assert calls == [9]  # nine F = 3 histories of 150 samples fit the cap
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_BATCH_BYTES", 1)  # one waveform per slice
+        sliced = heisenberg_histories(waveforms, O, n_samples=150)
+        assert calls == [1] * 9
+        for a, b in zip(whole, sliced):
+            assert a.waveform is b.waveform
+            assert np.array_equal(a.design_matrix, b.design_matrix)
 
     def test_rejects_empty_batch(self, sys3):
         with pytest.raises(ValueError, match="one or more waveforms"):
