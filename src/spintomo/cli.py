@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys as _sys
@@ -247,6 +248,7 @@ def _at_least(minimum, kind=int, below=math.inf):
     return number
 
 
+@functools.cache  # built once per process: every in-process main call parses with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintomo",

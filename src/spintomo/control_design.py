@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rand, serialize
-from .dynamics import ControlWaveform, ObservableHistory, heisenberg_histories
+from .dynamics import ControlWaveform, ObservableHistory, _histories
 from .estimator import numerical_rank
 from .spin_algebra import SpinSystem, measured_observable
 
@@ -86,8 +86,9 @@ def _scores(sys, candidates, n_samples, objective, sensitivity_weight) -> list[f
     drifts = (0.99, 1.01) if sensitivity_weight > 0.0 else ()
     batch = [w for c in candidates for w in (c, *(c.with_scales(omega_scale=x) for x in drifts))]
     values = []
-    for history in heisenberg_histories(batch, measured_observable(sys), n_samples):
-        report = completeness_report(history)
+    # each history is reduced to its singular values as its slice is built: the batch's
+    # design matrices are never held at once
+    for report in map(completeness_report, _histories(batch, measured_observable(sys), n_samples)):
         s = report.singular_values
         if objective == "min_singular_value":
             values.append(float(s[-1]) if report.complete else 0.0)

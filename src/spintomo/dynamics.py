@@ -336,6 +336,15 @@ def heisenberg_histories(
     a consecutive slice whose propagators fit ``_BATCH_BYTES``. Each history is
     bitwise equal to the one its waveform gets alone.
     """
+    return list(_histories(waveforms, observable, n_samples))
+
+
+def _histories(waveforms, observable: np.ndarray, n_samples: int):
+    """The histories of :func:`heisenberg_histories` as an iterator, one slice built at a time.
+
+    A slice's kernel pass runs when its first history is asked for, so a
+    caller that keeps no history holds one slice's design matrices at most.
+    """
     observable = np.asarray(observable, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(observable))) if observable.size else 1.0)
     if not is_hermitian(observable, tol=1e-10 * scale):
@@ -344,6 +353,7 @@ def heisenberg_histories(
         raise ValueError("need one or more waveforms with the same n_steps, dt and gamma_dec")
     size = max(1, _BATCH_BYTES // (16 * serialize.integer(n_samples, "n_samples", 1)
                                    * observable.size))
-    slices = [waveforms[i:i + size] for i in range(0, len(waveforms), size)]
-    return [ObservableHistory(w, D) for ws in slices
-            for w, D in zip(ws, _evolve(ws, n_samples, observable, heisenberg=True))]
+    for start in range(0, len(waveforms), size):
+        batch = waveforms[start:start + size]
+        yield from map(ObservableHistory, batch,
+                       _evolve(batch, n_samples, observable, heisenberg=True))

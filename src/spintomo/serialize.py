@@ -1,18 +1,22 @@
-"""Deterministic JSON text emission shared by the file formats.
+"""Deterministic text of every number the package writes, and the document checkers.
 
 All floats are printed with 17 significant digits, which round-trips every
 IEEE-754 double exactly, so writing the same document twice produces
-byte-identical files. A float ndarray is written in one pass: one
-:func:`check_finite` over the whole array, then one ``%`` formatting of all
-its entries into a bracket template of its shape. ``FLOAT_FORMAT % x`` gives
-the same bytes as ``format(x, ".17g")`` (:func:`format_float`), so a number
-reads the same whether it was written alone or inside an array. Complex
-matrices are stored as row-major nested lists of [re, im] pairs. Documents
-are read back with :func:`read_document`, and every config, record and
-estimate field is checked by the checkers here (:func:`check_fields`,
-:func:`numeric_array`, :func:`number`, :func:`integer`, :func:`choice`,
-:func:`spin_dimension`), which raise :class:`DocumentError`; a non-finite
-number fails at parse time or, once per array, in :func:`numeric_array`.
+byte-identical files. One number is written by :func:`format_float`,
+``format(x, ".17g")``. Arrays are written by :func:`format_floats`, the
+JSON float-array branch of :func:`dumps` and :func:`write_float_grid`,
+which format in numpy passes over chunks of ``_CHUNK`` numbers with the
+same bytes, so a number reads the same whether it was written alone or
+inside an array: the digits are the exact rounding of a double-double
+product (Dekker, Numer. Math. 18, 224, 1971), and the few numbers it cannot
+settle (ties at the 17th digit, exponents beyond +-40) go to
+:func:`format_float` itself. Complex matrices are stored as row-major
+nested lists of [re, im] pairs. Documents are read back with
+:func:`read_document`, and every config, record and estimate field is
+checked by the checkers here (:func:`check_fields`, :func:`numeric_array`,
+:func:`number`, :func:`integer`, :func:`choice`, :func:`spin_dimension`),
+which raise :class:`DocumentError`; a non-finite number fails at parse
+time or, once per array, in :func:`numeric_array`.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
+from functools import cache
 
 import numpy as np
-
-
-FLOAT_FORMAT = "%.17g"  # printf form of format(x, ".17g"): the same bytes for every double
 
 
 def format_float(x: float) -> str:
@@ -42,6 +44,253 @@ def check_finite(arr) -> np.ndarray:
     if bad.any():
         raise ValueError(f"cannot serialize non-finite number {float(arr[bad][0])!r}")
     return arr
+
+
+_CHUNK = 2048  # numbers per numpy pass of the array formatter: its work arrays stay small
+_E_LIMIT = 45  # the power table holds 10^(16 - e) for decimal exponents |e| <= _E_LIMIT
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
+# A formatted cell is 28 bytes of text in order with NUL bytes anywhere between, which
+# _compact deletes. It is built from a source row of the same width: 6 bytes of sign and
+# fixed-point lead ("-0.000"), NUL, the 17 digits, 4 bytes of exponent ("e-05") or NUL.
+# The longest format_float text has 24 bytes.
+_WIDTH = 28
+_NUL = 0
+_DIGITS = 7  # source column of the leading digit; digit j = 1..17 is at column j + 6
+
+
+def _powers() -> np.ndarray:
+    """(91, 4): row e + _E_LIMIT holds 10^(16 - e) = hi + lo as hi, hi's two 26-bit halves, lo.
+
+    hi is 10^(16 - e) rounded to a double and lo the double nearest the rest,
+    both from exact integer arithmetic.
+    """
+    rows = []
+    for e in range(-_E_LIMIT, _E_LIMIT + 1):
+        top, bottom = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        hi = top / bottom  # correctly rounded, as is every int / int
+        num, den = hi.as_integer_ratio()
+        rows.append((hi, (top * den - num * bottom) / (bottom * den)))
+    hi, lo = np.array(rows).T
+    big = hi * _SPLIT
+    hi_hi = big - (big - hi)
+    return np.stack([hi, hi_hi, hi - hi_hi, lo], axis=1)
+
+
+def _layouts() -> tuple[np.ndarray, ...]:
+    """The from_next, from_same and point rows of each layout, (306, _WIDTH) uint8 each.
+
+    Byte c of a cell is s[c + 1] from_next[c] + s[c] from_same[c] + point[c]
+    for its source row s: the digits before the point come one column
+    early, the point or NUL takes the column freed, and the digits past the
+    kept ones become NUL. Layout 17 (b - 1) + k - 1 has b = 1..17 digits
+    before the point (18: no point) and keeps k = 1..17 digits.
+    """
+    c = np.arange(_WIDTH)
+    before = np.arange(1, 19)[:, None, None]
+    kept = np.arange(1, 18)[None, :, None]
+    digit = c - (_DIGITS - 1)  # the digit at column c of the source row
+    point = _DIGITS - 1 + before  # the column of the point in the cell
+    exponent = c >= _WIDTH - 4
+    masks = (
+        (digit >= 0) & (digit < 17) & (c < point) & (digit + 1 <= kept),
+        (c < _DIGITS - 1) | (c > point) & ~exponent & (digit <= kept) | exponent,
+        np.where((c == point) & (before < 18) & (kept > before), ord("."), _NUL),
+    )
+    return tuple(np.broadcast_to(m, (18, 17, _WIDTH)).reshape(-1, _WIDTH).astype(np.uint8)
+                 for m in masks)
+
+
+def _text_field(texts, width: int | None = None) -> np.ndarray:
+    """(len(texts), width) uint8 of the ASCII ``texts``, NUL-padded to ``width`` or the longest."""
+    width = width or max(map(len, texts), default=1)
+    cells = np.array([t.encode("ascii") for t in texts], dtype=f"S{width}")
+    return cells.view(np.uint8).reshape(len(cells), width)
+
+
+@cache
+def _tables() -> dict[str, np.ndarray]:
+    """The array formatter's tables, built on first use.
+
+    Besides :func:`_powers` and :func:`_layouts`, the words of a source row:
+    ``heads``, the sign and fixed-point lead ("-0.000"), NUL and the leading
+    digit d as one 8-byte word at 10 (91 negative + e + _E_LIMIT) + d;
+    ``groups``, the digits of 0000..9999, whose trailing zeros are
+    ``trailing``; and ``tails``, the exponent field at e + _E_LIMIT. For
+    the decimal exponent e, ``kept_from`` is the least count of digits kept
+    (those before the point in fixed-point form) and ``layout_of`` the
+    layout less the digits kept. As %g does, a number is written in
+    fixed-point form where -4 <= e <= 16, with e + 1 digits before the point.
+    """
+    exponents = range(-_E_LIMIT, _E_LIMIT + 1)
+    fixed = [-4 <= e <= 16 for e in exponents]
+    before = [e + 1 if f and e >= 0 else 18 if f else 1 for e, f in zip(exponents, fixed)]
+    leads = ["0." + "0" * -(e + 1) if f and e < 0 else "" for e, f in zip(exponents, fixed)]
+    quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # the digits of 0000..9999
+    from_next, from_same, point = _layouts()
+    return {
+        "powers": _powers(),
+        "heads": _text_field([(sign + lead).ljust(_DIGITS - 1, "\0") + "\0" + str(d)
+                              for sign in ("", "-") for lead in leads for d in range(10)],
+                             _DIGITS + 1).view(np.uint64).ravel(),
+        "groups": np.ascontiguousarray(quads + ord("0")).view(np.uint32).ravel(),
+        "trailing": np.logical_and.accumulate(quads[:, ::-1] == 0, axis=1)
+        .sum(axis=1, dtype=np.uint8),
+        "tails": _text_field(["" if f else f"e{e:+03d}" for e, f in zip(exponents, fixed)], 4)
+        .view(np.uint32).ravel(),
+        "kept_from": np.array([b if b < 18 else 0 for b in before]),
+        "layout_of": (np.array(before) - 1) * 17 - 1,
+        "from_next": from_next,
+        "from_same": from_same,
+        "point": point,
+    }
+
+
+def _scaled(powers: np.ndarray, a: np.ndarray, e: np.ndarray):
+    """y = a 10^(16 - e) as round(y) in int64 and the signed remainder y - round(y).
+
+    y is the double-double of Dekker's exact product of ``a`` with the double
+    nearest 10^(16 - e), plus ``a`` times the remainder (Numer. Math. 18, 224,
+    1971); its error is below 1e-14 for |a| in [1e-40, 1e41).
+    """
+    hi, hi_hi, hi_lo, lo = powers.take(e + _E_LIMIT, axis=0).T
+    top = a * hi
+    big = a * _SPLIT
+    a_hi = big - (big - a)
+    a_lo = a - a_hi
+    low = ((a_hi * hi_hi - top) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo + a * lo
+    whole = np.floor(top)
+    frac = (top - whole) + low
+    nearest = np.rint(frac)
+    return whole.astype(np.int64) + nearest.astype(np.int64), frac - nearest
+
+
+def _divmod(n: np.ndarray, divisor: int):
+    """``np.divmod`` of an integer array by a positive scalar, in two cheaper passes."""
+    quotient = n // divisor
+    return quotient, n - quotient * divisor
+
+
+def _unsettled(rounded: np.ndarray, remainder: np.ndarray) -> np.ndarray:
+    """-1 where y = rounded + remainder is below 10^16, +1 where it is 10^17 or more, else 0."""
+    above = (rounded > 10**17) | (rounded == 10**17) & (remainder >= 0)
+    below = (rounded < 10**16) | (rounded == 10**16) & (remainder < 0)
+    return above.astype(np.intp) - below
+
+
+def _format_into(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the :func:`format_float` text of each finite double of ``x`` into the rows of ``out``.
+
+    ``out`` is (len(x), _WIDTH) uint8; each row gets its text in order, NUL
+    bytes anywhere between. The 17 significant digits are round(|x|
+    10^(16 - e)) for the decimal exponent e of |x|: floor(log10 |x|), moved
+    by one where that product falls outside [10^16, 10^17), and raised by
+    one where it rounds up to 10^17. A number goes to :func:`format_float`
+    instead where the product lies within 1e-9 of a tie, where |x| lies
+    outside [1e-40, 1e41), or where the moved exponent is still off; zeros
+    are written as 0 and -0.
+    """
+    tables = _tables()
+    a = np.abs(x)
+    far = ~((a >= 1e-40) & (a < 1e41))  # zeros too, which are written directly
+    a[far] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    digits, remainder = _scaled(tables["powers"], a, e)
+    fallback = (np.abs(remainder) > 0.5 - 1e-9) | far & (x != 0.0)
+    edge = np.flatnonzero((digits <= 10**16) | (digits >= 10**17))
+    if edge.size:
+        step = _unsettled(digits[edge], remainder[edge])
+        moved = edge[step != 0]
+        e[moved] += step[step != 0]
+        digits[moved], remainder[moved] = _scaled(tables["powers"], a[moved], e[moved])
+        fallback[moved] |= ((np.abs(remainder[moved]) > 0.5 - 1e-9)
+                            | (_unsettled(digits[moved], remainder[moved]) != 0))
+        carry = edge[digits[edge] == 10**17]  # rounds up to the next power of ten
+        digits[carry] = 10**16
+        e[carry] += 1
+    digits[far | fallback] = 0  # zeros get the digit 0; the fallbacks are overwritten below
+    upper, lower = _divmod(digits, 10**8)
+    upper, second = _divmod(upper, 10**4)
+    first, upper = _divmod(upper, 10**4)
+    third, fourth = _divmod(lower, 10**4)
+    e += _E_LIMIT
+    # the source rows, one spare word after the last for the shifted view
+    words = np.empty(len(x) * 7 + 1, dtype=np.uint32)
+    rows = words[:-1].reshape(-1, 7)
+    head = (np.signbit(x) * (2 * _E_LIMIT + 1) + e) * 10 + first
+    rows[:, :2].view(np.uint64)[:, 0] = tables["heads"].take(head)
+    for k, group in enumerate((upper, second, third, fourth), start=2):
+        rows[:, k] = tables["groups"].take(group)
+    rows[:, 6] = tables["tails"].take(e)
+    words[-1] = _NUL
+    source = words.view(np.uint8)
+    size = rows.size * 4
+    n_digits = 17 - tables["trailing"].take(fourth).astype(np.intp)
+    rest = np.flatnonzero(fourth == 0)
+    if rest.size:  # the last nonzero digit; 1 for zero
+        tail = rows.view(np.uint8)[rest, _DIGITS + 1:_DIGITS + 17]
+        n_digits[rest] = 17 - np.argmax(tail[:, ::-1] != ord("0"), axis=1)
+        n_digits[rest[np.all(tail == ord("0"), axis=1)]] = 1
+    layout = tables["layout_of"].take(e) + np.maximum(n_digits, tables["kept_from"].take(e))
+    mask = tables["from_next"].take(layout, axis=0)  # one buffer for the three table rows
+    cells = np.multiply(source[1:size + 1], mask.reshape(-1))
+    tables["from_same"].take(layout, axis=0, out=mask)
+    cells += np.multiply(source[:size], mask.reshape(-1), out=mask.reshape(-1))
+    cells += tables["point"].take(layout, axis=0, out=mask).reshape(-1)
+    out[...] = cells.reshape(-1, _WIDTH)
+    for i in np.flatnonzero(fallback):
+        text = format_float(x[i]).encode()
+        out[i] = _NUL
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def _compact(rows: np.ndarray) -> bytes:
+    """The bytes of ``rows`` in order, without their NUL padding."""
+    return rows.tobytes().translate(None, b"\0")
+
+
+def format_floats(arr) -> list[bytes]:
+    """The :func:`format_float` bytes of every entry of ``arr``, in row-major order.
+
+    Formatted in numpy passes over chunks of ``_CHUNK`` numbers; a
+    non-finite entry raises as in :func:`format_float`.
+    """
+    flat = check_finite(arr).ravel()
+    texts = []
+    for start in range(0, flat.size, _CHUNK):
+        chunk = flat[start:start + _CHUNK]
+        rows = np.empty((len(chunk), _WIDTH + 1), dtype=np.uint8)
+        _format_into(chunk, rows[:, :_WIDTH])
+        rows[:, _WIDTH] = ord("\n")
+        texts += _compact(rows).split(b"\n")[:-1]
+    return texts
+
+
+def write_float_grid(path, header: str, heads, columns, values) -> None:
+    """Write ``header``, then one line ``heads[i] columns[j] values[i, j]`` per entry.
+
+    ``heads`` and ``columns`` are ASCII texts, ``values`` a 2-D array whose
+    numbers are written as by :func:`format_float`, row-major, one per line.
+    Every number is checked finite before the file is opened. The lines are
+    formatted and written in blocks of whole rows of about ``_CHUNK``
+    numbers, so the text of the whole grid is never held at once.
+    """
+    values = check_finite(values)
+    heads, columns = _text_field(heads), _text_field(columns)
+    n_cols = values.shape[1]
+    head, width = heads.shape[1], heads.shape[1] + columns.shape[1]
+    block = max(1, _CHUNK // n_cols)
+    # one buffer of lines for every block: the column cells and line ends are written once
+    lines = np.empty((min(block, len(values)) * n_cols, width + _WIDTH + 1), dtype=np.uint8)
+    lines.reshape(-1, n_cols, lines.shape[1])[:, :, head:width] = columns
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, len(values), block):
+            rows = values[start:start + block]
+            used = lines[:rows.size]
+            used.reshape(len(rows), n_cols, -1)[:, :, :head] = heads[start:start + block, None]
+            _format_into(rows.ravel(), used[:, width:-1])
+            fh.write(_compact(used))
 
 
 def _reject_non_finite(token: str):
@@ -174,11 +423,36 @@ def spin_dimension(value) -> int:
     return int(twice) + 1
 
 
-def _template(shape: tuple[int, ...]) -> str:
-    """JSON text of an array of ``shape`` with ``FLOAT_FORMAT`` for every entry."""
-    if not shape:
-        return FLOAT_FORMAT
-    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+def _json_array(arr) -> str:
+    """JSON text of a float array: nested lists of its numbers as by :func:`format_float`."""
+    arr = check_finite(arr)
+    if arr.ndim == 0:
+        return format_float(arr)
+    if arr.size == 0:
+        return _empty_json(arr.shape)
+    ndim = arr.ndim
+    # brackets closed after each entry: one per inner axis at its end, every one after the last
+    closed = np.zeros(arr.shape, dtype=np.intp)
+    for axis in range(1, ndim):
+        closed[(slice(None),) * axis + (-1,) * (ndim - axis)] += 1
+    closed = closed.ravel()
+    closed[-1] = ndim
+    separators = _text_field(["]" * k + "," + "[" * k for k in range(ndim)] + ["]" * ndim])
+    flat = arr.ravel()
+    parts = ["[" * ndim]
+    for start in range(0, flat.size, _CHUNK):
+        chunk = flat[start:start + _CHUNK]
+        ends = separators.take(closed[start:start + _CHUNK], axis=0)
+        rows = np.empty((len(chunk), _WIDTH + ends.shape[1]), dtype=np.uint8)
+        _format_into(chunk, rows[:, :_WIDTH])
+        rows[:, _WIDTH:] = ends
+        parts.append(_compact(rows).decode("ascii"))
+    return "".join(parts)
+
+
+def _empty_json(shape: tuple[int, ...]) -> str:
+    """JSON text of an array of ``shape`` with no entries."""
+    return "[" + ",".join(_empty_json(shape[1:]) for _ in range(shape[0])) + "]"
 
 
 def _encode(obj) -> str:
@@ -187,7 +461,7 @@ def _encode(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f":
-            return _template(obj.shape) % tuple(check_finite(obj).ravel().tolist())
+            return _json_array(obj)
         return _encode(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_encode(v) for v in obj) + "]"

@@ -178,24 +178,15 @@ def wigner_integral(rho: np.ndarray, n_theta: int = 64, n_phi: int = 128) -> flo
 def write_wigner_csv(grid: WignerGrid, path) -> None:
     """Emit the grid as CSV: commented header, then theta, phi, value rows.
 
-    The angles and values are checked finite before the file is opened, so
-    a grid holding NaN or inf raises ValueError and leaves no file. Each
-    theta row is formatted in one ``%`` pass into a template built once
-    from the formatted phi angles, and written in one call; the bytes are
-    those of :func:`serialize.format_float` on every number. The file is
-    not formatted whole: at the default 181 x 360 grid (3.8 MB of text at
-    F = 5) that raised peak memory by about 7 MB, one row at a time by
-    nothing measurable.
+    Every number has the bytes of :func:`serialize.format_float`. The angles
+    and values are checked finite before the file is opened, so a grid
+    holding NaN or inf raises ValueError and leaves no file. The values are
+    formatted by :func:`serialize.write_float_grid` in numpy passes over
+    blocks of theta rows, each written as it is done: the whole file (3.8 MB
+    of text at the default 181 x 360 grid) is never held at once.
     """
-    for arr in (grid.thetas, grid.phis, grid.values):
-        serialize.check_finite(arr)
     fmt = serialize.format_float
-    # a row is theta.join(cells): theta goes before each phi cell
-    cells = [""] + [f",{fmt(phi)},{serialize.FLOAT_FORMAT}\n" for phi in grid.phis]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# n_theta={grid.n_theta}\n")
-        fh.write(f"# n_phi={grid.n_phi}\n")
-        fh.write(f"# convention={CONVENTION}\n")
-        fh.write("theta,phi,value\n")
-        for theta, row in zip(map(fmt, grid.thetas), grid.values):
-            fh.write(theta.join(cells) % tuple(row.tolist()))
+    header = (f"# n_theta={grid.n_theta}\n# n_phi={grid.n_phi}\n# convention={CONVENTION}\n"
+              "theta,phi,value\n")
+    serialize.write_float_grid(path, header, [fmt(theta) + "," for theta in grid.thetas],
+                               [fmt(phi) + "," for phi in grid.phis], grid.values)

@@ -254,6 +254,17 @@ def sweep_reference(config, n_trials: int) -> tuple[str, str]:
     return csv, stdout
 
 
+def wigner_csv_reference(grid) -> bytes:
+    """The Wigner CSV file of ``grid``, built one number at a time with ``format_float``."""
+    lines = [f"# n_theta={grid.n_theta}", f"# n_phi={grid.n_phi}", "# convention=unit-integral",
+             "theta,phi,value"]
+    for i, theta in enumerate(grid.thetas):
+        for j, phi in enumerate(grid.phis):
+            value = grid.values[i, j]
+            lines.append(f"{format_float(theta)},{format_float(phi)},{format_float(value)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 def dumps_reference(document) -> str:
     """Document JSON text encoded one number at a time (reference).
 

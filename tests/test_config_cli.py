@@ -523,6 +523,17 @@ def test_every_subcommand_binds_its_handler():
         assert sub.get_default("run") is getattr(cli, f"cmd_{name}")
 
 
+def test_parser_is_built_once_and_serves_every_subcommand(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = write_config(tmp_path, base_config())
+    record = tmp_path / "record.json"
+    assert main(["check", cfg]) == 0
+    assert "complete: true" in capsys.readouterr().out
+    assert main(["simulate", cfg, str(record)]) == 0
+    assert capsys.readouterr().out.startswith("fingerprint: ")
+    assert read_record(record).n_samples == 150
+
+
 def test_one_document_error():
     assert ConfigError is RecordFormatError is DocumentError
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import make_waveform
 from helpers import optimize_waveform_reference
 from spintomo import (
     ObservableHistory,
+    build_spin_system,
     completeness_report,
     design_objective,
     estimate,
@@ -144,15 +147,31 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("weight, sizes", [(0.0, [25] + [1] * 35), (1.0, [75] + [3] * 35)])
     def test_batch_sizes(self, sys3, default_waveform, weight, sizes, monkeypatch):
-        calls, histories = [], control_design.heisenberg_histories
+        calls, histories = [], control_design._histories
 
         def counted(waveforms, *args, **kwargs):
             calls.append(len(waveforms))
             return histories(waveforms, *args, **kwargs)
 
-        monkeypatch.setattr(control_design, "heisenberg_histories", counted)
+        monkeypatch.setattr(control_design, "_histories", counted)
         optimize_waveform(sys3, default_waveform, 150, budget=60, sensitivity_weight=weight)
         assert calls == sizes
+
+    def test_memory_does_not_grow_with_the_restart_batch(self):
+        """Each slice of histories is scored as it is built: 75 histories peak as 15 do."""
+        sys5 = build_spin_system(5)
+        template = make_waveform()
+
+        def peak(budget) -> int:
+            tracemalloc.start()
+            try:
+                optimize_waveform(sys5, template, 150, budget=budget, sensitivity_weight=1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        optimize_waveform(sys5, template, 150, budget=1, sensitivity_weight=1.0)  # warm caches
+        assert peak(25) - peak(5) < 2 * 2**20
 
     # the last template has no Fx^2 term: no schedule is complete, every score is 0 or -inf
     @pytest.mark.parametrize("weight", [0.0, 1.0])

@@ -1,5 +1,8 @@
 """Document text: arrays are formatted whole, with the bytes of the per-number encoder.
 
+The array formatter, ``serialize.format_floats``, is checked against ``format_float`` on
+random doubles, random bit patterns and a fixed list of edge values.
+
 Also the integer rule, ``serialize.integer``, which reads every count argument of the library.
 """
 
@@ -32,7 +35,8 @@ from spintomo import (
 from spintomo import test_state as make_state
 from spintomo.estimator import estimate, write_estimate
 from spintomo.measurement import read_record, synthesize_record, write_record
-from spintomo.serialize import dumps, format_float
+from spintomo import serialize
+from spintomo.serialize import dumps, format_float, format_floats
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e-5, 0.1,
@@ -56,6 +60,87 @@ def test_edge_values_match_format_float():
     assert text == '{"x":[' + ",".join(format_float(x) for x in EDGE_VALUES) + "]}\n"
     assert text == dumps_reference({"x": arr})
     assert text == dumps({"x": EDGE_VALUES})
+
+
+def _per_number(values) -> list[bytes]:
+    return [format_float(v).encode() for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements={"allow_nan": False, "allow_infinity": False}))
+def test_format_floats_matches_format_float_on_finite_doubles(arr):
+    assert format_floats(arr) == _per_number(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.uint64, st.integers(0, 40)))
+def test_format_floats_matches_format_float_on_bit_patterns(bits):
+    arr = bits.view(np.float64)
+    arr = arr[np.isfinite(arr)]
+    assert format_floats(arr) == _per_number(arr)
+
+
+def _edge_values() -> np.ndarray:
+    powers = np.array([float(f"1e{k}") for k in range(-45, 46)])
+    boundaries = np.array([1e-5, 1e-4, 1e16, 1e17])
+    around = [np.nextafter(v, towards) for v in (powers, boundaries) for towards in (0.0, np.inf)]
+    ties = [np.arange(1, 2**12) / 2.0**20, 0.5 + np.arange(4096) * 2.0**-52]
+    special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([special, powers, boundaries, *around, *ties])
+    return np.concatenate([values, -values])
+
+
+def test_format_floats_edge_values():
+    values = _edge_values()
+    assert format_floats(values) == _per_number(values)
+
+
+@pytest.mark.parametrize("length", [0, 1, serialize._CHUNK - 1, serialize._CHUNK,
+                                    serialize._CHUNK + 1])
+def test_format_floats_lengths_around_one_chunk(length):
+    values = np.random.default_rng(length).standard_normal(length) * 1e-3
+    texts = format_floats(values.reshape(1, -1) if length else values)
+    assert len(texts) == length and texts == _per_number(values)
+    assert dumps({"x": values}) == dumps_reference({"x": values})
+
+
+def test_format_floats_on_a_million_values():
+    rng = np.random.default_rng(33)
+    bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        bits[np.isfinite(bits)],
+        rng.standard_normal(300_000) * 10.0 ** rng.integers(-45, 46, 300_000),
+        rng.random(200_000),
+        rng.integers(0, 2**20, 100_000) / 2.0**20,  # about one in seven a tie at 17 digits
+        np.round(rng.standard_normal(100_000) * 1e8) / 10.0 ** rng.integers(0, 17, 100_000),
+    ])
+    assert len(values) >= 10**6 - 500
+    assert format_floats(values) == _per_number(values)
+
+
+def test_only_ties_and_far_exponents_fall_back_to_format_float(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(serialize, "format_float", counted)
+    ordinary = np.random.default_rng(3).standard_normal(1000) * 1e-3
+    ordinary = np.append(ordinary, [0.0, -0.0])
+    assert format_floats(ordinary) == _per_number(ordinary)
+    assert calls == []
+    # two exact ties at the 17th digit (0.00100040435791015625), two far exponents
+    fallbacks = [1049 / 2.0**20, -1051 / 2.0**20, 1e-41, 1e42]
+    assert format_floats(fallbacks) == _per_number(fallbacks)
+    assert calls == fallbacks
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_format_floats_non_finite_raises_as_format_float(bad):
+    with pytest.raises(ValueError, match=f"non-finite number {bad!r}"):
+        format_floats([1.0, bad])
 
 
 def test_zero_dimensional_arrays_are_scalars():

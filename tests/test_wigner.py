@@ -15,7 +15,8 @@ except ImportError:  # scipy < 1.15
     def reference_harmonic(k, q, theta, phi):
         return _sph(q, k, phi, theta)
 
-from helpers import harmonic_norm, legendre_table, random_density, wigner_reference
+from helpers import (harmonic_norm, legendre_table, random_density, wigner_csv_reference,
+                     wigner_reference)
 from spintomo import (
     WignerGrid,
     build_spin_system,
@@ -26,7 +27,6 @@ from spintomo import (
 )
 from spintomo import test_state as make_state
 from spintomo import wigner
-from spintomo.serialize import format_float as fmt
 
 
 class TestMultipoles:
@@ -183,29 +183,14 @@ def test_csv_export(sys3, tmp_path):
     assert float(value) == pytest.approx(1 / (4 * np.pi), abs=1e-12)
 
 
-def csv_reference(grid) -> bytes:
-    """The CSV file of ``grid`` built one number at a time."""
-    lines = [f"# n_theta={grid.n_theta}", f"# n_phi={grid.n_phi}", "# convention=unit-integral",
-             "theta,phi,value"]
-    for i, theta in enumerate(grid.thetas):
-        for j, phi in enumerate(grid.phis):
-            lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(grid.values[i, j])}")
-    return ("\n".join(lines) + "\n").encode()
-
-
-def test_csv_bytes_match_row_by_row_reference(tmp_path):
-    grid = wigner_function(random_density(np.random.default_rng(5), 7), n_theta=9, n_phi=11)
+@pytest.mark.parametrize("F", [1, 3, 5])
+@pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (9, 11), (19, 36), (181, 360)])
+def test_csv_bytes_match_per_number_reference(tmp_path, F, n_theta, n_phi):
+    rho = random_density(np.random.default_rng(F), 2 * F + 1)
+    grid = wigner_function(rho, n_theta=n_theta, n_phi=n_phi)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
-    assert path.read_bytes() == csv_reference(grid)
-
-
-def test_csv_bytes_match_reference_on_default_grid(tmp_path):
-    grid = wigner_function(random_density(np.random.default_rng(6), 3))
-    assert (grid.n_theta, grid.n_phi) == (181, 360)
-    path = tmp_path / "wigner.csv"
-    write_wigner_csv(grid, path)
-    assert path.read_bytes() == csv_reference(grid)
+    assert path.read_bytes() == wigner_csv_reference(grid)
 
 
 @pytest.mark.parametrize("field", ["thetas", "phis", "values"])
