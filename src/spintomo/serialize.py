@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import cache
 
 import numpy as np
@@ -248,21 +248,35 @@ def _compact(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
+def _text_chunks(flat: np.ndarray, lines: np.ndarray, lead: int, fill=None) -> Iterator[bytes]:
+    """The text of the finite doubles ``flat``, formatted in numpy passes of ``len(lines)`` numbers.
+
+    ``lines`` is one uint8 buffer for every chunk, a row per number: ``lead``
+    framing bytes, the number's cell of ``_WIDTH`` bytes, then framing to the
+    row's end, ASCII with NUL padding. Framing that differs between chunks is
+    set by ``fill(rows, start)`` on the rows of the chunk from ``flat[start]``
+    on. Yields the text of each chunk without its NUL bytes.
+    """
+    step = max(len(lines), 1)  # an empty ``flat`` comes with an empty buffer
+    for start in range(0, flat.size, step):
+        chunk = flat[start:start + step]
+        rows = lines[:len(chunk)]
+        if fill is not None:
+            fill(rows, start)
+        _format_into(chunk, rows[:, lead:lead + _WIDTH])
+        yield _compact(rows)
+
+
 def format_floats(arr) -> list[bytes]:
     """The :func:`format_float` bytes of every entry of ``arr``, in row-major order.
 
-    Formatted in numpy passes over chunks of ``_CHUNK`` numbers; a
-    non-finite entry raises as in :func:`format_float`.
+    Formatted in numpy passes over chunks of ``_CHUNK`` numbers, as the
+    writers do; a non-finite entry raises as in :func:`format_float`.
     """
     flat = check_finite(arr).ravel()
-    texts = []
-    for start in range(0, flat.size, _CHUNK):
-        chunk = flat[start:start + _CHUNK]
-        rows = np.empty((len(chunk), _WIDTH + 1), dtype=np.uint8)
-        _format_into(chunk, rows[:, :_WIDTH])
-        rows[:, _WIDTH] = ord("\n")
-        texts += _compact(rows).split(b"\n")[:-1]
-    return texts
+    lines = np.empty((min(_CHUNK, flat.size), _WIDTH + 1), dtype=np.uint8)
+    lines[:, _WIDTH] = ord("\n")
+    return b"".join(_text_chunks(flat, lines, 0)).split(b"\n")[:-1]
 
 
 def write_float_grid(path, header: str, heads, columns, values) -> None:
@@ -276,21 +290,27 @@ def write_float_grid(path, header: str, heads, columns, values) -> None:
     """
     values = check_finite(values)
     heads, columns = _text_field(heads), _text_field(columns)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        if values.size:  # a grid without rows or columns has only its header
+            fh.writelines(_grid_chunks(heads, columns, values))
+
+
+def _grid_chunks(heads: np.ndarray, columns: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
+    """The lines of :func:`write_float_grid` in blocks of whole rows, from its text cells."""
     n_cols = values.shape[1]
     head, width = heads.shape[1], heads.shape[1] + columns.shape[1]
     block = max(1, _CHUNK // n_cols)
-    # one buffer of lines for every block: the column cells and line ends are written once
+    # the column cells and line ends are the same in every block
     lines = np.empty((min(block, len(values)) * n_cols, width + _WIDTH + 1), dtype=np.uint8)
     lines.reshape(-1, n_cols, lines.shape[1])[:, :, head:width] = columns
     lines[:, -1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for start in range(0, len(values), block):
-            rows = values[start:start + block]
-            used = lines[:rows.size]
-            used.reshape(len(rows), n_cols, -1)[:, :, :head] = heads[start:start + block, None]
-            _format_into(rows.ravel(), used[:, width:-1])
-            fh.write(_compact(used))
+
+    def fill(rows, start):
+        cells = rows.reshape(-1, n_cols, rows.shape[1])
+        cells[:, :, :head] = heads[start // n_cols:start // n_cols + len(cells), None]
+
+    return _text_chunks(values.ravel(), lines, width, fill)
 
 
 def _reject_non_finite(token: str):
@@ -438,16 +458,13 @@ def _json_array(arr) -> str:
     closed = closed.ravel()
     closed[-1] = ndim
     separators = _text_field(["]" * k + "," + "[" * k for k in range(ndim)] + ["]" * ndim])
-    flat = arr.ravel()
-    parts = ["[" * ndim]
-    for start in range(0, flat.size, _CHUNK):
-        chunk = flat[start:start + _CHUNK]
-        ends = separators.take(closed[start:start + _CHUNK], axis=0)
-        rows = np.empty((len(chunk), _WIDTH + ends.shape[1]), dtype=np.uint8)
-        _format_into(chunk, rows[:, :_WIDTH])
-        rows[:, _WIDTH:] = ends
-        parts.append(_compact(rows).decode("ascii"))
-    return "".join(parts)
+
+    lines = np.empty((min(_CHUNK, arr.size), _WIDTH + separators.shape[1]), dtype=np.uint8)
+
+    def fill(rows, start):
+        rows[:, _WIDTH:] = separators.take(closed[start:start + len(rows)], axis=0)
+
+    return "[" * ndim + b"".join(_text_chunks(arr.ravel(), lines, 0, fill)).decode("ascii")
 
 
 def _empty_json(shape: tuple[int, ...]) -> str:

@@ -107,15 +107,17 @@ def test_format_floats_lengths_around_one_chunk(length):
 
 def test_format_floats_on_a_million_values():
     rng = np.random.default_rng(33)
-    bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, 301_000, dtype=np.uint64).view(np.float64)
+    bits = bits[np.isfinite(bits)][:300_000]  # about one pattern in 2048 is not finite
+    assert len(bits) == 300_000
     values = np.concatenate([
-        bits[np.isfinite(bits)],
+        bits,
         rng.standard_normal(300_000) * 10.0 ** rng.integers(-45, 46, 300_000),
         rng.random(200_000),
         rng.integers(0, 2**20, 100_000) / 2.0**20,  # about one in seven a tie at 17 digits
         np.round(rng.standard_normal(100_000) * 1e8) / 10.0 ** rng.integers(0, 17, 100_000),
     ])
-    assert len(values) >= 10**6 - 500
+    assert len(values) >= 10**6
     assert format_floats(values) == _per_number(values)
 
 

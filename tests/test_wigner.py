@@ -187,10 +187,23 @@ def test_csv_export(sys3, tmp_path):
 @pytest.mark.parametrize("n_theta, n_phi", [(8, 8), (9, 11), (19, 36), (181, 360)])
 def test_csv_bytes_match_per_number_reference(tmp_path, F, n_theta, n_phi):
     rho = random_density(np.random.default_rng(F), 2 * F + 1)
-    grid = wigner_function(rho, n_theta=n_theta, n_phi=n_phi)
+    # 181 x 360 is the default grid
+    sizes = {} if (n_theta, n_phi) == (181, 360) else {"n_theta": n_theta, "n_phi": n_phi}
+    grid = wigner_function(rho, **sizes)
+    assert (grid.n_theta, grid.n_phi) == (n_theta, n_phi)
     path = tmp_path / "wigner.csv"
     write_wigner_csv(grid, path)
     assert path.read_bytes() == wigner_csv_reference(grid)
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(0, 0), (3, 0), (0, 4)])
+def test_csv_of_empty_grid_is_its_header(tmp_path, n_theta, n_phi):
+    grid = WignerGrid(np.linspace(0.0, 1.0, n_theta), np.linspace(0.0, 1.0, n_phi),
+                      np.zeros((n_theta, n_phi)))
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(grid, path)
+    assert path.read_bytes() == wigner_csv_reference(grid)
+    assert len(path.read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("field", ["thetas", "phis", "values"])
