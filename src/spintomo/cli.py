@@ -31,9 +31,9 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .control_design import OBJECTIVES, completeness_report, optimize_waveform
 from .dynamics import heisenberg_history, sample_times
 from .estimator import (
-    NUISANCE_NAMES,
     FingerprintMismatchError,
     _check_match,
+    _nuisance_bounds,
     estimate,
     estimate_batch,
     estimate_prefix_curve,
@@ -89,6 +89,7 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
+    """The request of ``--nuisance name:low:high[,...]``, checked by the fit's own rules."""
     params = {}
     for item in spec.split(","):
         pieces = item.split(":")
@@ -98,16 +99,10 @@ def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
         if name in params:
             raise ConfigError(f"--nuisance names {name!r} more than once")
         try:
-            lo, hi = float(lo), float(hi)
+            params[name] = (float(lo), float(hi))
         except ValueError as exc:
             raise ConfigError(f"bad --nuisance bounds in {item!r}") from exc
-        if name not in NUISANCE_NAMES:
-            raise ConfigError(f"unknown nuisance parameter {name!r}; valid: {NUISANCE_NAMES}")
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigError("nuisance bounds must be finite with lower < upper")
-        if lo < 0:
-            raise ConfigError(f"negative --nuisance bound in {item!r}; scales are nonnegative")
-        params[name] = (lo, hi)
+    _nuisance_bounds(params)
     return params
 
 

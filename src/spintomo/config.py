@@ -97,7 +97,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                                 optional=("gamma_dec", "jump_preset"))
     n_steps = serialize.integer(wf["n_steps"], "waveform.n_steps", 1)
     phi = _parse_phi(wf["phi"], n_steps)
-    rates = {key: serialize.number(wf[key], f"waveform.{key}")
+    rates = {key: serialize.number(wf[key], f"waveform.{key}", 0)
              for key in ("dt", "omega_larmor", "chi", "gamma_dec") if key in wf}
     # the one decoherence channel; closed evolution is gamma_dec = 0
     serialize.choice(wf.get("jump_preset", "isotropic"), "waveform.jump_preset", ("isotropic",))

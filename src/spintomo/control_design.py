@@ -134,12 +134,11 @@ def optimize_waveform(
     drifts. Each scored candidate then costs three design evaluations.
     """
     budget = serialize.integer(budget, "budget", 1)
-    if not 0 <= sensitivity_weight < np.inf:
-        raise ValueError("sensitivity_weight must be finite and nonnegative")
+    sensitivity_weight = serialize.number(sensitivity_weight, "sensitivity_weight", 0)
 
     def score(phis) -> list[tuple]:
         """(phi, waveform, score) of each schedule, the angles taken mod 2 pi."""
-        waveforms = [replace(template, phi=tuple(np.mod(p, 2.0 * np.pi))) for p in phis]
+        waveforms = [replace(template, phi=np.mod(p, 2.0 * np.pi)) for p in phis]
         return list(zip(phis, waveforms,
                         _scores(sys, waveforms, n_samples, objective, sensitivity_weight)))
 

@@ -70,6 +70,8 @@ class ControlWaveform:
     ``n_steps`` segments (an integer >= 1) of length ``dt``; ``omega_larmor``
     is the Larmor rate of the transverse field, ``chi`` the strength of the
     Fx^2 term, and ``gamma_dec`` the rate of the isotropic decoherence channel.
+    Each is read by the document rules of :mod:`spintomo.serialize`: the
+    rates are finite numbers of at least 0, ``dt`` a positive one.
     """
 
     n_steps: int
@@ -80,18 +82,17 @@ class ControlWaveform:
     gamma_dec: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_steps", serialize.integer(self.n_steps, "n_steps", 1))
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and positive")
-        phi = tuple(float(p) for p in self.phi)
-        if len(phi) != self.n_steps:
-            raise ValueError(f"phi has {len(phi)} entries for {self.n_steps} segments")
-        if not all(map(math.isfinite, phi)):
-            raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", phi)
-        for name in ("omega_larmor", "chi", "gamma_dec"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        n_steps = serialize.integer(self.n_steps, "n_steps", 1)
+        dt = serialize.number(self.dt, "dt", 0)
+        if dt == 0:
+            raise serialize.DocumentError("dt must be positive", "dt")
+        phi = serialize.numeric_array(self.phi, "phi", 1)
+        if len(phi) != n_steps:
+            raise ValueError(f"phi has {len(phi)} entries for {n_steps} segments")
+        # every field holds a plain int or float, as a config's fields read back
+        vars(self).update(n_steps=n_steps, dt=dt, phi=tuple(phi.tolist()),
+                          **{name: serialize.number(getattr(self, name), name, 0)
+                             for name in ("omega_larmor", "chi", "gamma_dec")})
 
     @property
     def closed(self) -> bool:
@@ -103,11 +104,11 @@ class ControlWaveform:
         return self.n_steps * self.dt
 
     def with_scales(self, omega_scale: float = 1.0, chi_scale: float = 1.0) -> "ControlWaveform":
-        """Copy with the Larmor and nonlinear rates multiplied by scale factors."""
+        """Copy with the Larmor and nonlinear rates multiplied by scale factors of at least 0."""
         return replace(
             self,
-            omega_larmor=self.omega_larmor * omega_scale,
-            chi=self.chi * chi_scale,
+            omega_larmor=self.omega_larmor * serialize.number(omega_scale, "omega_scale", 0),
+            chi=self.chi * serialize.number(chi_scale, "chi_scale", 0),
         )
 
     def fingerprint(self) -> str:

@@ -298,13 +298,18 @@ def estimate_prefix_curve(
     stride = serialize.integer(stride, "stride", 1)
     n = record.n_samples
     waveform = history.waveform
-    evolved = [rho0_true] * n if waveform.closed else propagate_state(rho0_true, waveform, n)
     ks = list(range(stride, n, stride)) + [n]
     estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
     prior = np.eye(history.d, dtype=complex) / history.d
     fids = _fidelities(rho0_true, np.concatenate([prior[None], estimates]))
-    rows = [(0.0, 0)] + [(float(record.times[k - 1]), k - 1) for k in ks]
-    return [(t, fid, max_eigenvalue(evolved[i])) for (t, i), fid in zip(rows, fids)]
+    points = [0] + [k - 1 for k in ks]
+    if waveform.closed:  # closed evolution keeps the spectrum
+        tops = [max_eigenvalue(rho0_true)] * len(points)
+    else:  # one batched spectrum call, bitwise the per-matrix one
+        evolved = propagate_state(rho0_true, waveform, n)
+        tops = np.linalg.eigvalsh(np.stack([evolved[i] for i in points]))[:, -1].tolist()
+    times = [0.0] + [float(record.times[i]) for i in points[1:]]
+    return list(zip(times, fids, tops))
 
 
 def _brent(f, a: float, b: float, x: float, fx: float) -> tuple[float, float]:
@@ -389,6 +394,31 @@ def _coordinate_search(f, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _nuisance_bounds(params) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The names, lower and upper bounds of a nuisance request {name: (lower, upper)}.
+
+    The request names one or more of ``NUISANCE_NAMES``, each with finite
+    bounds 0 <= lower < upper read by :func:`spintomo.serialize.number`;
+    anything else raises :class:`~spintomo.serialize.DocumentError`.
+    """
+    names = list(params)
+    if not names:
+        raise serialize.DocumentError(
+            "name at least one nuisance scale; a fit without one is estimate()", "nuisance")
+    bounds = []
+    for name in names:
+        serialize.choice(name, "nuisance", NUISANCE_NAMES)
+        low = serialize.number(params[name][0], f"{name}.lower", 0)
+        high = serialize.number(params[name][1], f"{name}.upper", 0)
+        if not low < high:
+            raise serialize.DocumentError(
+                f"malformed field {name}.upper: must be above the lower bound {low!r}",
+                f"{name}.upper")
+        bounds.append((low, high))
+    lows, highs = np.array(bounds).T
+    return names, lows, highs
+
+
 class _BudgetSpent(Exception):
     """The nuisance search has built all the histories its budget allows."""
 
@@ -401,14 +431,15 @@ def estimate_with_nuisance(
 ) -> EstimateResult:
     """Co-estimate drive scale factors with the state (profile likelihood).
 
-    ``params`` maps one or both of the names {omega_scale, chi_scale} to bounds
-    0 <= lower < upper. For Gaussian noise, minimizing the least-squares
-    residual over the scales is equivalent to maximizing the likelihood. Each
-    trial point gets a freshly propagated observable history and the residual
-    norm of its linear fit, from one QR factor (``_residual_norm``; the SVD
-    solve where the factor does not certify full rank); the scales are
-    searched one at a time, first on a 9-point grid
-    over the bounds (the profile need not be unimodal), built as one batch of
+    ``params`` maps one or both of the names {omega_scale, chi_scale} to finite
+    bounds 0 <= lower < upper; any other request raises
+    :class:`~spintomo.serialize.DocumentError`. For Gaussian noise, minimizing
+    the least-squares residual over the scales is equivalent to maximizing
+    the likelihood. Each trial point gets a freshly propagated observable
+    history and the residual norm of its linear fit, from one QR factor
+    (``_residual_norm``; the SVD solve where the factor does not certify full
+    rank); the scales are searched one at a time, first on a 9-point grid over
+    the bounds (the profile need not be unimodal), built as one batch of
     histories, then by Brent's golden-section/parabolic refinement of the best
     grid point between its neighbours (``_coordinate_search``). Every trial
     point lies inside the bounds.
@@ -433,18 +464,7 @@ def estimate_with_nuisance(
     if record.n_samples <= sys.d**2 - 1:  # every full-rank trial would fit the record exactly
         raise ValueError(f"a nuisance fit needs more samples than the {sys.d**2 - 1} traceless "
                          f"coordinates; the record has {record.n_samples} samples")
-    names = list(params)
-    if not names:
-        raise ValueError("name at least one nuisance scale; a fit without one is estimate()")
-    for name in names:
-        if name not in NUISANCE_NAMES:
-            raise ValueError(f"unknown nuisance parameter {name!r}; valid: {NUISANCE_NAMES}")
-    lows = np.array([float(params[n][0]) for n in names])
-    highs = np.array([float(params[n][1]) for n in names])
-    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs)) and np.all(lows < highs)):
-        raise ValueError("nuisance bounds must be finite with lower < upper")
-    if np.any(lows < 0):
-        raise ValueError("nuisance bounds must be nonnegative")
+    names, lows, highs = _nuisance_bounds(params)
     budget = serialize.integer(budget, "budget", 1)
 
     observable = measured_observable(sys)

@@ -3,24 +3,26 @@
 All floats are printed with 17 significant digits, which round-trips every
 IEEE-754 double exactly, so writing the same document twice produces
 byte-identical files. One number is written by :func:`format_float`,
-``format(x, ".17g")``. Arrays are written by :func:`format_floats`, the
-JSON float-array branch of :func:`dumps` and :func:`write_float_grid`,
-which format in numpy passes over chunks of ``_CHUNK`` numbers with the
-same bytes, so a number reads the same whether it was written alone or
-inside an array: the digits are the exact rounding of a double-double
-product (Dekker, Numer. Math. 18, 224, 1971), and the few numbers it cannot
-settle (ties at the 17th digit, exponents beyond +-40) go to
-:func:`format_float` itself. Complex matrices are stored as row-major
-nested lists of [re, im] pairs. Documents are read back with
-:func:`read_document`, and every config, record and estimate field is
-checked by the checkers here (:func:`check_fields`, :func:`numeric_array`,
-:func:`number`, :func:`integer`, :func:`choice`, :func:`spin_dimension`),
-which raise :class:`DocumentError`; a non-finite number fails at parse
-time or, once per array, in :func:`numeric_array`.
+``format(x, ".17g")``. Arrays are written by the JSON float-array branch of
+:func:`dumps` and by :func:`write_float_grid`, which format in numpy passes
+over chunks of ``_CHUNK`` numbers with the same bytes, so a number reads the
+same whether it was written alone or inside an array: the digits are the
+exact rounding of a double-double product (Dekker, Numer. Math. 18, 224,
+1971), and the few numbers it cannot settle (ties at the 17th digit,
+exponents beyond +-40) go to :func:`format_float` itself. Complex matrices
+are stored as row-major nested lists of [re, im] pairs. Documents are read
+back with :func:`read_document`, and every config, record and estimate
+field is checked by the checkers here (:func:`check_fields`,
+:func:`numeric_array`, :func:`number`, :func:`integer`, :func:`choice`,
+:func:`spin_dimension`), which raise :class:`DocumentError`; a non-finite
+number fails at parse time or, once per array, in :func:`numeric_array`.
+The library reads its real, count and spin-size arguments by the same
+checkers, so an argument refuses what a document field refuses.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterable, Iterator
@@ -267,18 +269,6 @@ def _text_chunks(flat: np.ndarray, lines: np.ndarray, lead: int, fill=None) -> I
         yield _compact(rows)
 
 
-def format_floats(arr) -> list[bytes]:
-    """The :func:`format_float` bytes of every entry of ``arr``, in row-major order.
-
-    Formatted in numpy passes over chunks of ``_CHUNK`` numbers, as the
-    writers do; a non-finite entry raises as in :func:`format_float`.
-    """
-    flat = check_finite(arr).ravel()
-    lines = np.empty((min(_CHUNK, flat.size), _WIDTH + 1), dtype=np.uint8)
-    lines[:, _WIDTH] = ord("\n")
-    return b"".join(_text_chunks(flat, lines, 0)).split(b"\n")[:-1]
-
-
 def write_float_grid(path, header: str, heads, columns, values) -> None:
     """Write ``header``, then one line ``heads[i] columns[j] values[i, j]`` per entry.
 
@@ -292,25 +282,21 @@ def write_float_grid(path, header: str, heads, columns, values) -> None:
     heads, columns = _text_field(heads), _text_field(columns)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        if values.size:  # a grid without rows or columns has only its header
-            fh.writelines(_grid_chunks(heads, columns, values))
+        if not values.size:  # a grid without rows or columns has only its header
+            return
+        n_cols = values.shape[1]
+        head, width = heads.shape[1], heads.shape[1] + columns.shape[1]
+        block = max(1, _CHUNK // n_cols)
+        # the column cells and line ends are the same in every block
+        lines = np.empty((min(block, len(values)) * n_cols, width + _WIDTH + 1), dtype=np.uint8)
+        lines.reshape(-1, n_cols, lines.shape[1])[:, :, head:width] = columns
+        lines[:, -1] = ord("\n")
 
+        def fill(rows, start):
+            cells = rows.reshape(-1, n_cols, rows.shape[1])
+            cells[:, :, :head] = heads[start // n_cols:start // n_cols + len(cells), None]
 
-def _grid_chunks(heads: np.ndarray, columns: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
-    """The lines of :func:`write_float_grid` in blocks of whole rows, from its text cells."""
-    n_cols = values.shape[1]
-    head, width = heads.shape[1], heads.shape[1] + columns.shape[1]
-    block = max(1, _CHUNK // n_cols)
-    # the column cells and line ends are the same in every block
-    lines = np.empty((min(block, len(values)) * n_cols, width + _WIDTH + 1), dtype=np.uint8)
-    lines.reshape(-1, n_cols, lines.shape[1])[:, :, head:width] = columns
-    lines[:, -1] = ord("\n")
-
-    def fill(rows, start):
-        cells = rows.reshape(-1, n_cols, rows.shape[1])
-        cells[:, :, :head] = heads[start // n_cols:start // n_cols + len(cells), None]
-
-    return _text_chunks(values.ravel(), lines, width, fill)
+        fh.writelines(_text_chunks(values.ravel(), lines, width, fill))
 
 
 def _reject_non_finite(token: str):
@@ -379,28 +365,31 @@ def numeric_array(value, field: str, ndim: int, minimum: float | None = None) ->
     bare number) with every list at one depth of the same length, each
     finite and at least ``minimum``; booleans, strings, null, objects,
     ragged nesting, non-finite and smaller entries raise
-    :class:`DocumentError`.
+    :class:`DocumentError`. A float64 array comes back as itself, uncopied.
     """
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim:
-        raise _shape_error(field, ndim)
-    arr = arr.astype(float)
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        message = f"malformed field {field}: non-finite number {float(arr[bad][0])!r}"
+    if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != ndim or (
+            ndim and not isinstance(value, np.ndarray) and _holds_bool(value, ndim)):
+        shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
+        raise DocumentError(f"malformed field {field}: expected {shape}", field)
+    arr = arr.astype(float, copy=False)
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) < arr.size:  # faster than .all() on a record's 150 samples
+        message = f"malformed field {field}: non-finite number {float(arr[~finite][0])!r}"
         raise DocumentError(message, field)
     if minimum is not None and np.any(arr < minimum):
         raise DocumentError(f"malformed field {field}: must be at least {minimum}", field)
     return arr
 
 
-def _shape_error(field: str, ndim: int) -> DocumentError:
-    """The error for field ``field`` not holding numbers nested ``ndim`` lists deep."""
-    shape = "a number" if ndim == 0 else f"numbers nested {ndim} lists deep"
-    return DocumentError(f"malformed field {field}: expected {shape}", field)
+def _holds_bool(lists, ndim: int) -> bool:
+    """Whether the lists nested ``ndim`` deep hold a bool, which numpy reads as a number."""
+    for _ in range(ndim - 1):
+        lists = itertools.chain.from_iterable(lists)
+    return not {bool, np.bool_}.isdisjoint(set(map(type, lists)))
 
 
 def number(value, field: str, minimum: float | None = None) -> float:

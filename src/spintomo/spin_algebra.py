@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import serialize
+
 __all__ = [
     "SpinSystem",
     "build_spin_system",
@@ -78,14 +80,12 @@ class SpinSystem:
 def build_spin_system(F) -> SpinSystem:
     """Construct Fx, Fy, Fz for spin F from the ladder-operator formula.
 
-    F must be a positive integer or half-integer; the raising operator has
-    matrix elements sqrt(F(F+1) - m(m+1)).
+    F is read as a document's F (:func:`spintomo.serialize.spin_dimension`):
+    a positive integer or half-integer up to ``MAX_SPIN``. The raising
+    operator has matrix elements sqrt(F(F+1) - m(m+1)).
     """
-    twice = _as_twice("F", F)
-    if twice <= 0:
-        raise ValueError(f"F must be at least 1/2, got {F}")
-    Fval = twice / 2.0
-    d = twice + 1
+    d = serialize.spin_dimension(F)
+    Fval = (d - 1) / 2.0
     m = Fval - np.arange(d)
     fplus = np.zeros((d, d), dtype=complex)
     for col in range(1, d):
@@ -263,8 +263,12 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     return sign * math.sqrt(float(prefactor * total * total))
 
 
-def _unitary(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) of a Hermitian H, or of each of a (..., d, d) stack, from one ``eigh`` call."""
+def _unitary(H: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) of a Hermitian H, or of each of a (..., d, d) stack, from one ``eigh`` call.
+
+    ``t`` is a number or an array that broadcasts against the (..., d) spectrum:
+    ``t[:, None]`` of n times gives the (n, d, d) stack exp(-i H t_j) of one H.
+    """
     w, V = np.linalg.eigh(H)
     return (V * np.exp(-1j * w * t)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
@@ -288,6 +292,8 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
         One of ``basis_state`` (requires ``m``), ``spin_coherent``
         (``theta``, optional ``phi``), ``cat``, ``mixed``, ``twisted``
         (requires ``mu``); see :data:`TEST_STATE_PARAMS`.
+    params:
+        Finite numbers, each read by :func:`spintomo.serialize.number`.
 
     Returns
     -------
@@ -305,15 +311,13 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
         raise ValueError(f"unexpected parameters for kind {kind!r}: {sorted(extra)}")
     if names and names[0] not in params:
         raise ValueError(f"{kind} requires parameter {names[0]}")
-    if not all(math.isfinite(float(v)) for v in params.values()):
-        raise ValueError(f"{kind} parameters must be finite")
+    params = {name: serialize.number(value, name) for name, value in params.items()}
     d = sys.d
     if kind == "basis_state":
         ket = np.zeros(d, dtype=complex)
         ket[sys.index_of_m(params["m"])] = 1.0
     elif kind == "spin_coherent":
-        theta = float(params["theta"])
-        phi = float(params.get("phi", 0.0))
+        theta, phi = params["theta"], params.get("phi", 0.0)
         axis = -math.sin(phi) * sys.Fx + math.cos(phi) * sys.Fy
         ket = _unitary(axis, theta)[:, 0]
     elif kind == "cat":
@@ -323,7 +327,7 @@ def test_state(sys: SpinSystem, kind: str, **params) -> np.ndarray:
     elif kind == "mixed":
         return np.eye(d, dtype=complex) / d
     else:  # twisted
-        ket = _unitary(sys.Fx @ sys.Fx, float(params["mu"]))[:, 0]
+        ket = _unitary(sys.Fx @ sys.Fx, params["mu"])[:, 0]
     ket = ket / np.linalg.norm(ket)
     return np.outer(ket, ket.conj())
 

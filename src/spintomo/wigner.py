@@ -31,6 +31,7 @@ from . import serialize
 from .spin_algebra import (
     SpinSystem,
     _spin_of,
+    _unitary,
     build_spin_system,
     check_density_matrix,
     clebsch_gordan,
@@ -124,9 +125,8 @@ def _diagonal_sums(rho: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """
     sys = _spin_of(rho)
     d = sys.d
-    lam, V = np.linalg.eigh(sys.Fy)
     # Ry(theta) = e^{-i theta Fy} for every theta; it is real (the Wigner small-d matrix)
-    Ry = ((V * np.exp(-1j * np.multiply.outer(thetas, lam))[:, None, :]) @ V.conj().T).real
+    Ry = _unitary(sys.Fy, thetas[:, None]).real
     X = rho.T * ((Ry * _pole_kernel(d)) @ Ry.transpose(0, 2, 1))
     return np.stack([np.trace(X, offset=q, axis1=1, axis2=2) for q in range(1 - d, d)], axis=1)
 

@@ -205,13 +205,14 @@ class TestCliPipeline:
         assert not est.exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ("omega_scale:nan:1.05", "finite"),
-        ("omega_scale:0.95:inf", "nuisance bounds must be finite with lower < upper"),
-        ("omega_scale:1.05:0.95", "nuisance bounds must be finite with lower < upper"),
-        ("bogus:0.9:1.1", "unknown nuisance parameter 'bogus'"),
+        ("omega_scale:nan:1.05", "malformed field omega_scale.lower: non-finite number nan"),
+        ("omega_scale:0.95:inf", "malformed field omega_scale.upper: non-finite number inf"),
+        ("omega_scale:1.05:0.95",
+         "malformed field omega_scale.upper: must be above the lower bound 1.05"),
+        ("bogus:0.9:1.1", "malformed field nuisance: 'bogus' is not one of omega_scale, chi_scale"),
         # a negative scale is a malformed entry, refused before any search starts
-        ("omega_scale:-0.5:1.05", "negative --nuisance bound in 'omega_scale:-0.5:1.05'"),
-        ("chi_scale:-2:-1", "negative --nuisance bound in 'chi_scale:-2:-1'"),
+        ("omega_scale:-0.5:1.05", "malformed field omega_scale.lower: must be at least 0"),
+        ("chi_scale:-2:-1", "malformed field chi_scale.lower: must be at least 0"),
         ("omega_scale:low:1.05", "bad --nuisance bounds in 'omega_scale:low:1.05'"),
     ], ids=["nan_lower", "inf_upper", "reversed", "unknown_name", "negative_lower",
             "negative_both", "non_numeric_lower"])

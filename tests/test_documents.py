@@ -175,3 +175,24 @@ def test_valid_documents_still_read(valid, kind):
     docs, config, path = valid
     path.write_text(json.dumps(docs[kind]))
     READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind, where, value, field", [
+    ("record", ("values", 1), True, "values"),
+    ("record", ("times", 0), False, "times"),
+    ("estimate", ("rho_ml", 0, 0, 1), True, "rho_ml"),
+    ("estimate", ("covariance_lower", 2), True, "covariance_lower"),
+    ("config", ("waveform", "phi"), [0.5, True, 1.5, 2.5], "waveform.phi"),
+])
+def test_a_bool_inside_a_number_array_is_refused(valid, kind, where, value, field):
+    # numpy reads [0.5, true] as the numbers [0.5, 1.0]; a document's arrays hold numbers only
+    docs, config, path = valid
+    doc = json.loads(json.dumps(docs[kind]))
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DocumentError, match=f"malformed field {field}: expected numbers"):
+        READERS[kind](path)

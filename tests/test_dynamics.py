@@ -61,7 +61,7 @@ class TestControlWaveform:
         # NaN fails no "< 0" test, and an infinite dt passes "> 0"
         kwargs = dict(n_steps=1, dt=1e-5, phi=(0.0,), omega_larmor=1.0, chi=0.0)
         kwargs[field] = value
-        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        with pytest.raises(ValueError, match=f"^malformed field {field}: non-finite number"):
             ControlWaveform(**kwargs)
 
     def test_closed(self):

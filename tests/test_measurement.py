@@ -216,7 +216,7 @@ def test_dimension_mismatch_rejected(default_history):
 @pytest.mark.parametrize("sigma", [np.nan, np.inf])
 def test_synthesize_rejects_non_finite_sigma(sys3, default_history, sigma):
     # without the check the record comes back full of NaN or inf values
-    with pytest.raises(ValueError, match="sigma must be finite"):
+    with pytest.raises(ValueError, match="field sigma: non-finite number"):
         synthesize_record(make_state(sys3, "cat"), default_history, sigma=sigma, seed=0)
 
 
@@ -237,7 +237,7 @@ def test_record_validation():
             n_averaged=0, waveform_fingerprint="x",
         )
     for sigma in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="sigma must be finite"):
+        with pytest.raises(ValueError, match="field sigma: non-finite number"):
             MeasurementRecord(
                 F=3, times=np.arange(2.0), values=np.zeros(2), sigma=sigma, seed=1,
                 n_averaged=1, waveform_fingerprint="x",
@@ -256,7 +256,7 @@ def test_record_rejects_non_finite_samples(field, bad):
     # without the check a record built in Python carries NaN or inf into estimate
     arrays = {"times": np.arange(2.0), "values": np.zeros(2)}
     arrays[field][1] = bad
-    with pytest.raises(ValueError, match="times and values must be finite"):
+    with pytest.raises(ValueError, match=f"field {field}: non-finite number"):
         MeasurementRecord(F=3, sigma=0.1, seed=1, n_averaged=1, waveform_fingerprint="x",
                           **arrays)
 
@@ -284,6 +284,11 @@ def test_record_leaves_the_callers_arrays_writeable():
     ("n_averaged", 2.5, "malformed field n_averaged: expected an integer"),
     ("n_averaged", True, "malformed field n_averaged: expected an integer"),
     ("sigma", True, "malformed field sigma: expected a number"),
+    ("sigma", -0.1, "malformed field sigma: must be at least 0"),
+    # numpy reads a bool or a numeric string as a number, a file's reader does not
+    ("times", ["0", "1"], "malformed field times: expected numbers nested 1 lists deep"),
+    ("values", [True, False], "malformed field values: expected numbers nested 1 lists deep"),
+    ("values", [0.5, True], "malformed field values: expected numbers nested 1 lists deep"),
 ])
 def test_record_rules_are_the_readers(field, value, message):
     # each value was accepted in Python although a record file holding it is refused

@@ -1,13 +1,16 @@
 """Document text: arrays are formatted whole, with the bytes of the per-number encoder.
 
-The array formatter, ``serialize.format_floats``, is checked against ``format_float`` on
-random doubles, random bit patterns and a fixed list of edge values.
+The array formatter behind ``dumps`` and the Wigner CSV writer is checked against
+``format_float``, one number at a time, on random doubles, random bit patterns and a fixed
+list of edge values.
 
-Also the integer rule, ``serialize.integer``, which reads every count argument of the library.
+Also the document rules that read the library's arguments: ``serialize.integer`` every count,
+``serialize.number`` every real number and ``serialize.spin_dimension`` the spin size.
 """
 
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -35,8 +38,8 @@ from spintomo import (
 from spintomo import test_state as make_state
 from spintomo.estimator import estimate, write_estimate
 from spintomo.measurement import read_record, synthesize_record, write_record
-from spintomo import serialize
-from spintomo.serialize import dumps, format_float, format_floats
+from spintomo import rand, serialize
+from spintomo.serialize import DocumentError, dumps, format_float
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e17, 1e-5, 0.1,
@@ -62,23 +65,30 @@ def test_edge_values_match_format_float():
     assert text == dumps({"x": EDGE_VALUES})
 
 
-def _per_number(values) -> list[bytes]:
-    return [format_float(v).encode() for v in np.asarray(values, dtype=float).ravel().tolist()]
+def _per_number(values) -> str:
+    """The document text of a 1-D array ``values``, one :func:`format_float` call per number."""
+    numbers = np.asarray(values, dtype=float).ravel().tolist()
+    return '{"x":[' + ",".join(format_float(v) for v in numbers) + "]}\n"
+
+
+def _as_array(values) -> str:
+    """The document text of ``values`` as one 1-D array, formatted in numpy passes."""
+    return dumps({"x": np.asarray(values, dtype=float).ravel()})
 
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(0, 40),
                   elements={"allow_nan": False, "allow_infinity": False}))
-def test_format_floats_matches_format_float_on_finite_doubles(arr):
-    assert format_floats(arr) == _per_number(arr)
+def test_arrays_match_format_float_on_finite_doubles(arr):
+    assert _as_array(arr) == _per_number(arr)
 
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.uint64, st.integers(0, 40)))
-def test_format_floats_matches_format_float_on_bit_patterns(bits):
+def test_arrays_match_format_float_on_bit_patterns(bits):
     arr = bits.view(np.float64)
     arr = arr[np.isfinite(arr)]
-    assert format_floats(arr) == _per_number(arr)
+    assert _as_array(arr) == _per_number(arr)
 
 
 def _edge_values() -> np.ndarray:
@@ -91,21 +101,21 @@ def _edge_values() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def test_format_floats_edge_values():
+def test_arrays_match_format_float_on_edge_values():
     values = _edge_values()
-    assert format_floats(values) == _per_number(values)
+    assert _as_array(values) == _per_number(values)
 
 
 @pytest.mark.parametrize("length", [0, 1, serialize._CHUNK - 1, serialize._CHUNK,
                                     serialize._CHUNK + 1])
-def test_format_floats_lengths_around_one_chunk(length):
+def test_array_lengths_around_one_chunk(length):
     values = np.random.default_rng(length).standard_normal(length) * 1e-3
-    texts = format_floats(values.reshape(1, -1) if length else values)
-    assert len(texts) == length and texts == _per_number(values)
+    assert _as_array(values) == _per_number(values)
     assert dumps({"x": values}) == dumps_reference({"x": values})
+    assert dumps({"x": values.reshape(1, -1)}) == dumps_reference({"x": values.reshape(1, -1)})
 
 
-def test_format_floats_on_a_million_values():
+def test_arrays_match_format_float_on_a_million_values():
     rng = np.random.default_rng(33)
     bits = rng.integers(0, 2**64, 301_000, dtype=np.uint64).view(np.float64)
     bits = bits[np.isfinite(bits)][:300_000]  # about one pattern in 2048 is not finite
@@ -118,7 +128,7 @@ def test_format_floats_on_a_million_values():
         np.round(rng.standard_normal(100_000) * 1e8) / 10.0 ** rng.integers(0, 17, 100_000),
     ])
     assert len(values) >= 10**6
-    assert format_floats(values) == _per_number(values)
+    assert _as_array(values) == _per_number(values)
 
 
 def test_only_ties_and_far_exponents_fall_back_to_format_float(monkeypatch):
@@ -131,18 +141,18 @@ def test_only_ties_and_far_exponents_fall_back_to_format_float(monkeypatch):
     monkeypatch.setattr(serialize, "format_float", counted)
     ordinary = np.random.default_rng(3).standard_normal(1000) * 1e-3
     ordinary = np.append(ordinary, [0.0, -0.0])
-    assert format_floats(ordinary) == _per_number(ordinary)
+    assert _as_array(ordinary) == _per_number(ordinary)
     assert calls == []
     # two exact ties at the 17th digit (0.00100040435791015625), two far exponents
     fallbacks = [1049 / 2.0**20, -1051 / 2.0**20, 1e-41, 1e42]
-    assert format_floats(fallbacks) == _per_number(fallbacks)
+    assert _as_array(fallbacks) == _per_number(fallbacks)
     assert calls == fallbacks
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_format_floats_non_finite_raises_as_format_float(bad):
+def test_array_with_non_finite_entry_raises_as_format_float(bad):
     with pytest.raises(ValueError, match=f"non-finite number {bad!r}"):
-        format_floats([1.0, bad])
+        _as_array([1.0, bad])
 
 
 def test_zero_dimensional_arrays_are_scalars():
@@ -219,6 +229,8 @@ COUNTS = {
         lambda m, n: wigner_function(m.rho, n_theta=8, n_phi=n),
         lambda m, n: wigner_integral(m.rho, n_phi=n),
     ]),
+    "normals": ("n", 3, [lambda m, n: rand.normals([1, 2], n)]),
+    "uniform_angles": ("n", 3, [lambda m, n: rand.uniform_angles(1, n)]),
 }
 
 
@@ -241,3 +253,61 @@ def test_every_count_argument_is_read_by_the_integer_rule(model, count):
             with pytest.raises(ValueError, match=f"field {name}: expected an integer"):
                 call(model, bad)
         assert _bitwise_equal(call(model, valid), call(model, np.int64(valid)))
+
+
+# per real argument: the name its error gives, a valid value, its minimum (None: no minimum)
+# and the call that takes it
+REALS = {
+    "dt": ("dt", 5e-5, 0, lambda m, x: replace(m.waveform, dt=x)),
+    "omega_larmor": ("omega_larmor", 6.0e4, 0, lambda m, x: replace(m.waveform, omega_larmor=x)),
+    "chi": ("chi", 3.0e4, 0, lambda m, x: replace(m.waveform, chi=x)),
+    "gamma_dec": ("gamma_dec", 200.0, 0, lambda m, x: replace(m.waveform, gamma_dec=x)),
+    "phi_entry": ("phi", 2.5, None, lambda m, x: replace(m.waveform, phi=(0.1, x, 4.0))),
+    "omega_scale": ("omega_scale", 1.01, 0, lambda m, x: m.waveform.with_scales(omega_scale=x)),
+    "chi_scale": ("chi_scale", 0.99, 0, lambda m, x: m.waveform.with_scales(chi_scale=x)),
+    "sigma": ("sigma", 0.9, 0, lambda m, x: synthesize_record(m.rho, m.history, x, 1)),
+    "sensitivity_weight": ("sensitivity_weight", 0.5, 0, lambda m, x: optimize_waveform(
+        m.sys, m.waveform, 12, budget=3, sensitivity_weight=x)),
+    "nuisance_lower": ("omega_scale.lower", 0.95, 0, lambda m, x: estimate_with_nuisance(
+        m.record, m.waveform, {"omega_scale": (x, 1.05)}, budget=3)),
+    "nuisance_upper": ("omega_scale.upper", 1.05, 0, lambda m, x: estimate_with_nuisance(
+        m.record, m.waveform, {"omega_scale": (0.95, x)}, budget=3)),
+    "theta": ("theta", 0.7, None, lambda m, x: make_state(m.sys, "spin_coherent", theta=x)),
+    "state_phi": ("phi", 0.3, None,
+                  lambda m, x: make_state(m.sys, "spin_coherent", theta=0.7, phi=x)),
+    "mu": ("mu", 0.4, None, lambda m, x: make_state(m.sys, "twisted", mu=x)),
+    "m": ("m", 1.0, None, lambda m, x: make_state(m.sys, "basis_state", m=x)),
+}
+
+
+@pytest.mark.parametrize("real", list(REALS))
+def test_every_real_argument_is_read_by_the_number_rule(model, real):
+    # a bool or a numeric string used to pass as the number it converts to
+    name, valid, minimum, call = REALS[real]
+    bad = [True, "1.0", np.nan, np.inf] + ([minimum - 1.0] if minimum is not None else [])
+    for value in bad:
+        with pytest.raises(DocumentError, match=rf"field {re.escape(name)}: ") as info:
+            call(model, value)
+        assert info.value.field == name
+    assert _bitwise_equal(call(model, valid), call(model, np.float64(valid)))
+
+
+def test_a_segment_length_of_zero_is_refused(model):
+    with pytest.raises(DocumentError, match="dt must be positive") as info:
+        replace(model.waveform, dt=0.0)
+    assert info.value.field == "dt"
+
+
+@pytest.mark.parametrize("F", [True, 3.0000000001, 33, 0, -1, 0.3, "3"])
+def test_the_spin_size_is_read_by_the_document_rule(F):
+    # True, 3.0000000001 and F > 32 used to build a spin that no document may name
+    with pytest.raises(DocumentError, match="malformed field F: ") as info:
+        build_spin_system(F)
+    assert info.value.field == "F"
+
+
+def test_every_spelling_of_a_spin_builds_the_same_system():
+    want = build_spin_system(1.5)
+    for F in (np.float64(1.5), 3 / 2):
+        assert _bitwise_equal(build_spin_system(F), want)
+    assert _bitwise_equal(build_spin_system(np.int64(3)), build_spin_system(3.0))

@@ -259,7 +259,7 @@ class TestTestStates:
     ])
     def test_non_finite_parameters_rejected(self, sys3, kind, params):
         # without the check these return a density matrix full of NaN
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="non-finite number"):
             make_state(sys3, kind, **params)
 
     def test_errors(self, sys3):
