@@ -47,7 +47,6 @@ from .spin_algebra import (
     SpinSystem,
     build_spin_system,
     check_density_matrix,
-    clebsch_gordan,
     coords_to_state,
     hermitian_basis,
     measured_observable,

@@ -65,8 +65,8 @@ class ExperimentConfig:
 def _parse_phi(raw, n_steps: int) -> tuple[float, ...]:
     """``waveform.phi``: a list of angles, or ``"random:<seed>"`` for ``n_steps`` uniform draws."""
     if isinstance(raw, str) and raw.startswith("random:"):
-        seed = raw.split(":", 1)[1]
-        return tuple(_checked("waveform.phi", lambda: rand.uniform_angles(int(seed), n_steps)))
+        seed = _checked("waveform.phi", lambda: int(raw.split(":", 1)[1]))
+        return tuple(rand.uniform_angles(rand.check_seed(seed, "waveform.phi"), n_steps))
     return tuple(serialize.numeric_array(raw, "waveform.phi", 1).tolist())
 
 
@@ -110,8 +110,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     noise = serialize.check_fields(doc["noise"], "noise", ("sigma", "seed"),
                                    optional=("n_averaged",))
     sigma = serialize.number(noise["sigma"], "noise.sigma", 0)
-    seed = serialize.integer(noise["seed"], "noise.seed")
-    _checked("noise.seed", lambda: rand.check_seed(seed))
+    seed = rand.check_seed(noise["seed"], "noise.seed")
     n_averaged = serialize.integer(noise.get("n_averaged", 1), "noise.n_averaged", 1)
 
     if ("state" in doc) == ("states" in doc):

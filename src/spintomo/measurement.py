@@ -164,14 +164,8 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 
 def read_record(path) -> MeasurementRecord:
-    """Parse a record document: the field set and seed type here, every other rule the record's."""
+    """Parse a record document: the field set here, every other rule the record's."""
     doc = serialize.check_fields(
         serialize.read_document(path, "record"), "record", _RECORD_FIELDS, RECORD_FORMAT_VERSION
     )
-    fields = {name: doc[name] for name in _RECORD_FIELDS[1:]}
-    try:
-        return MeasurementRecord(**{**fields, "seed": serialize.integer(doc["seed"], "seed")})
-    except RecordFormatError:
-        raise
-    except ValueError as exc:
-        raise RecordFormatError(f"invalid record document: {exc}") from exc
+    return MeasurementRecord(**{name: doc[name] for name in _RECORD_FIELDS[1:]})

@@ -250,7 +250,7 @@ def _compact(rows: np.ndarray) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _text_chunks(flat: np.ndarray, lines: np.ndarray, lead: int, fill=None) -> Iterator[bytes]:
+def _text_chunks(flat: np.ndarray, lines: np.ndarray, lead: int, fill) -> Iterator[bytes]:
     """The text of the finite doubles ``flat``, formatted in numpy passes of ``len(lines)`` numbers.
 
     ``lines`` is one uint8 buffer for every chunk, a row per number: ``lead``
@@ -263,8 +263,7 @@ def _text_chunks(flat: np.ndarray, lines: np.ndarray, lead: int, fill=None) -> I
     for start in range(0, flat.size, step):
         chunk = flat[start:start + step]
         rows = lines[:len(chunk)]
-        if fill is not None:
-            fill(rows, start)
+        fill(rows, start)
         _format_into(chunk, rows[:, lead:lead + _WIDTH])
         yield _compact(rows)
 

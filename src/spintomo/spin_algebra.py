@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -34,20 +33,10 @@ __all__ = [
     "hermitian_basis",
     "state_to_coords",
     "coords_to_state",
-    "clebsch_gordan",
     "test_state",
     "check_density_matrix",
     "is_hermitian",
 ]
-
-
-def _as_twice(name: str, value) -> int:
-    """Validate a half-integer and return 2*value as an exact int."""
-    twice = 2.0 * float(value)
-    rounded = round(twice)
-    if abs(twice - rounded) > 1e-9:
-        raise ValueError(f"{name} must be an integer or half-integer, got {value}")
-    return int(rounded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +59,14 @@ class SpinSystem:
         return self.F - np.arange(self.d)
 
     def index_of_m(self, m) -> int:
-        tm = _as_twice("m", m)
-        tF = round(2 * self.F)
-        if (tF + tm) % 2 != 0 or abs(tm) > tF:
+        """Basis index of the level m; an m that is not exactly a level of this spin raises.
+
+        m is read by :func:`spintomo.serialize.number`; 2m must be an integer of 2F's parity.
+        """
+        twice = 2.0 * serialize.number(m, "m")
+        if not (twice.is_integer() and abs(twice) <= self.d - 1 and (self.d - 1 - twice) % 2 == 0):
             raise ValueError(f"m={m} is not a level of a spin-{self.F} system")
-        return (tF - tm) // 2
+        return int(self.d - 1 - twice) // 2
 
 
 def build_spin_system(F) -> SpinSystem:
@@ -187,80 +179,6 @@ def _basis(d: int) -> np.ndarray:
 def hermitian_basis(sys: SpinSystem) -> np.ndarray:
     """The cached, read-only (d^2, d, d) stack of Hermitian basis elements."""
     return _basis(sys.d)
-
-
-def _half_factorial(twice: int) -> int:
-    # factorial of twice/2; twice must be even and nonnegative
-    if twice < 0 or twice % 2 != 0:
-        raise ValueError("internal: factorial argument must be a nonnegative integer")
-    return math.factorial(twice // 2)
-
-
-def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | J M>, Condon-Shortley phase.
-
-    Evaluated with the Racah single-sum closed form using exact integer
-    factorial arithmetic; the only float operations are the final square
-    root and division. Returns 0 for violated selection rules (M != m1+m2,
-    triangle rule, |m| > j, parity); rejects non-half-integer inputs.
-    """
-    tj1 = _as_twice("j1", j1)
-    tm1 = _as_twice("m1", m1)
-    tj2 = _as_twice("j2", j2)
-    tm2 = _as_twice("m2", m2)
-    tJ = _as_twice("J", J)
-    tM = _as_twice("M", M)
-    for tj, name in ((tj1, "j1"), (tj2, "j2"), (tJ, "J")):
-        if tj < 0:
-            raise ValueError(f"{name} must be nonnegative")
-    for tj, tm in ((tj1, tm1), (tj2, tm2), (tJ, tM)):
-        if abs(tm) > tj or (tj + tm) % 2 != 0:
-            return 0.0
-    if tM != tm1 + tm2:
-        return 0.0
-    if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2:
-        return 0.0
-    if (tj1 + tj2 + tJ) % 2 != 0:
-        return 0.0
-
-    prefactor = Fraction(
-        (tJ + 1)
-        * _half_factorial(tj1 + tj2 - tJ)
-        * _half_factorial(tj1 - tj2 + tJ)
-        * _half_factorial(-tj1 + tj2 + tJ),
-        _half_factorial(tj1 + tj2 + tJ + 2),
-    )
-    prefactor *= (
-        _half_factorial(tJ + tM)
-        * _half_factorial(tJ - tM)
-        * _half_factorial(tj1 - tm1)
-        * _half_factorial(tj1 + tm1)
-        * _half_factorial(tj2 - tm2)
-        * _half_factorial(tj2 + tm2)
-    )
-
-    a1 = (tj1 + tj2 - tJ) // 2
-    a2 = (tj1 - tm1) // 2
-    a3 = (tj2 + tm2) // 2
-    b1 = (tJ - tj2 + tm1) // 2
-    b2 = (tJ - tj1 - tm2) // 2
-    kmin = max(0, -b1, -b2)
-    kmax = min(a1, a2, a3)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        denom = (
-            math.factorial(k)
-            * math.factorial(a1 - k)
-            * math.factorial(a2 - k)
-            * math.factorial(a3 - k)
-            * math.factorial(b1 + k)
-            * math.factorial(b2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, denom)
-    if total == 0:
-        return 0.0
-    sign = 1.0 if total > 0 else -1.0
-    return sign * math.sqrt(float(prefactor * total * total))
 
 
 def _unitary(H: np.ndarray, t) -> np.ndarray:

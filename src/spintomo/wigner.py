@@ -8,10 +8,18 @@ T_kq and the spherical harmonics, with the overall constant fixed to make
 the function integrate to 1 over the sphere:
 W = sqrt(d / 4 pi) * sum_kq Tr[T_kq^dag rho] Y_kq.
 
+Every T_kq comes from one construction, a Lanczos recurrence on the m grid
+(:func:`_lanczos`): for q >= 0, T_kq lives on the q-th superdiagonal,
+where it is p(m) w_q(m), with w_q that diagonal of (-F+)^q and p the
+orthonormal polynomial of degree k - q for the weight w_q^2; then
+T_k,-q = (-1)^q T_kq^dag. Each p has a positive leading coefficient, which
+with the sign of w_q gives the Condon-Shortley phases.
+
 It is evaluated in the equivalent rotated-kernel form (Agarwal, PRA 24,
 2889, 1981; Varilly & Gracia-Bondia, Ann. Phys. 190, 107, 1989):
 W(theta, phi) = Tr[rho R K R^dag] with R = e^{-i phi Fz} e^{-i theta Fy},
-where K is the diagonal kernel at the north pole. One eigendecomposition of
+where K is the diagonal kernel at the north pole, built from the q = 0
+rows of the same recurrence. One eigendecomposition of
 Fy gives e^{-i theta Fy} at every theta, which turns K into A(theta), and
 the phi dependence is a Fourier sum over the 2d - 1 diagonals of
 rho^T * A(theta). The sum is real for Hermitian rho, and only its real part
@@ -34,7 +42,6 @@ from .spin_algebra import (
     _unitary,
     build_spin_system,
     check_density_matrix,
-    clebsch_gordan,
 )
 
 __all__ = [
@@ -57,25 +64,37 @@ def multipole_operators(sys: SpinSystem) -> dict[int, dict[int, np.ndarray]]:
     return _multipole_operators(sys.d)
 
 
+def _lanczos(grid: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Orthonormal rows p_j(grid) * start, j = 0 .. len(grid) - 1, each p_j of degree j.
+
+    Lanczos steps on diag(grid) from start / |start|, each orthogonalized twice against the
+    rows before it. No sign is flipped, so every p_j has a positive leading coefficient.
+    """
+    rows = np.empty((len(grid), len(grid)))
+    rows[0] = start / np.linalg.norm(start)
+    for j in range(1, len(grid)):
+        v = grid * rows[j - 1]
+        for _ in range(2):
+            v -= (rows[:j] @ v) @ rows[:j]
+        rows[j] = v / np.linalg.norm(v)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _multipole_operators(d: int) -> dict[int, dict[int, np.ndarray]]:
     sys = build_spin_system((d - 1) / 2.0)
-    F = sys.F
-    ms = sys.m_values
-    ops: dict[int, dict[int, np.ndarray]] = {}
-    for k in range(d):  # k = 0 .. 2F
-        row = {}
-        norm = math.sqrt((2 * k + 1) / d)
-        for q in range(-k, k + 1):
-            T = np.zeros((d, d), dtype=complex)
-            for col, m in enumerate(ms):
-                m_out = m + q
-                if abs(m_out) > F:
-                    continue
-                T[sys.index_of_m(m_out), col] = norm * clebsch_gordan(F, m, k, q, F, m_out)
+    ms, raising = sys.m_values, 2.0 * np.diagonal(sys.Fx, 1).real  # Fx holds F+ / 2
+    rows, w = [], np.ones(d)  # w: the q-th superdiagonal of (-F+)^q
+    for q in range(d):
+        # the mean of the row's and the column's m: a grid symmetric about 0, the most accurate
+        rows.append(_lanczos(ms[q:] + q / 2.0, w))
+        w = -w[:-1] * raising[q:]
+    ops = {}
+    for k in range(d):
+        upper = [np.diag(rows[q][k - q], q).astype(complex) for q in range(k + 1)]
+        ops[k] = {q: (-1) ** q * upper[-q].T for q in range(-k, 0)} | dict(enumerate(upper))
+        for T in ops[k].values():
             T.setflags(write=False)
-            row[q] = T
-        ops[k] = row
     return ops
 
 
@@ -102,15 +121,12 @@ class WignerGrid:
 
 @lru_cache(maxsize=None)
 def _pole_kernel(d: int) -> np.ndarray:
-    """Diagonal of the kernel at the north pole, K_m = sum_k (2k+1)/(4 pi) <F m; k 0|F m>.
+    """Diagonal of the kernel at the north pole, K = sum_k sqrt((2k+1) d) / (4 pi) diag(T_k0).
 
     Entries run over m = +F ... -F; the array is shared and read-only.
     """
-    F = (d - 1) / 2.0
-    K = np.array([
-        sum((2 * k + 1) / (4.0 * math.pi) * clebsch_gordan(F, m, k, 0, F, m) for k in range(d))
-        for m in F - np.arange(d)
-    ])
+    rows = _lanczos((d - 1) / 2.0 - np.arange(d), np.ones(d))  # diag(T_k0), k = 0 .. 2F
+    K = np.sqrt((2 * np.arange(d) + 1) * d) / (4.0 * math.pi) @ rows
     K.setflags(write=False)
     return K
 

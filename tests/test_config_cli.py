@@ -110,6 +110,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="m=9"):
             load_config(write_config(tmp_path, doc))
 
+    def test_basis_state_m_is_read_exactly_exit_2(self, tmp_path, capsys):
+        # m = 2.0000000001 was rounded onto the level m = 2, and the config passed check
+        cfg = write_config(tmp_path, base_config(state={"kind": "basis_state", "m": 2.0000000001}))
+        assert main(["check", cfg]) == 2
+        assert "m=2.0000000001 is not a level of a spin-3.0 system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("noise", "seed", -1, "malformed field noise.seed: must be at least 0"),
+        ("noise", "seed", 2**64, "malformed field noise.seed: must be at most 2^64 - 1"),
+        ("noise", "seed", 2.0, "malformed field noise.seed: expected an integer"),
+        ("waveform", "phi", "random:-1", "malformed field waveform.phi: must be at least 0"),
+    ])
+    def test_seed_read_by_the_document_rule(self, tmp_path, block, key, value, message):
+        # each seed out of range was told "seed must fit in 64 bits", -1 too
+        doc = base_config()
+        doc[block][key] = value
+        with pytest.raises(ConfigError) as info:
+            load_config(write_config(tmp_path, doc))
+        assert (str(info.value), info.value.field) == (message, f"{block}.{key}")
+
 
 class TestCliPipeline:
     def test_simulate_then_estimate_noiseless(self, tmp_path, capsys):

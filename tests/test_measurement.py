@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -296,6 +298,24 @@ def test_record_rules_are_the_readers(field, value, message):
         MeasurementRecord(**{**RECORD, field: value})
     assert str(info.value) == message
     assert info.value.field == field
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.0, "malformed field seed: expected an integer"),
+    (True, "malformed field seed: expected an integer"),
+    (-1, "malformed field seed: must be at least 0"),
+    (2**64, "malformed field seed: must be at most 2^64 - 1"),
+])
+def test_record_seed_rule_is_the_readers(tmp_path, seed, message):
+    # the constructor raised a plain ValueError with no field, and the reader put
+    # "invalid record document: " before a seed outside [0, 2^64)
+    path = tmp_path / "record.json"
+    doc = {**RECORD, "times": [0.0, 1.0], "values": [0.0, 0.0], "seed": seed}
+    path.write_text(json.dumps({"version": 1, **doc}))
+    for build in (lambda: MeasurementRecord(**{**RECORD, "seed": seed}), lambda: read_record(path)):
+        with pytest.raises(RecordFormatError) as info:
+            build()
+        assert (str(info.value), info.value.field) == (message, "seed")
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -7,7 +7,6 @@ from helpers import basis_elements_reference, random_density
 from spintomo import (
     build_spin_system,
     check_density_matrix,
-    clebsch_gordan,
     coords_to_state,
     hermitian_basis,
     measured_observable,
@@ -152,58 +151,6 @@ class TestCoordinates:
             coords_to_state(np.zeros(5))
 
 
-class TestClebschGordan:
-    def test_singlet_values(self):
-        assert clebsch_gordan(0.5, 0.5, 0.5, -0.5, 0, 0) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-14
-        )
-        assert clebsch_gordan(1, 1, 1, -1, 0, 0) == pytest.approx(1 / math.sqrt(3), abs=1e-14)
-
-    def test_selection_rules_zero(self):
-        assert clebsch_gordan(1, 1, 1, 1, 0, 0) == 0.0  # M != m1+m2
-        assert clebsch_gordan(1, 0, 1, 0, 3, 0) == 0.0  # triangle
-        assert clebsch_gordan(1, 0, 0.5, 0.5, 1, 0.5) == 0.0  # parity of J+M
-        assert clebsch_gordan(1, 2, 1, -1, 2, 1) == 0.0  # |m| > j
-
-    def test_rejects_non_half_integer(self):
-        with pytest.raises(ValueError):
-            clebsch_gordan(0.3, 0.3, 1, 0, 1, 0.3)
-        with pytest.raises(ValueError):
-            clebsch_gordan(1, 0, 1, 0, -1, 0)
-
-    def test_orthogonality_exhaustive(self):
-        # Both standard orthogonality relations, every half-integer pair up
-        # to j = 3. For fixed total M the coefficients form the change of
-        # basis between {|m1, M-m1>} and {|J, M>}, so the block must be an
-        # orthogonal matrix in both directions.
-        twice_js = range(0, 7)
-        for tj1 in twice_js:
-            for tj2 in twice_js:
-                j1, j2 = tj1 / 2, tj2 / 2
-                for tM in range(-(tj1 + tj2), tj1 + tj2 + 1, 2):
-                    M = tM / 2
-                    ms1 = [
-                        tm1 / 2
-                        for tm1 in range(-tj1, tj1 + 1, 2)
-                        if abs(tM - tm1) <= tj2
-                    ]
-                    js = [
-                        tJ / 2
-                        for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2)
-                        if abs(tM) <= tJ
-                    ]
-                    block = np.array(
-                        [
-                            [clebsch_gordan(j1, m1, j2, M - m1, J, M) for J in js]
-                            for m1 in ms1
-                        ]
-                    )
-                    assert block.shape[0] == block.shape[1]
-                    eye = np.eye(len(js))
-                    assert np.max(np.abs(block.T @ block - eye)) < 1e-12
-                    assert np.max(np.abs(block @ block.T - eye)) < 1e-12
-
-
 class TestTestStates:
     def test_cat_state(self, sys3):
         rho = make_state(sys3, "cat")
@@ -261,6 +208,18 @@ class TestTestStates:
         # without the check these return a density matrix full of NaN
         with pytest.raises(ValueError, match="non-finite number"):
             make_state(sys3, kind, **params)
+
+    @pytest.mark.parametrize("m", [2.0000000001, 1.9999999999, 0.5, 3.5, 4, "2", True])
+    def test_basis_state_reads_m_exactly(self, sys3, m):
+        # an m within 1e-9 of a level was rounded onto it: m=2.0000000001 built |m=2>
+        with pytest.raises(ValueError):
+            make_state(sys3, "basis_state", m=m)
+        with pytest.raises(ValueError):
+            sys3.index_of_m(m)
+
+    def test_index_of_m(self, sys3):
+        assert [sys3.index_of_m(m) for m in (3, 2.0, np.float64(-0.0), -3)] == [0, 1, 3, 6]
+        assert build_spin_system(1.5).index_of_m(-0.5) == 2
 
     def test_errors(self, sys3):
         with pytest.raises(ValueError):

@@ -55,6 +55,65 @@ class TestMultipoles:
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+def _commutator(a, x):
+    return a @ x - x @ a
+
+
+def _gram_defect(mp, d):
+    """max |Gram - I| over the table. Each T_kq must sit on the q-th diagonal alone, which
+    makes operators of different q orthogonal, so the Gram matrix is one block per q."""
+    worst = 0.0
+    for q in range(1 - d, d):
+        ops = np.array([mp[k][q] for k in range(abs(q), d)])
+        assert not np.any(ops - [np.diag(np.diagonal(T, q), q) for T in ops]), q
+        flat = ops.reshape(len(ops), -1)
+        worst = max(worst, np.max(np.abs(flat.conj() @ flat.T - np.eye(len(ops)))))
+    return worst
+
+
+def _casimir_defect(sys_, T, k):
+    """max |sum_i [F_i, [F_i, T]] - k(k+1) T| relative to k(k+1), for one or a stack of T."""
+    C = sum(_commutator(A, _commutator(A, T)) for A in (sys_.Fx, sys_.Fy, sys_.Fz))
+    return np.max(np.abs(C - k * (k + 1) * T)) / max(k * (k + 1), 1)
+
+
+def _check_sign_rule(sys_, mp):
+    # T_00 = I / sqrt(d), then each T_k0 has the phase that makes Tr(T_k0 Fz T_k-1,0) > 0
+    assert np.max(np.abs(mp[0][0] - np.eye(sys_.d) / math.sqrt(sys_.d))) < 1e-15
+    for k in range(1, sys_.d):
+        t = np.trace(mp[k][0] @ sys_.Fz @ mp[k - 1][0])
+        assert t.real > 0 and t.imag == 0, k
+
+
+@pytest.mark.parametrize("F", [0.5, 1, 1.5, 3, 8, 16])
+def test_table_has_its_defining_properties(F):
+    # Gram = I, [Fz, T_kq] = q T_kq, [F+, T_kq] = sqrt(k(k+1) - q(q+1)) T_k,q+1, the Casimir
+    # eigenvalue k(k+1) and the sign rule fix the table uniquely
+    sys_ = build_spin_system(F)
+    d, mp = sys_.d, multipole_operators(sys_)
+    assert _gram_defect(mp, d) < 1e-14
+    fplus = sys_.Fx + 1j * sys_.Fy
+    for k in range(d):
+        T = np.array([mp[k][q] for q in range(-k, k + 1)])
+        qs = np.arange(-k, k + 1)[:, None, None]
+        assert np.max(np.abs(_commutator(sys_.Fz, T) - qs * T)) < 1e-13, k
+        raised = np.sqrt(k * (k + 1) - qs * (qs + 1)) * np.concatenate((T[1:], np.zeros((1, d, d))))
+        assert np.max(np.abs(_commutator(fplus, T) - raised)) < 1e-13, k
+        assert _casimir_defect(sys_, T, k) < 1e-13, k
+    _check_sign_rule(sys_, mp)
+
+
+def test_table_at_the_largest_spin():
+    sys_ = build_spin_system(32)
+    # the uncached build: the F = 32 table holds 285 MB, which no other test needs
+    mp = wigner._multipole_operators.__wrapped__(sys_.d)
+    assert _gram_defect(mp, sys_.d) < 1e-14
+    for k in range(sys_.d):
+        assert _casimir_defect(sys_, mp[k][0], k) < 1e-13, k
+    _check_sign_rule(sys_, mp)
+    rho = random_density(np.random.default_rng(32), sys_.d)
+    assert wigner_integral(rho) == pytest.approx(1.0, abs=1e-13)
+
 def test_spherical_harmonics_match_scipy():
     thetas = np.linspace(0.05, np.pi - 0.05, 9)
     phis = np.array([0.0, 0.7, 2.9, 5.5])
