@@ -27,8 +27,9 @@ squaring and no linear solve. One call takes a stack of consecutive segments
 for the batch, as many as keep its work within a fixed cache-sized budget and
 at least one, each matrix bitwise what it gets alone. The generator is linear
 in the drive: four parts (the commutators with Fx, Fy and Fx^2, and the
-dissipator) are cached per (d, gamma_dec) as one array, and one product gives
-omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for each waveform.
+dissipator) are cached as one array for the last (d, gamma_dec), and one
+product gives omega cos(phi) C_x + omega sin(phi) C_y + chi C_xx + D for each
+waveform.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def expm(A: np.ndarray) -> np.ndarray:
     return R.copy()  # not a view, so the workspace is freed
 
 
-@lru_cache(maxsize=4)  # bounded: the parts of one F = 32 key take 570 MB
+@lru_cache(maxsize=1)  # every command uses one key; the parts of an F = 32 key take 570 MB
 def _generator_parts(d: int, gamma_dec: float) -> np.ndarray:
     """Read-only (4, d^2, d^2) array of real generators on basis coordinates, one per drive term.
 

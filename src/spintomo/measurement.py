@@ -3,8 +3,10 @@
 A record holds the coarse-grained samples M_i = Tr[O_i rho0] + noise, where
 the noise is Gaussian with standard deviation sigma / sqrt(n_averaged).
 Draw i comes from the counter-based stream keyed by the record seed (see
-:mod:`spintomo.rand`), so records are bit-identical across runs and
-platforms regardless of evaluation order.
+:mod:`spintomo.rand`), so the noise draws are bit-identical across runs and
+platforms regardless of evaluation order. The signal Tr[O_i rho0] is not
+always: an open-system signal at F >= 5 can differ in its last bits between
+BLAS thread counts.
 """
 
 from __future__ import annotations

@@ -169,16 +169,11 @@ def coords_to_state(coords: np.ndarray) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def _basis(d: int) -> np.ndarray:
-    elements = coords_to_state(np.eye(d * d))
+def hermitian_basis(sys: SpinSystem) -> np.ndarray:
+    """A read-only (d^2, d, d) stack of Hermitian basis elements, built on each call."""
+    elements = coords_to_state(np.eye(sys.d * sys.d))
     elements.setflags(write=False)
     return elements
-
-
-def hermitian_basis(sys: SpinSystem) -> np.ndarray:
-    """The cached, read-only (d^2, d, d) stack of Hermitian basis elements."""
-    return _basis(sys.d)
 
 
 def _unitary(H: np.ndarray, t) -> np.ndarray:

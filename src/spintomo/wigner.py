@@ -59,7 +59,7 @@ def multipole_operators(sys: SpinSystem) -> dict[int, dict[int, np.ndarray]]:
     """The d^2 orthonormal tensor operators as ``{k: {q: T_kq}}``, k = 0..2F, q = -k..k.
 
     Matrix elements are <F m'|T_kq|F m> = sqrt((2k+1)/(2F+1)) <F m; k q|F m'>.
-    The table is built once per dimension and shared; its matrices are read-only.
+    The table is built on each call; its matrices are read-only.
     """
     return _multipole_operators(sys.d)
 
@@ -80,7 +80,6 @@ def _lanczos(grid: np.ndarray, start: np.ndarray) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
 def _multipole_operators(d: int) -> dict[int, dict[int, np.ndarray]]:
     sys = build_spin_system((d - 1) / 2.0)
     ms, raising = sys.m_values, 2.0 * np.diagonal(sys.Fx, 1).real  # Fx holds F+ / 2

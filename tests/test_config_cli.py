@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import json
 import os
 import pathlib
@@ -802,3 +803,85 @@ class TestInputBinding:
         with pytest.raises(ConfigError) as info:
             load_config(cfg)
         assert info.value.field == "sampling.substeps"
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS ``(set, get)`` at two threads; the caller's count is restored after."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread symbols")
+    if _usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs")
+    found = get_threads()
+    set_threads(2)
+    yield set_threads, get_threads
+    set_threads(found)
+
+
+class TestBlasThreads:
+    def test_closed_estimate_is_the_same_on_any_thread_count(self, tmp_path, blas_threads):
+        # at F = 5 the prefix curve differed in its last bits between one and two threads
+        set_threads, _get = blas_threads
+        cfg = write_config(tmp_path, base_config(F=5, state={"kind": "cat"}))
+        record = str(tmp_path / "record.json")
+        assert main(["simulate", cfg, record]) == 0
+        outputs = []
+        for threads in (2, 1):
+            est, curve = tmp_path / f"e{threads}.json", tmp_path / f"c{threads}.csv"
+            set_threads(threads)
+            assert main(["estimate", record, cfg, str(est), "--prefix-curve", str(curve)]) == 0
+            outputs.append((est.read_bytes(), curve.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("gamma_dec, command, threads", [
+        (0.0, "check", 1), (200.0, "check", 2), (0.0, "wigner", 1), (200.0, "wigner", 1),
+    ])
+    def test_one_thread_unless_open_evolution(self, tmp_path, monkeypatch, blas_threads,
+                                              gamma_dec, command, threads):
+        _set, get_threads = blas_threads
+        seen = []
+        for name in ("heisenberg_history", "wigner_function"):
+            run = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, run=run, **k: seen.append(get_threads())
+                                or run(*a, **k))
+        doc = base_config()
+        doc["waveform"]["gamma_dec"] = gamma_dec
+        cfg = write_config(tmp_path, doc)
+        argv = [command, cfg] + ([str(tmp_path / "w.csv"), "--n-theta", "8", "--n-phi", "8"]
+                                 if command == "wigner" else [])
+        assert main(argv) == 0
+        assert seen == [threads]
+        assert get_threads() == 2
+
+    def test_count_restored_after_every_exit(self, tmp_path, monkeypatch, blas_threads):
+        _set, get_threads = blas_threads
+        cfg = write_config(tmp_path, base_config())
+        assert main(["check", cfg]) == 0
+        assert get_threads() == 2
+        assert main(["wigner", str(tmp_path / "missing.json"), str(tmp_path / "w.csv")]) == 2
+        assert get_threads() == 2
+        seen = []
+
+        def crash(*args, **kwargs):
+            seen.append(get_threads())
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(cli, "heisenberg_history", crash)
+        with pytest.raises(RuntimeError):
+            main(["check", cfg])
+        assert seen == [1]
+        assert get_threads() == 2
+
+    def test_nothing_without_the_symbols(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        assert main(["check", write_config(tmp_path, base_config())]) == 0
+        assert "complete: true" in capsys.readouterr().out

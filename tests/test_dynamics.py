@@ -469,6 +469,11 @@ class TestSegmentExponential:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0, 0] = 1.0
+        # one key is kept: a second one evicts the first
+        dynamics._generator_parts(sys3.d, 150.0)
+        info = dynamics._generator_parts.cache_info()
+        assert dynamics._generator_parts(sys3.d, 200.0) is not parts
+        assert dynamics._generator_parts.cache_info().misses == info.misses + 1
 
     def test_expm_of_a_stack_is_each_matrix_alone(self, sys3):
         # norms from 1e-3 to 1e3 give each matrix its own number of squarings

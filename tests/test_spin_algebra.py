@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +104,11 @@ class TestHermitianBasis:
             basis = hermitian_basis(build_spin_system((d - 1) / 2))
             assert basis.tobytes() == want
             assert not basis.flags.writeable
+
+    def test_not_kept_past_its_last_reader(self, sys3):
+        basis = weakref.ref(hermitian_basis(sys3))
+        gc.collect()
+        assert basis() is None
 
     def test_count_and_tracelessness(self, sys3):
         E = hermitian_basis(sys3)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -103,10 +105,16 @@ def test_table_has_its_defining_properties(F):
     _check_sign_rule(sys_, mp)
 
 
+def test_table_is_not_kept_past_its_last_reader(sys3):
+    tensor = weakref.ref(multipole_operators(sys3)[2][1])
+    gc.collect()
+    assert tensor() is None
+
+
 def test_table_at_the_largest_spin():
     sys_ = build_spin_system(32)
-    # the uncached build: the F = 32 table holds 285 MB, which no other test needs
-    mp = wigner._multipole_operators.__wrapped__(sys_.d)
+    # the F = 32 table holds 285 MB, freed when this test returns
+    mp = wigner._multipole_operators(sys_.d)
     assert _gram_defect(mp, sys_.d) < 1e-14
     for k in range(sys_.d):
         assert _casimir_defect(sys_, mp[k][0], k) < 1e-13, k
