@@ -10,16 +10,18 @@ malformed fields, non-finite numbers, a bad ``--nuisance`` entry, a numeric
 option out of its range, ``sweep`` seeds past 2^64 - 1) or a file that cannot
 be read or written, 3 invariant violation, 4 record does not match the config
 (waveform fingerprint, spin size or sample grid), 5 waveform not
-informationally complete. Output directories are checked before any work,
-so a missing one leaves no file written. All randomness comes from seeds in
-the config, so every command is deterministic and re-runs are byte-identical.
+informationally complete (``check``, or the schedule ``design`` found).
+Output directories are checked before any work, so a missing one leaves no
+file written. All randomness comes from seeds in the config, so every
+command is deterministic and re-runs are byte-identical.
 
 A command runs on one OpenBLAS thread unless it propagates an open system
 (``gamma_dec`` > 0), so its outputs are the same on any core count: at F >= 5
 OpenBLAS splits the sums of the estimate's products differently on two
 threads. Open systems keep the caller's thread count: on two vCPUs one thread
-made an F = 8, gamma_dec = 200 history 39% slower. The count is restored when
-the command ends.
+made an F = 8, gamma_dec = 200 history 39% slower. Commands apply the rule
+as they read their config (:func:`_read_config`); ``wigner`` always pins one
+thread. The count is restored when the command ends.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ _BOUND_TOL = 1e-9
 
 @functools.cache
 def _openblas():
-    """numpy's own OpenBLAS ``(set, get)`` thread-count functions, or None where it has none.
+    """numpy's own OpenBLAS ``(set, get)`` thread-count functions; both do nothing without it.
 
     Looked up on the first command, not at import.
     """
@@ -82,14 +84,15 @@ def _openblas():
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return None
+        return (lambda threads: None), (lambda: None)
 
 
-def _blas_threads_for(args, config: ExperimentConfig) -> None:
-    """Give an open-system command the caller's BLAS thread count back, where it runs faster."""
-    if args.caller_threads is not None and not config.waveform.closed:
-        set_threads, _get = _openblas()
-        set_threads(args.caller_threads)
+def _read_config(source: str | dict) -> ExperimentConfig:
+    """The config at path or document ``source``; a closed one puts OpenBLAS on one thread."""
+    config = parse_config(source) if isinstance(source, dict) else load_config(source)
+    if config.waveform.closed:
+        _openblas()[0](1)
+    return config
 
 
 def _history_for(config: ExperimentConfig):
@@ -106,8 +109,7 @@ def _check_output_dirs(*paths: str | None) -> None:
 
 def cmd_simulate(args) -> int:
     _check_output_dirs(args.out_record)
-    config = load_config(args.config)
-    _blas_threads_for(args, config)
+    config = _read_config(args.config)
     history = _history_for(config)
     rho0 = config.single_state
     record = synthesize_record(rho0, history, config.sigma, config.seed, config.n_averaged)
@@ -139,8 +141,7 @@ def _parse_nuisance(spec: str) -> dict[str, tuple[float, float]]:
 def cmd_estimate(args) -> int:
     _check_output_dirs(args.out_estimate, args.prefix_curve)
     record = read_record(args.record)
-    config = load_config(args.config)
-    _blas_threads_for(args, config)
+    config = _read_config(args.config)
     if args.nuisance is not None:
         params = _parse_nuisance(args.nuisance)
         # the fit takes the record's spin and sample grid, which must be the config's
@@ -184,8 +185,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_output_dirs(args.out_csv)
-    config = load_config(args.config)
-    _blas_threads_for(args, config)
+    config = _read_config(args.config)
     n_states = len(config.states)
     # row k is trial k // n_states of state k % n_states, with seed config.seed + k
     n_rows = args.n_trials * n_states
@@ -227,6 +227,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_wigner(args) -> int:
     _check_output_dirs(args.out_csv)
+    _openblas()[0](1)
     doc = serialize.read_document(args.input, "input")
     rho = parse_estimate(doc)[0].rho_ml if "rho_ml" in doc else parse_config(doc).single_state
     grid = wigner_function(rho, n_theta=args.n_theta, n_phi=args.n_phi)
@@ -238,24 +239,30 @@ def cmd_wigner(args) -> int:
 def cmd_design(args) -> int:
     _check_output_dirs(args.out_config)
     doc = serialize.read_document(args.config, "config")
-    config = parse_config(doc)
-    _blas_threads_for(args, config)
+    config = _read_config(doc)
     sys_ = config.spin_system()
     result = optimize_waveform(
         sys_, config.waveform, config.n_samples, budget=args.budget, seed=args.seed,
         objective=args.objective, sensitivity_weight=args.sensitivity_weight,
     )
+    # check's rule, on the schedule found; nothing is written for one it would reject
+    report = completeness_report(heisenberg_history(
+        result.waveform, measured_observable(sys_), n_samples=config.n_samples))
+    if not report.complete:
+        print(f"error: the best schedule found has rank {report.rank} of the "
+              f"{report.d**2 - 1} required; not informationally complete", file=_sys.stderr)
+        return EXIT_INCOMPLETE
+    lines = (f"objective: {_f(result.objective)}\n"
+             f"evaluations: {args.budget}\n"
+             f"fingerprint: {result.waveform.fingerprint()}")
     doc["waveform"]["phi"] = [float(p) for p in result.waveform.phi]
     serialize.dump_path(doc, args.out_config)
-    print(f"objective: {_f(result.objective)}")
-    print(f"evaluations: {args.budget}")
-    print(f"fingerprint: {result.waveform.fingerprint()}")
+    print(lines)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    config = load_config(args.config)
-    _blas_threads_for(args, config)
+    config = _read_config(args.config)
     history = _history_for(config)
     report = completeness_report(history)
     print(f"rank: {report.rank}")
@@ -338,12 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    blas = _openblas()
-    args.caller_threads = None
-    if blas is not None:
-        set_threads, get_threads = blas
-        args.caller_threads = get_threads()
-        set_threads(1)
+    set_threads, get_threads = _openblas()
+    threads = get_threads()
     try:
         return args.run(args)
     except FingerprintMismatchError as exc:
@@ -356,8 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVARIANT
     finally:
-        if blas is not None:
-            set_threads(args.caller_threads)
+        set_threads(threads)
 
 
 if __name__ == "__main__":

@@ -158,7 +158,7 @@ def _estimates(records: list, design: np.ndarray, **nuisance) -> list[EstimateRe
         covariance = (sigma**2) * (Vr.T * (1.0 / sr**2)) @ Vr
         covariances[sigma] = (covariance + covariance.T) / 2.0
         covariances[sigma].setflags(write=False)
-    rho_ml = project_to_physical(rho_ls)
+    rho_ml = _project(rho_ls)
     return [
         EstimateResult(rho_ls=ls, rho_ml=ml, covariance=covariances[record.sigma_eff],
                        residual_norm=residual, rank=rank, singular_values=s, **nuisance)
@@ -186,6 +186,16 @@ def project_to_physical(rho_ls: np.ndarray) -> np.ndarray:
     off = np.abs(tr - 1.0) > 1e-8
     if np.any(off):
         raise ValueError(f"projection input must have unit trace, got {tr[off][0]}")
+    return _project(rho)
+
+
+def _project(rho: np.ndarray) -> np.ndarray:
+    """:func:`project_to_physical` of a complex Hermitian stack, unchecked.
+
+    The estimators' own ``coords_to_state`` stacks come here directly: the trace
+    coordinate fixes their trace, but an SVD fallback fit with coordinates near 1e8
+    can sum its diagonal to 1 - 2e-8, past the input check kept for outside callers.
+    """
     w, V = np.linalg.eigh(rho)
     out = rho.copy()
     neg = w[..., 0] < 0
@@ -299,7 +309,7 @@ def estimate_prefix_curve(
     n = record.n_samples
     waveform = history.waveform
     ks = list(range(stride, n, stride)) + [n]
-    estimates = project_to_physical(_prefix_fits(record.values, history.design_matrix, ks))
+    estimates = _project(np.stack(_prefix_fits(record.values, history.design_matrix, ks)))
     prior = np.eye(history.d, dtype=complex) / history.d
     fids = _fidelities(rho0_true, np.concatenate([prior[None], estimates]))
     points = [0] + [k - 1 for k in ks]

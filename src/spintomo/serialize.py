@@ -489,8 +489,9 @@ def dumps(document: dict) -> str:
 
 
 def dump_path(document: dict, path) -> None:
+    text = dumps(document)  # a document that cannot be written leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(document))
+        fh.write(text)
 
 
 def matrix_to_pairs(mat: np.ndarray) -> np.ndarray:

@@ -1,5 +1,4 @@
 import argparse
-import ctypes
 import json
 import os
 import pathlib
@@ -11,8 +10,8 @@ import pytest
 
 import spintomo
 from helpers import sweep_reference
-from spintomo import (ConfigError, RecordFormatError, cli, heisenberg_histories, load_config,
-                      measured_observable, parse_config)
+from spintomo import (ConfigError, RecordFormatError, WaveformDesignResult, cli,
+                      heisenberg_histories, load_config, measured_observable, parse_config)
 from spintomo.cli import build_parser, main
 from spintomo.estimator import _solve
 from spintomo.measurement import read_record
@@ -512,6 +511,38 @@ class TestCliWignerDesignCheck:
         assert isinstance(designed["waveform"]["phi"], list)
         assert main(["check", out_cfg]) == 0
 
+    @pytest.mark.parametrize("objective", cli.OBJECTIVES)
+    def test_design_of_incomplete_schedule_exit_5_no_file(self, tmp_path, capsys, objective):
+        # 30 samples give rank 30 of 48: no schedule of 30 samples can be complete
+        doc = base_config()
+        doc["sampling"]["n_samples"] = 30
+        cfg, out = write_config(tmp_path, doc), tmp_path / "designed.json"
+        assert main(["design", cfg, str(out), "--budget", "3", "--objective", objective]) == 5
+        assert "rank 30 of the 48 required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_design_objective_not_printable_exit_3_no_file(self, tmp_path, monkeypatch):
+        # a complete schedule scores -inf when a +-1% drive copy is incomplete
+        template = load_config(write_config(tmp_path, base_config())).waveform
+        monkeypatch.setattr(cli, "optimize_waveform", lambda *a, **k: WaveformDesignResult(
+            waveform=template, objective=-np.inf))
+        out = tmp_path / "designed.json"
+        assert main(["design", write_config(tmp_path, base_config()), str(out),
+                     "--sensitivity-weight", "1"]) == 3
+        assert not out.exists()
+
+    def test_one_segment_prefix_curve_is_written(self, tmp_path):
+        # rank 22 of 48: the longest prefixes take the SVD fallback, their trace 1 - 2e-8
+        doc = base_config(state={"kind": "cat"})
+        doc["waveform"].update(n_steps=1, phi=[0.3])
+        cfg, record = write_config(tmp_path, doc), str(tmp_path / "record.json")
+        curve = tmp_path / "curve.csv"
+        assert main(["check", cfg]) == 5
+        assert main(["simulate", cfg, record]) == 0
+        assert main(["estimate", record, cfg, str(tmp_path / "e.json"),
+                     "--prefix-curve", str(curve)]) == 0
+        assert len(curve.read_text().splitlines()) == 32
+
     def test_estimate_files_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         record = str(tmp_path / "record.json")
@@ -812,16 +843,12 @@ def _usable_cpus() -> int:
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS ``(set, get)`` at two threads; the caller's count is restored after."""
-    try:
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        set_threads = lib.scipy_openblas_set_num_threads64_
-        get_threads = lib.scipy_openblas_get_num_threads64_
-    except (ImportError, OSError, AttributeError):
+    set_threads, get_threads = cli._openblas()
+    found = get_threads()
+    if found is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread symbols")
     if _usable_cpus() < 2:
         pytest.skip("needs two usable CPUs")
-    found = get_threads()
     set_threads(2)
     yield set_threads, get_threads
     set_threads(found)
@@ -844,22 +871,29 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("gamma_dec, command, threads", [
         (0.0, "check", 1), (200.0, "check", 2), (0.0, "wigner", 1), (200.0, "wigner", 1),
+        (0.0, "simulate", 1), (200.0, "simulate", 2), (0.0, "estimate", 1),
+        (200.0, "estimate", 2), (0.0, "sweep", 1), (200.0, "sweep", 2), (0.0, "design", 1),
+        (200.0, "design", 2),
     ])
     def test_one_thread_unless_open_evolution(self, tmp_path, monkeypatch, blas_threads,
                                               gamma_dec, command, threads):
         _set, get_threads = blas_threads
+        doc = base_config()
+        doc["waveform"]["gamma_dec"] = gamma_dec
+        cfg, record, out = write_config(tmp_path, doc), str(tmp_path / "r"), str(tmp_path / "o")
+        if command == "estimate":
+            assert main(["simulate", cfg, record]) == 0
         seen = []
-        for name in ("heisenberg_history", "wigner_function"):
+        for name in ("heisenberg_history", "optimize_waveform", "wigner_function"):
             run = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *a, run=run, **k: seen.append(get_threads())
                                 or run(*a, **k))
-        doc = base_config()
-        doc["waveform"]["gamma_dec"] = gamma_dec
-        cfg = write_config(tmp_path, doc)
-        argv = [command, cfg] + ([str(tmp_path / "w.csv"), "--n-theta", "8", "--n-phi", "8"]
-                                 if command == "wigner" else [])
+        argv = {"check": ["check", cfg], "simulate": ["simulate", cfg, out],
+                "estimate": ["estimate", record, cfg, out], "sweep": ["sweep", cfg, "2", out],
+                "design": ["design", cfg, out, "--budget", "1"],
+                "wigner": ["wigner", cfg, out, "--n-theta", "8", "--n-phi", "8"]}[command]
         assert main(argv) == 0
-        assert seen == [threads]
+        assert seen and set(seen) == {threads}
         assert get_threads() == 2
 
     def test_count_restored_after_every_exit(self, tmp_path, monkeypatch, blas_threads):
@@ -882,6 +916,16 @@ class TestBlasThreads:
         assert get_threads() == 2
 
     def test_nothing_without_the_symbols(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_openblas", lambda: None)
-        assert main(["check", write_config(tmp_path, base_config())]) == 0
+        def missing(path):
+            raise OSError(f"no such library: {path}")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        cli._openblas.cache_clear()
+        try:
+            set_threads, get_threads = cli._openblas()
+            assert set_threads(1) is None and get_threads() is None
+            assert main(["check", write_config(tmp_path, base_config())]) == 0
+        finally:
+            monkeypatch.undo()
+            cli._openblas.cache_clear()
         assert "complete: true" in capsys.readouterr().out

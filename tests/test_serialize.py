@@ -171,6 +171,13 @@ def test_non_finite_entry_anywhere_raises(bad, where):
         dumps({"x": arr[where[0]]})
 
 
+def test_document_that_cannot_be_written_leaves_no_file(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="non-finite number -inf"):
+        serialize.dump_path({"objective": -np.inf}, path)
+    assert not path.exists()
+
+
 def test_written_documents_match_per_number_encoder(sys3, default_history, tmp_path):
     """Record and estimate files re-encode to the same bytes one number at a time."""
     record = synthesize_record(make_state(sys3, "cat"), default_history, sigma=0.9, seed=4)
